@@ -72,14 +72,18 @@ def _emit(obj) -> str:
 
 def _scalar(value, where: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
-    if (
+        z = complex(value)
+    elif (
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(v, (int, float)) for v in value)
     ):
-        return complex(value[0], value[1])
-    raise ProblemError(f"{where}: expected a real or an [re, im] pair")
+        z = complex(value[0], value[1])
+    else:
+        raise ProblemError(f"{where}: expected a real or an [re, im] pair")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ProblemError(f"{where}: must be finite")
+    return z
 
 
 def _coeffs(raw, name: str) -> list:
@@ -113,7 +117,7 @@ def _correction(raw) -> Correction:
         for k, item in enumerate(raw):
             if not isinstance(item, dict) or "i" not in item or "j" not in item:
                 raise ProblemError(f"E[{k}]: expected an object with i, j, re, im")
-            z = complex(item.get("re", 0.0), item.get("im", 0.0))
+            z = _scalar([item.get("re", 0.0), item.get("im", 0.0)], f"E[{k}]")
             entries.append((item["i"], item["j"], z))
         return Correction.from_entries(entries)
     raise ProblemError("E: expected a dense block or a triplet list")

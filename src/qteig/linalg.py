@@ -2,15 +2,10 @@
 
 Matrices are plain 2-D numpy arrays of complex numbers.  The module
 provides a partially pivoted LU solve, a column-pivoted (rank
-revealing) QR, and an eigenvalue solver built from balancing, a
-Householder Hessenberg reduction, and an explicitly shifted QR
-iteration with a Wilkinson-type complex shift.
-
-The hand-written QR iteration is the default path up to
-``EIG_DELEGATE_DIM``; above that size its Python-level inner loop is
-too slow for the intended workloads and the LAPACK solver bundled with
-numpy takes over behind the same contract.  Dimensions above
-``EIG_MAX_DIM`` are rejected.
+revealing) QR, eigenvalues from numpy's LAPACK driver, and polynomial
+roots as the eigenvalues of a companion matrix.  A real matrix goes to
+the real driver, so its non-real eigenvalues come in exact conjugate
+pairs.  Dimensions above ``EIG_MAX_DIM`` are rejected.
 """
 
 from __future__ import annotations
@@ -25,13 +20,8 @@ from .errors import ConvergenceError, InvalidInputError, SingularMatrixError
 if TYPE_CHECKING:
     from .poly import Poly
 
-# Largest dimension handled by the in-repo QR iteration.
-EIG_DELEGATE_DIM = 380
-
 # Hard cap on eigenproblem size.
 EIG_MAX_DIM = 4000
-
-_EPS = float(np.finfo(float).eps)
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -139,152 +129,6 @@ def qr_rank_revealing(a, tol: float | None = None) -> RankRevealingQR:
     return RankRevealingQR(q=Q, r=R, permutation=tuple(int(p) for p in perm), rank=rank)
 
 
-def _balance(a: np.ndarray) -> np.ndarray:
-    """Diagonal similarity scaling (powers of 2) equalizing row/column norms."""
-    n = a.shape[0]
-    radix = 2.0
-    sqrdx = radix * radix
-    done = False
-    while not done:
-        done = True
-        for i in range(n):
-            r = float(np.abs(a[i, :]).sum() - abs(a[i, i]))
-            c = float(np.abs(a[:, i]).sum() - abs(a[i, i]))
-            if c == 0.0 or r == 0.0:
-                continue
-            f = 1.0
-            s = c + r
-            g = r / radix
-            while c < g:
-                f *= radix
-                c *= sqrdx
-            g = r * radix
-            while c > g:
-                f /= radix
-                c /= sqrdx
-            if (c + r) / f < 0.95 * s:
-                done = False
-                a[i, :] *= 1.0 / f
-                a[:, i] *= f
-    return a
-
-
-def _hessenberg(h: np.ndarray) -> np.ndarray:
-    """Householder reduction to upper Hessenberg form, in place."""
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1 :, k]
-        if not np.any(np.abs(x[1:])):
-            continue
-        nx = float(np.linalg.norm(x))
-        alpha = -_phase(x[0]) * nx
-        v = x.copy()
-        v[0] -= alpha
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            continue
-        v /= nv
-        h[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
-        h[k + 1, k] = alpha
-        h[k + 2 :, k] = 0.0
-    return h
-
-
-def _givens(f: complex, g: complex) -> tuple:
-    if g == 0:
-        return 1.0, 0j
-    if f == 0:
-        return 0.0, np.conj(g) / abs(g)
-    d = float(np.hypot(abs(f), abs(g)))
-    c = abs(f) / d
-    s = (f / abs(f)) * np.conj(g) / d
-    return c, s
-
-
-def _eig2(block: np.ndarray) -> list:
-    """Eigenvalues of a 2x2 block, small one via the determinant."""
-    a, b = block[0, 0], block[0, 1]
-    c, d = block[1, 0], block[1, 1]
-    mid = 0.5 * (a + d)
-    disc = np.sqrt(complex(0.25 * (a - d) ** 2 + b * c))
-    big = mid + disc if abs(mid + disc) >= abs(mid - disc) else mid - disc
-    if big == 0:
-        return [mid + disc, mid - disc]
-    return [big, (a * d - b * c) / big]
-
-
-def _wilkinson_shift(block: np.ndarray) -> complex:
-    e1, e2 = _eig2(block)
-    h = block[1, 1]
-    return e1 if abs(e1 - h) <= abs(e2 - h) else e2
-
-
-def _qr_sweep(h: np.ndarray, lo: int, hi: int, sigma: complex) -> None:
-    """One explicitly shifted QR similarity step on the window [lo, hi]."""
-    w = h[lo : hi + 1, lo : hi + 1]
-    mm = hi - lo + 1
-    idx = np.arange(mm)
-    w[idx, idx] -= sigma
-    rots = []
-    for k in range(mm - 1):
-        c, s = _givens(w[k, k], w[k + 1, k])
-        rots.append((c, s))
-        r0 = w[k, k:].copy()
-        r1 = w[k + 1, k:]
-        w[k, k:] = c * r0 + s * r1
-        w[k + 1, k:] = -np.conj(s) * r0 + c * r1
-    for k in range(mm - 1):
-        c, s = rots[k]
-        top = min(k + 2, mm)
-        c0 = w[:top, k].copy()
-        c1 = w[:top, k + 1]
-        w[:top, k] = c * c0 + np.conj(s) * c1
-        w[:top, k + 1] = -s * c0 + c * c1
-    w[idx, idx] += sigma
-
-
-def _hessenberg_eigvals(h: np.ndarray) -> list:
-    """Shifted QR iteration with deflation on an upper Hessenberg matrix."""
-    n = h.shape[0]
-    eigs: list = []
-    hi = n - 1
-    sweeps = 0
-    max_sweeps = 30 * n
-    stall = 0
-    while hi >= 0:
-        lo = hi
-        while lo > 0:
-            sub = abs(h[lo, lo - 1])
-            if sub == 0.0 or sub <= _EPS * (abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])):
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            eigs.append(complex(h[hi, hi]))
-            hi -= 1
-            stall = 0
-            continue
-        if lo == hi - 1:
-            eigs.extend(complex(e) for e in _eig2(h[lo : hi + 1, lo : hi + 1]))
-            hi -= 2
-            stall = 0
-            continue
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(
-                f"QR iteration did not converge within {max_sweeps} sweeps"
-            )
-        stall += 1
-        if stall % 12 == 0:
-            # exceptional shift to break a stalled, too symmetric window
-            sigma = h[hi, hi] + 0.75 * abs(h[hi, hi - 1])
-        else:
-            sigma = _wilkinson_shift(h[hi - 1 : hi + 1, hi - 1 : hi + 1])
-        _qr_sweep(h, lo, hi, sigma)
-        sweeps += 1
-    return eigs
-
-
 def eig_dense(a) -> list:
     """All eigenvalues of a square matrix, with multiplicity.
 
@@ -298,18 +142,11 @@ def eig_dense(a) -> list:
         raise InvalidInputError("matrix dimension must be at least 1")
     if n > EIG_MAX_DIM:
         raise InvalidInputError(f"dimension {n} exceeds the cap {EIG_MAX_DIM}")
-    if n == 1:
-        return [complex(A[0, 0])]
-    if n > EIG_DELEGATE_DIM:
-        work = A.real if not np.any(A.imag) else A
-        try:
-            vals = np.linalg.eigvals(work)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(str(exc)) from exc
-        return sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
-    H = _hessenberg(_balance(A.copy()))
-    vals = _hessenberg_eigvals(H)
-    return sorted(vals, key=lambda z: (z.real, z.imag))
+    try:
+        vals = np.linalg.eigvals(A if A.imag.any() else A.real)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(str(exc)) from exc
+    return np.sort_complex(vals).tolist()
 
 
 def roots_companion(b: "Poly") -> list:
@@ -319,8 +156,6 @@ def roots_companion(b: "Poly") -> list:
     coeffs = np.asarray(b.coeffs)
     monic = coeffs / coeffs[-1]
     d = b.degree
-    comp = np.zeros((d, d), dtype=complex)
-    if d > 1:
-        comp[np.arange(d - 1), np.arange(1, d)] = 1.0
-    comp[d - 1, :] = -monic[:d]
+    comp = np.eye(d, k=1, dtype=complex)
+    comp[-1] = -monic[:d]
     return eig_dense(comp)

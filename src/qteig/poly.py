@@ -10,6 +10,7 @@ companion-matrix rootfinder takes over.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,8 @@ class LaurentSymbol:
         object.__setattr__(self, "pos", pos)
         if len(neg) < 2 or len(pos) < 2:
             raise InvalidSymbolError("need at least m >= 1 and n >= 1 coefficients")
+        if not all(cmath.isfinite(c) for c in neg + pos):
+            raise InvalidSymbolError("coefficients must be finite")
         if neg[0] != pos[0]:
             raise InconsistentConstantError(
                 "constant coefficient differs between neg and pos"

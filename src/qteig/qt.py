@@ -8,6 +8,7 @@ computes the exact row-sum norm, and samples the symbol curve.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,6 +46,8 @@ class Correction:
                 raise InvalidInputError("correction positions are 1-based")
             if v == 0:
                 raise InvalidInputError("correction stores only nonzero values")
+            if not cmath.isfinite(v):
+                raise InvalidInputError(f"correction entry at ({i}, {j}) is not finite")
             if (i, j) in seen:
                 raise InvalidInputError(f"duplicate correction entry at ({i}, {j})")
             seen.add((i, j))

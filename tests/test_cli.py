@@ -57,6 +57,26 @@ class TestEigAllCommand:
         assert main(["eig-all", str(path)]) == 2
         assert "am[0]/ap[0]" in capsys.readouterr().err
 
+    def test_non_finite_coefficient(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        nan, inf = float("nan"), float("inf")
+        for problem, field in (
+            ({"am": [0, nan], "ap": [0, 1]}, "am[1]"),
+            ({"am": [inf, 1], "ap": [0, 1]}, "am[0]"),
+            ({"am": [5, -2], "ap": [5, -2], "E": [{"i": 1, "j": 1, "re": nan}]}, "E[0]"),
+        ):
+            path.write_text(json.dumps(problem))
+            assert main(["eig-all", str(path)]) == 2
+            assert f"{field}: must be finite" in capsys.readouterr().err
+
+    def test_non_numeric_triplet_value(self, tmp_path, capsys):
+        path = tmp_path / "str.json"
+        path.write_text(json.dumps(
+            {"am": [5, -2], "ap": [5, -2], "E": [{"i": 1, "j": 1, "re": "x"}]}
+        ))
+        assert main(["eig-all", str(path)]) == 2
+        assert "E[0]" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["eig-all", str(tmp_path / "nope.json")]) == 2
 

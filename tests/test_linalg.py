@@ -3,13 +3,7 @@ import pytest
 
 import qteig as q
 from qteig.errors import InvalidInputError, SingularMatrixError
-from qteig.linalg import (
-    EIG_DELEGATE_DIM,
-    eig_dense,
-    lu_solve,
-    qr_rank_revealing,
-    roots_companion,
-)
+from qteig.linalg import eig_dense, lu_solve, qr_rank_revealing, roots_companion
 
 from conftest import poly_from_roots
 
@@ -17,6 +11,14 @@ from conftest import poly_from_roots
 def _rand(rng, n, m=None):
     m = m or n
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+
+
+def _assert_exact_conjugates(vals):
+    # every non-real value has its conjugate in the output, bit for bit
+    vals = [complex(v) for v in vals]
+    for z in vals:
+        if z.imag != 0:
+            assert vals.count(z.conjugate()) == vals.count(z), z
 
 
 class TestLuSolve:
@@ -98,20 +100,17 @@ class TestEigDense:
                 res = abs(np.linalg.det(a - lam * np.eye(8)))
                 assert res <= 1e-8 * nrm**8
 
-    def test_agrees_with_lapack(self):
-        rng = np.random.default_rng(4)
-        a = _rand(rng, 60)
-        mine = np.array(eig_dense(a))
-        ref = np.linalg.eigvals(a)
-        for z in ref:
-            assert np.abs(mine - z).min() < 1e-10 * np.linalg.norm(a)
-
     def test_delegated_path(self):
+        # a large input goes through the same LAPACK call as a small one
         rng = np.random.default_rng(5)
-        n = EIG_DELEGATE_DIM + 20
-        a = np.diag(rng.uniform(1, 2, n))
+        a = np.diag(rng.uniform(1, 2, 400))
         vals = np.sort_complex(eig_dense(a))
         assert np.allclose(vals, np.sort(np.diag(a)))
+
+    def test_real_input_gives_exact_conjugate_pairs(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            _assert_exact_conjugates(eig_dense(rng.standard_normal((9, 9))))
 
     def test_rejects_nonsquare_and_oversized(self):
         with pytest.raises(InvalidInputError):
@@ -135,6 +134,11 @@ class TestRootsCompanion:
         assert len(roots) == 5
         inside = int(np.sum(np.abs(np.asarray(roots)) < 1.0))
         assert inside == q.count_inside(b).count
+
+    def test_real_polynomial_gives_exact_conjugate_pairs(self, test2_case1):
+        roots = roots_companion(q.char_poly(test2_case1.symbol, -0.5))
+        assert any(z.imag != 0 for z in roots)
+        _assert_exact_conjugates(roots)
 
     def test_product_roots_are_union(self):
         rng = np.random.default_rng(6)

@@ -25,11 +25,21 @@ class TestQtNew:
         with pytest.raises(InvalidSymbolError):
             q.qt_new([1, 0], [1, 2])
 
+    def test_non_finite_symbol(self):
+        for bad in (float("nan"), complex(0, float("inf"))):
+            with pytest.raises(InvalidSymbolError):
+                q.qt_new([0, bad], [0, 1])
+
     def test_support_tightened(self):
         a = q.qt_new([5, -2], [5, -2], [(1, 1, -4), (7, 9, 0)])
         assert (a.correction.k1, a.correction.k2) == (1, 1)
         with pytest.raises(InvalidInputError):
             q.Correction.from_entries([(1, 1, 2), (1, 1, 3)])
+
+    def test_non_finite_correction(self):
+        for bad in (float("nan"), complex(1, float("-inf"))):
+            with pytest.raises(InvalidInputError):
+                q.Correction.from_entries([(1, 1, bad)])
 
     def test_dense_round_trip(self):
         block = np.array([[0, 2.0, 0], [1j, 0, 0]])
