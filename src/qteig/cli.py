@@ -92,6 +92,14 @@ def _coeffs(raw, name: str) -> list:
     return [_scalar(v, f"{name}[{k}]") for k, v in enumerate(raw)]
 
 
+def _position(value, where: str) -> int:
+    """A 1-based correction row or column; an integral float such as 2.0 counts."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral or value < 1:
+        raise ProblemError(f"{where}: must be a positive integer")
+    return int(value)
+
+
 def _correction(raw) -> Correction:
     if raw is None:
         return Correction.zero()
@@ -118,7 +126,9 @@ def _correction(raw) -> Correction:
             if not isinstance(item, dict) or "i" not in item or "j" not in item:
                 raise ProblemError(f"E[{k}]: expected an object with i, j, re, im")
             z = _scalar([item.get("re", 0.0), item.get("im", 0.0)], f"E[{k}]")
-            entries.append((item["i"], item["j"], z))
+            i = _position(item["i"], f"E[{k}].i")
+            j = _position(item["j"], f"E[{k}].j")
+            entries.append((i, j, z))
         return Correction.from_entries(entries)
     raise ProblemError("E: expected a dense block or a triplet list")
 

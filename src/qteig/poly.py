@@ -208,11 +208,19 @@ def graeffe_step(b: Poly) -> Poly:
     """
     if b.is_zero:
         raise DomainError("cannot square the roots of the zero polynomial")
-    c = np.asarray(b.coeffs)
+    return Poly(tuple(_graeffe(np.asarray(b.coeffs))))
+
+
+def _graeffe(c: np.ndarray) -> np.ndarray:
+    """graeffe_step on a coefficient array with a nonzero last entry."""
     alt = c * ((-1.0) ** np.arange(c.size))
     even = np.convolve(c, alt)[0::2]
-    h = int(np.argmax(np.abs(even)))
-    return Poly(tuple(even / even[h]))
+    even = even / even[int(np.argmax(np.abs(even)))]
+    if even[-1] == 0:
+        # the leading coefficient underflowed: trim it as Poly does, so
+        # that later iterates match graeffe_step's bit for bit
+        even = np.trim_zeros(even, "b")
+    return even
 
 
 def count_inside(b: Poly, maxit: int = GRAEFFE_MAXIT) -> RootCount:
@@ -228,10 +236,10 @@ def count_inside(b: Poly, maxit: int = GRAEFFE_MAXIT) -> RootCount:
         raise DomainError("root count of the zero polynomial is undefined")
     if maxit < 1:
         raise InvalidSymbolError("maxit must be at least 1")
-    bk = b
+    ck = np.asarray(b.coeffs)
     for nu in range(1, maxit + 1):
-        bk = graeffe_step(bk)
-        mags = np.abs(np.asarray(bk.coeffs))
+        ck = _graeffe(ck)
+        mags = np.abs(ck)
         if mags.sum() < 2.0:
             return RootCount(
                 count=int(np.argmax(mags)), iterations_used=nu, fallback_used=False

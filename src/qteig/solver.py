@@ -5,10 +5,11 @@ winding / attraction-basin rasters.
 Each iteration re-checks the winding number (the component must not
 change), flags components with more decaying solutions than equations
 as continuous eigenvalue sets, and guards against shifts escaping the
-operator norm.  Iterations halt once the step modulus drops below the
-step tolerance without shrinking further, after which one extra
+operator norm.  Iterations halt once the step modulus is below the step
+tolerance and either did not shrink or is at most one unit roundoff of
+the iterate (a step that no longer moves it), after which one extra
 refining step is applied; the run is accepted only if the relative
-residual of the boundary equations passes.
+residual of the boundary equations passes, and continues otherwise.
 """
 
 from __future__ import annotations
@@ -54,7 +55,10 @@ class SolverConfig:
     """Knobs for a Newton run.
 
     tol_step is absolute but scaled by max(1, |shift|) at use;
-    the default is 1000 unit roundoffs.
+    the default is 1000 unit roundoffs.  A step below it ends the
+    iteration (one refining step, then classification) when it did not
+    shrink, or when it is at most one unit roundoff times max(1, |shift|),
+    so that steps which keep shrinking below the rounding floor stop too.
     """
 
     tol_step: float = 1e3 * _UNIT_ROUNDOFF
@@ -127,13 +131,16 @@ class _Guard(Exception):
 
 def _checked_step(a, ctx, lam, w0, a_norm, method):
     """One guarded Newton evaluation: winding, component, size and
-    balance checks, then the trace correction.  Returns (step, p)."""
+    balance checks, then the trace correction.  Returns (step, p).
+
+    ``w0`` is the winding number of the start's component; None on the
+    first step, whose own winding number defines the component."""
     sym = a.symbol
     try:
         w = winding(sym, lam)
     except OnCurveError:
         raise _Guard(SolveStatus.ON_CURVE)
-    if w != w0:
+    if w0 is not None and w != w0:
         raise _Guard(SolveStatus.OUT_OF_COMPONENT)
     p = sym.m + w
     if p > ctx.q:
@@ -209,10 +216,7 @@ def _classify(a, ctx, lam, p, iterations, cfg):
 def _run_newton(a, ctx, a_norm, lam0, cfg) -> EigRecord:
     sym = a.symbol
     lam = complex(lam0)
-    try:
-        w0 = winding(sym, lam)
-    except OnCurveError:
-        return _failure(lam, 0, SolveStatus.ON_CURVE)
+    w0 = None
     prev_step = math.inf
     iters = 0
     jittered = False
@@ -225,14 +229,23 @@ def _run_newton(a, ctx, a_norm, lam0, cfg) -> EigRecord:
             if jittered:
                 return _failure(lam, iters, SolveStatus.MAX_ITERATIONS)
             jittered = True
+            if w0 is None:
+                # the start's component, before the jitter moves it; the
+                # failed step has just computed this winding number
+                w0 = winding(sym, lam)
             lam = lam * (1 + 1e-8) + 1e-8j
             continue
+        w0 = p - sym.m  # the start's component; later steps must stay in it
         iters += 1
         nxt = lam - step
         smod = abs(step)
-        if smod < cfg.tol_step * max(1.0, abs(lam)) and smod >= prev_step:
-            # stagnated at the rounding floor: one extra refining step,
-            # charged against the same iteration budget
+        scale = max(1.0, abs(lam))
+        if smod < cfg.tol_step * scale and (
+            smod >= prev_step or smod <= _UNIT_ROUNDOFF * scale
+        ):
+            # at the rounding floor: the step stopped shrinking, or it no
+            # longer moves the iterate.  One extra refining step, charged
+            # against the same iteration budget, then classification.
             if iters >= cfg.maxit:
                 break
             try:

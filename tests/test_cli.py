@@ -77,6 +77,20 @@ class TestEigAllCommand:
         assert main(["eig-all", str(path)]) == 2
         assert "E[0]" in capsys.readouterr().err
 
+    def test_non_integer_triplet_position(self, fix_a, tmp_path, capsys):
+        path = tmp_path / "pos.json"
+        for field, value in (
+            ("i", 1.5), ("j", 1.5), ("i", "1"), ("j", True), ("i", 0), ("j", -2),
+        ):
+            item = {"i": 1, "j": 1, "re": -4}
+            item[field] = value
+            path.write_text(json.dumps({"am": [5, -2], "ap": [5, -2], "E": [item]}))
+            assert main(["eig-all", str(path)]) == 2, (field, value)
+            assert f"E[0].{field}: must be a positive integer" in capsys.readouterr().err
+        # an integral float is still a position
+        problem = {"am": [5, -2], "ap": [5, -2], "E": [{"i": 1.0, "j": 1, "re": -4}]}
+        assert parse_problem(problem) == fix_a
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["eig-all", str(tmp_path / "nope.json")]) == 2
 

@@ -4,6 +4,7 @@ import pytest
 import qteig as q
 from qteig.errors import DomainError, InconsistentConstantError, InvalidSymbolError, OnCurveError
 from qteig.linalg import roots_companion
+from qteig.poly import GRAEFFE_MAXIT
 
 from conftest import poly_from_roots, random_symbol
 
@@ -135,6 +136,38 @@ class TestCountInside:
             expected = int(np.sum(np.abs(np.asarray(roots_companion(b))) < 1.0))
             rc = q.count_inside(b)
             assert rc.count == int(np.sum(mods < 1.0)) == expected
+
+    def test_matches_graeffe_step_loop(self):
+        # the array iteration inside count_inside against the same loop
+        # written with the public graeffe_step, stop rule and fallback
+        def reference(b, maxit=GRAEFFE_MAXIT):
+            bk = b
+            for nu in range(1, maxit + 1):
+                bk = q.graeffe_step(bk)
+                mags = np.abs(np.asarray(bk.coeffs))
+                if mags.sum() < 2.0:
+                    return int(np.argmax(mags)), nu, False
+            inside = int(np.sum(np.abs(np.asarray(roots_companion(b))) < 1.0))
+            return inside, maxit, True
+
+        rng = np.random.default_rng(11)
+        polys = []
+        for _ in range(200):
+            deg = int(rng.integers(1, 14))
+            polys.append(q.Poly(tuple(
+                rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+            )))
+        # roots within 1e-9 of the circle, some beside far roots whose
+        # coefficients underflow while the squaring runs to the budget
+        for others in ((), (0.5,), (100.0,), (1e3, -0.01, 5j)):
+            for eps in (1e-9, -1e-9, 1e-10):
+                polys.append(poly_from_roots((1.0 + eps, -1j * (1.0 - eps)) + others))
+        fallbacks = 0
+        for b in polys:
+            rc = q.count_inside(b)
+            assert (rc.count, rc.iterations_used, rc.fallback_used) == reference(b)
+            fallbacks += rc.fallback_used
+        assert fallbacks > 0
 
 
 class TestWinding:

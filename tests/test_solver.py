@@ -176,6 +176,19 @@ class TestBasins:
         assert abs(limits[0]) <= 1e-8
         assert int(np.sum(labels == 0)) > 0
 
+    def test_fix_a_box_converges_everywhere(self, fix_a):
+        # steps that keep shrinking below the rounding floor at the
+        # eigenvalue 0 must end the run, not exhaust the budget
+        for x in np.linspace(-0.49, 0.49, 15):
+            for y in np.linspace(-0.49, 0.49, 15):
+                rec = q.eig_single(fix_a, complex(x, y))
+                assert rec.status is q.SolveStatus.ISOLATED_PQ, (x, y, rec.status)
+                assert abs(rec.lam) <= 1e-12
+                assert rec.iterations <= 12
+        labels, limits = q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 12)
+        assert len(limits) == 1
+        assert (labels == 0).all()
+
     def test_continuous_component_is_labeled(self):
         a = q.qt_new([0, 1], [0, 2])
         labels, limits = q.basins(a, (-0.5, 0.5), (-0.5, 0.5), 8)
