@@ -251,6 +251,8 @@ def cmd_map(args) -> int:
         re0, re1, im0, im1 = (float(x) for x in args.box.split(","))
     except ValueError as exc:
         raise ProblemError(f"--box: {exc}") from exc
+    if not all(math.isfinite(x) for x in (re0, re1, im0, im1)):
+        raise ProblemError("--box: must be finite")
     if re1 <= re0 or im1 <= im0:
         raise ProblemError("--box: ranges must be increasing")
     if args.res < 2:

@@ -1,11 +1,15 @@
 """Splitting z**m (a(z) - lam) into a monic factor with roots inside the
 unit disk times a factor with roots outside, with shift derivatives.
 
-The inside factor s drives everything downstream: its companion matrix
-F gives G = F**p through the triangular Toeplitz identity
-G = -L^{-1} U (first column of L is (s_p, ..., s_1), first row of U is
-(s_0, ..., s_{p-1})), and the derivatives of the factor coefficients
-with respect to the shift come from one resultant-style linear system.
+The split itself is decided in one place, ``inside_roots``: the
+companion roots of z**m (a(z) - lam) that lie inside the unit disk.
+Their count is p, and the same roots build the factors here and the
+root-power basis in ``nep``.  The inside factor s drives everything
+downstream: its companion matrix F gives G = F**p through the
+triangular Toeplitz identity G = -L^{-1} U (first column of L is
+(s_p, ..., s_1), first row of U is (s_0, ..., s_{p-1})), and the
+derivatives of the factor coefficients with respect to the shift come
+from one resultant-style linear system.
 """
 
 from __future__ import annotations
@@ -14,14 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    FactorizationUnstableError,
-    InvalidInputError,
-    OnCurveError,
-)
+from .errors import FactorizationUnstableError, InvalidInputError, OnCurveError
 from .linalg import lu_solve, roots_companion
-from .poly import LaurentSymbol, Poly, char_poly, winding
+from .poly import LaurentSymbol, Poly, char_poly
 
 # Roots this close to the unit circle make the inside/outside split
 # meaningless; the shift is flagged as on the curve instead.
@@ -29,6 +28,22 @@ SPLIT_BAND = 1e-10
 
 # Relative 1-norm bound on the deconvolution residual.
 DECONV_TOL = 1e-6
+
+
+def inside_roots(sym: LaurentSymbol, lam: complex) -> tuple:
+    """Roots of z**m (a(z) - lam) inside the unit disk, sorted by modulus
+    then argument; there are p = m + winding(sym, lam) of them.
+
+    Raises OnCurveError when any root has modulus within SPLIT_BAND of 1,
+    where the split is undefined.
+    """
+    roots = roots_companion(char_poly(sym, lam))
+    if any(abs(abs(r) - 1.0) <= SPLIT_BAND for r in roots):
+        raise OnCurveError(
+            f"root of modulus within {SPLIT_BAND:g} of the unit circle at shift {lam}"
+        )
+    inside = (r for r in roots if abs(r) < 1.0)
+    return tuple(sorted(inside, key=lambda z: (abs(z), np.angle(z))))
 
 
 @dataclass(frozen=True)
@@ -57,10 +72,10 @@ class GPair:
 
 
 def _monic_from_roots(roots) -> Poly:
-    # multiply linear factors in order of increasing modulus to limit
-    # cancellation in the small coefficients
+    # roots come in inside_roots' order of increasing modulus, which
+    # limits cancellation in the small coefficients
     acc = np.array([1.0 + 0j])
-    for r in sorted(roots, key=lambda z: (abs(z), np.angle(z))):
+    for r in roots:
         acc = np.convolve(acc, np.array([-r, 1.0 + 0j]))
     return Poly(tuple(acc))
 
@@ -118,40 +133,23 @@ def _factor_derivatives(sym: LaurentSymbol, s: Poly, u: Poly) -> tuple:
     return tuple(x[:p]), tuple(x[p:])
 
 
-def wiener_hopf(sym: LaurentSymbol, lam: complex, method: str = "roots") -> WienerHopfFactors:
+def wiener_hopf(sym: LaurentSymbol, lam: complex, inside=None) -> WienerHopfFactors:
     """Factor z**m (a(z) - lam) = s(z) u(z) and attach shift derivatives.
 
-    method "roots": companion rootfinding, split by modulus, monic
-    product for s, descending long division for u.  method "cr": G from
-    cyclic reduction on the associated unilateral matrix equation, s
-    from the first row of -G (independent of any rootfinder).  Roots
-    with modulus within SPLIT_BAND of 1 raise OnCurveError; a division
-    residual above DECONV_TOL times the 1-norm raises
-    FactorizationUnstableError.  An empty inside factor (p = 0) returns
-    s = 1, u = z**m (a(z) - lam), and no derivatives.
+    s is the monic product over the inside roots, ``inside_roots(sym,
+    lam)`` unless the caller has already computed them and passes them
+    as ``inside``; u comes from descending long division.  The split
+    raises OnCurveError for a shift on the curve; a division residual
+    above DECONV_TOL times the 1-norm raises FactorizationUnstableError.
+    An empty inside factor (p = 0) returns s = 1, u = z**m (a(z) - lam),
+    and no derivatives.
     """
+    if inside is None:
+        inside = inside_roots(sym, lam)
     b = char_poly(sym, lam)
-    if method == "roots":
-        roots = roots_companion(b)
-        mags = [abs(r) for r in roots]
-        if any(abs(mu - 1.0) <= SPLIT_BAND for mu in mags):
-            raise OnCurveError(
-                f"root of modulus within {SPLIT_BAND:g} of the unit circle at shift {lam}"
-            )
-        inside = [r for r in roots if abs(r) < 1.0]
-        p = len(inside)
-        if p == 0:
-            return WienerHopfFactors(s=Poly((1.0,)), u=b, s_prime=(), u_prime=())
-        s = _monic_from_roots(inside)
-    elif method == "cr":
-        p = sym.m + winding(sym, lam)
-        if p == 0:
-            return WienerHopfFactors(s=Poly((1.0,)), u=b, s_prime=(), u_prime=())
-        g = _cr_minimal_solution(sym, lam, p)
-        s = Poly(tuple(-g[0, :]) + (1.0,))
-    else:
-        raise InvalidInputError(f"unknown factorization method {method!r}")
-
+    if not inside:
+        return WienerHopfFactors(s=Poly((1.0,)), u=b, s_prime=(), u_prime=())
+    s = _monic_from_roots(inside)
     u, resid = _deconv_descending(b, s)
     if resid > DECONV_TOL * b.norm1():
         raise FactorizationUnstableError(
@@ -239,36 +237,6 @@ def _blocks(sym: LaurentSymbol, lam: complex, p: int) -> list:
         blocks.append(blk)
         k += 1
     return blocks
-
-
-def _cr_minimal_solution(sym: LaurentSymbol, lam: complex, p: int) -> np.ndarray:
-    """Minimal-spectral-radius solution of the unilateral block equation
-    via cyclic reduction, for the quadratic case (at most three blocks).
-
-    Quadratic convergence requires a spectral gap at the circle, which
-    the caller's winding computation has already certified.
-    """
-    blocks = _blocks(sym, lam, p)
-    while len(blocks) < 3:
-        blocks.append(np.zeros((p, p), dtype=complex))
-    if len(blocks) > 3:
-        raise InvalidInputError(
-            "cyclic reduction path requires 2 p >= m + n; use the roots method"
-        )
-    b_m1, b_0, b_1 = blocks
-    a_m1 = b_m1.copy()
-    hat = b_0.copy()
-    for _ in range(60):
-        t1 = lu_solve(b_0, b_m1)
-        t2 = lu_solve(b_0, b_1)
-        hat = hat - b_1 @ t1
-        b_0 = b_0 - b_1 @ t1 - b_m1 @ t2
-        b_m1 = -b_m1 @ t1
-        b_1 = -b_1 @ t2
-        drift = min(np.abs(b_m1).max(initial=0.0), np.abs(b_1).max(initial=0.0))
-        if drift <= 1e-15 * max(np.abs(hat).max(initial=0.0), 1e-300):
-            return -lu_solve(hat, a_m1)
-    raise ConvergenceError("cyclic reduction did not converge")
 
 
 def residual_mateq(sym: LaurentSymbol, lam: complex, g) -> float:

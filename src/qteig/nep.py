@@ -18,12 +18,11 @@ from .errors import (
     ClusteredRootsError,
     DerivativeVanishesError,
     InvalidInputError,
-    OnCurveError,
     SingularMatrixError,
 )
-from .factor import SPLIT_BAND, GPair, WienerHopfFactors, barnett_g, barnett_g_prime
-from .linalg import lu_solve, qr_rank_revealing, roots_companion
-from .poly import LaurentSymbol, char_poly, derivative
+from .factor import GPair, WienerHopfFactors, barnett_g, barnett_g_prime, inside_roots
+from .linalg import lu_solve, qr_rank_revealing
+from .poly import LaurentSymbol, derivative
 from .qt import QTMatrix
 
 # Inside roots closer than this are too clustered for a root-power
@@ -105,20 +104,17 @@ class BasisPair:
         return self.v.shape[1]
 
 
-def basis_vandermonde(sym: LaurentSymbol, lam: complex, rows: int) -> BasisPair:
+def basis_vandermonde(sym: LaurentSymbol, lam: complex, rows: int, inside=None) -> BasisPair:
     """Root-power basis: column j holds xi_j**0, xi_j**1, ... for the
-    inside roots sorted by modulus then argument.
+    inside roots sorted by modulus then argument, ``inside_roots(sym,
+    lam)`` unless the caller passes them as ``inside``.
 
     The derivative uses d xi / d lam = 1 / a'(xi).  Raises
     ClusteredRootsError when two inside roots nearly coincide or a
     root is (numerically) multiple; the G-power basis is the remedy.
     """
-    roots = roots_companion(char_poly(sym, lam))
-    if any(abs(abs(r) - 1.0) <= SPLIT_BAND for r in roots):
-        raise OnCurveError(f"root split undefined at shift {lam}")
-    inside = sorted(
-        (r for r in roots if abs(r) < 1.0), key=lambda z: (abs(z), np.angle(z))
-    )
+    if inside is None:
+        inside = inside_roots(sym, lam)
     p = len(inside)
     xi = np.asarray(inside, dtype=complex)
     for i in range(p):

@@ -2,14 +2,17 @@
 all-eigenvalue driver seeded by finite-section eigenvalues, and the
 winding / attraction-basin rasters.
 
-Each iteration re-checks the winding number (the component must not
-change), flags components with more decaying solutions than equations
-as continuous eigenvalue sets, and guards against shifts escaping the
-operator norm.  Iterations halt once the step modulus is below the step
-tolerance and either did not shrink or is at most one unit roundoff of
-the iterate (a step that no longer moves it), after which one extra
-refining step is applied; the run is accepted only if the relative
-residual of the boundary equations passes, and continues otherwise.
+Each iteration splits the companion roots of z**m (a(z) - lam) at the
+unit circle once (``factor.inside_roots``).  Their count p = m + winding
+must not change along the run (the component), p > q flags a continuous
+eigenvalue set, and the same roots then build the basis, so no separate
+winding count runs inside the iteration.  Shifts escaping the operator
+norm are stopped.  Iterations halt once the step modulus is below the
+step tolerance and either did not shrink or is at most one unit
+roundoff of the iterate (a step that no longer moves it), after which
+one extra refining step is applied; the run is accepted only if the
+relative residual of the boundary equations passes, and continues
+otherwise.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     OnCurveError,
     SingularMatrixError,
 )
-from .factor import wiener_hopf
+from .factor import inside_roots, wiener_hopf
 from .linalg import eig_dense, qr_rank_revealing
 from .nep import (
     basis_frobenius,
@@ -70,8 +73,9 @@ class SolverConfig:
     vec_len: int = 100
 
     def __post_init__(self):
-        if min(self.tol_step, self.gamma, self.residual_tol, self.dedupe_tol) <= 0:
-            raise InvalidInputError("tolerances and gamma must be positive")
+        knobs = (self.tol_step, self.gamma, self.residual_tol, self.dedupe_tol)
+        if not all(math.isfinite(x) and x > 0 for x in knobs):
+            raise InvalidInputError("tolerances and gamma must be positive and finite")
         if self.maxit < 1:
             raise InvalidInputError("maxit must be at least 1")
         if self.method not in ("frobenius", "vandermonde"):
@@ -102,17 +106,16 @@ def _failure(lam: complex, iterations: int, status: SolveStatus, residual=math.i
     )
 
 
-def _build_basis(a: QTMatrix, lam: complex, width: int, method: str):
-    """Basis of decaying solutions at the given shift; the Vandermonde
-    kind falls back to the G-power kind on clustered roots."""
-    sym = a.symbol
+def _build_basis(sym, lam: complex, inside: tuple, width: int, method: str):
+    """Basis of decaying solutions at the given shift, built from its
+    inside roots; the Vandermonde kind falls back to the G-power kind on
+    clustered roots."""
     if method == "vandermonde":
         try:
-            return basis_vandermonde(sym, lam, width)
+            return basis_vandermonde(sym, lam, width, inside)
         except ClusteredRootsError:
             pass
-    factors = wiener_hopf(sym, lam, method="roots")
-    return basis_frobenius(factors, width)
+    return basis_frobenius(wiener_hopf(sym, lam, inside), width)
 
 
 def _null_direction(phi_mat: np.ndarray) -> np.ndarray:
@@ -129,20 +132,22 @@ class _Guard(Exception):
         self.status = status
 
 
-def _checked_step(a, ctx, lam, w0, a_norm, method):
-    """One guarded Newton evaluation: winding, component, size and
-    balance checks, then the trace correction.  Returns (step, p).
+def _checked_step(a, ctx, lam, p0, a_norm, method):
+    """One guarded Newton evaluation.  Splits the companion roots at the
+    unit circle once; their count p is checked against the component,
+    the row count q and p = 0 (after the norm guard), and the same roots
+    build the basis for the trace correction.  Returns (step, p).
 
-    ``w0`` is the winding number of the start's component; None on the
-    first step, whose own winding number defines the component."""
+    ``p0`` is the inside-root count of the start's component; None on the
+    first step, whose own count defines the component."""
     sym = a.symbol
     try:
-        w = winding(sym, lam)
+        inside = inside_roots(sym, lam)
     except OnCurveError:
         raise _Guard(SolveStatus.ON_CURVE)
-    if w0 is not None and w != w0:
+    p = len(inside)
+    if p0 is not None and p != p0:
         raise _Guard(SolveStatus.OUT_OF_COMPONENT)
-    p = sym.m + w
     if p > ctx.q:
         raise _Guard(SolveStatus.CONTINUOUS_SET)
     if abs(lam) > a_norm:
@@ -151,34 +156,32 @@ def _checked_step(a, ctx, lam, w0, a_norm, method):
         # no decaying solutions at all in this component: nothing to solve
         raise _Guard(SolveStatus.NO_CONVERGENCE_PLTQ)
     try:
-        basis = _build_basis(a, lam, ctx.width, method)
-    except OnCurveError:
-        raise _Guard(SolveStatus.ON_CURVE)
+        basis = _build_basis(sym, lam, inside, ctx.width, method)
     except (FactorizationUnstableError, SingularMatrixError):
         # the factorization pipeline broke down at this shift; classified
         # as a failed run rather than escaping the driver
         raise _Guard(SolveStatus.MAX_ITERATIONS)
-    if basis.p != p:
-        # root split and winding disagree: the shift hugs a component boundary
-        raise _Guard(SolveStatus.ON_CURVE)
     phi_mat, phi_prime = phi(ctx, basis, p)
     return newton_correction(phi_mat, phi_prime), p
 
 
 def _classify(a, ctx, lam, p, iterations, cfg):
     """Residual test and, for p < q, the rank certificate, at a converged
-    shift.  Returns an EigRecord or None when not accepted."""
+    shift.  The root split there must still give p inside roots.
+    Returns an EigRecord or None when not accepted."""
     sym = a.symbol
     corr = a.correction
     q = ctx.q
     try:
-        basis = _build_basis(a, lam, ctx.width, cfg.method)
+        inside = inside_roots(sym, lam)
     except OnCurveError:
         return _failure(lam, iterations, SolveStatus.ON_CURVE)
+    if len(inside) != p:
+        return _failure(lam, iterations, SolveStatus.ON_CURVE)
+    try:
+        basis = _build_basis(sym, lam, inside, ctx.width, cfg.method)
     except (FactorizationUnstableError, SingularMatrixError):
         return None
-    if basis.p != p:
-        return _failure(lam, iterations, SolveStatus.ON_CURVE)
     phi_mat, _ = phi(ctx, basis, p)
     beta = _null_direction(phi_mat)
     res_len = max(q + sym.n, corr.k2)
@@ -216,26 +219,26 @@ def _classify(a, ctx, lam, p, iterations, cfg):
 def _run_newton(a, ctx, a_norm, lam0, cfg) -> EigRecord:
     sym = a.symbol
     lam = complex(lam0)
-    w0 = None
+    p0 = None
     prev_step = math.inf
     iters = 0
     jittered = False
     while iters < cfg.maxit:
         try:
-            step, p = _checked_step(a, ctx, lam, w0, a_norm, cfg.method)
+            step, p = _checked_step(a, ctx, lam, p0, a_norm, cfg.method)
         except _Guard as g:
             return _failure(lam, iters, g.status)
         except DerivativeVanishesError:
             if jittered:
                 return _failure(lam, iters, SolveStatus.MAX_ITERATIONS)
             jittered = True
-            if w0 is None:
-                # the start's component, before the jitter moves it; the
-                # failed step has just computed this winding number
-                w0 = winding(sym, lam)
+            if p0 is None:
+                # the start's component, before the jitter moves it: the
+                # split the failed step passed its guards with
+                p0 = len(inside_roots(sym, lam))
             lam = lam * (1 + 1e-8) + 1e-8j
             continue
-        w0 = p - sym.m  # the start's component; later steps must stay in it
+        p0 = p  # the start's component; later steps must stay in it
         iters += 1
         nxt = lam - step
         smod = abs(step)
@@ -249,7 +252,7 @@ def _run_newton(a, ctx, a_norm, lam0, cfg) -> EigRecord:
             if iters >= cfg.maxit:
                 break
             try:
-                refine, p = _checked_step(a, ctx, nxt, w0, a_norm, cfg.method)
+                refine, p = _checked_step(a, ctx, nxt, p0, a_norm, cfg.method)
             except _Guard as g:
                 return _failure(nxt, iters, g.status)
             except DerivativeVanishesError:
@@ -342,6 +345,8 @@ def _grid_axes(re_range, im_range, resolution):
         raise InvalidInputError("resolution must be at least 2 per axis")
     re0, re1 = (float(x) for x in re_range)
     im0, im1 = (float(x) for x in im_range)
+    if not all(math.isfinite(x) for x in (re0, re1, im0, im1)):
+        raise InvalidInputError("ranges must be finite")
     if re1 <= re0 or im1 <= im0:
         raise InvalidInputError("ranges must be increasing")
     res = re0 + (np.arange(n_re) + 0.5) * (re1 - re0) / n_re

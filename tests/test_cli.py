@@ -91,6 +91,13 @@ class TestEigAllCommand:
         problem = {"am": [5, -2], "ap": [5, -2], "E": [{"i": 1.0, "j": 1, "re": -4}]}
         assert parse_problem(problem) == fix_a
 
+    def test_non_finite_solver_settings(self, fix_a_file, capsys):
+        for flag, value in (("--gamma", "nan"), ("--gamma", "inf"), ("--tol", "nan")):
+            assert main(["eig-all", fix_a_file, flag, value]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "must be positive and finite" in captured.err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["eig-all", str(tmp_path / "nope.json")]) == 2
 
@@ -182,6 +189,12 @@ class TestMapCommand:
         assert main(["map", fix_a_file, "--box=1,-1,-1,1", "--res", "4"]) == 2
         capsys.readouterr()
         assert main(["map", fix_a_file, "--box=-1,1,-1,1", "--res", "1"]) == 2
+        capsys.readouterr()
+        out = tmp_path / "m.csv"
+        for box in ("--box=nan,1,-1,1", "--box=-1,inf,-1,1", "--box=-1,1,-inf,1"):
+            assert main(["map", fix_a_file, box, "--res", "3", "--out", str(out)]) == 2
+            assert "--box: must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestProblemRoundTrip:

@@ -3,7 +3,7 @@ import pytest
 
 import qteig as q
 from qteig.errors import FactorizationUnstableError, OnCurveError
-from qteig.factor import barnett_g, barnett_g_prime, residual_mateq, wiener_hopf
+from qteig.factor import barnett_g, barnett_g_prime, inside_roots, residual_mateq, wiener_hopf
 from qteig.linalg import eig_dense, roots_companion
 from qteig.poly import char_poly, convolve
 
@@ -58,8 +58,9 @@ class TestWienerHopf:
         assert f.s_prime == () and f.u_prime == ()
 
     def test_on_curve(self, fix_a):
-        with pytest.raises(OnCurveError):
-            wiener_hopf(fix_a.symbol, 5.0)
+        for split in (wiener_hopf, inside_roots):
+            with pytest.raises(OnCurveError):
+                split(fix_a.symbol, 5.0)
 
     def test_cluster_fixture_is_stable(self, test3):
         # tight root cluster near -0.1; the split must reconstruct cleanly
@@ -110,18 +111,23 @@ class TestWienerHopf:
                 assert np.abs(du - np.asarray(f.u_prime)).max() <= 1e-5 * scale
             done += 1
 
-    def test_cr_matches_roots(self, fix_a, test2_case1):
-        for sym, lam in (
-            (fix_a.symbol, 0.3j),
-            (fix_a.symbol, -0.7),
-            (test2_case1.symbol, -1.5),
-        ):
-            fr = wiener_hopf(sym, lam, method="roots")
-            fc = wiener_hopf(sym, lam, method="cr")
-            g_r = barnett_g(fr.s)
-            g_c = barnett_g(fc.s)
-            assert np.abs(g_r - g_c).max() <= 1e-8
-            assert np.allclose(fr.s_prime, fc.s_prime, atol=1e-8)
+
+class TestInsideRoots:
+    def test_count_matches_winding(self):
+        # away from the curve the split's count is m + winding number
+        rng = np.random.default_rng(31)
+        done = 0
+        while done < 200:
+            sym = random_symbol(rng)
+            z = 2 * (rng.standard_normal() + 1j * rng.standard_normal())
+            roots = roots_companion(char_poly(sym, z))
+            if min(abs(abs(r) - 1.0) for r in roots) < 1e-3:
+                continue
+            inside = inside_roots(sym, z)
+            assert len(inside) - sym.m == q.winding(sym, z)
+            assert sorted(inside, key=lambda r: (abs(r), np.angle(r))) == list(inside)
+            assert set(inside) == {r for r in roots if abs(r) < 1.0}
+            done += 1
 
 
 class TestBarnett:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,24 @@ class TestEigSingle:
             q.SolverConfig(residual_tol=0.0)
         with pytest.raises(InvalidInputError):
             q.SolverConfig(method="secant")
+        for field in ("tol_step", "gamma", "residual_tol", "dedupe_tol"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(InvalidInputError):
+                    q.SolverConfig(**{field: bad})
+
+    def test_newton_does_no_graeffe_count(self, fix_a, test1_case1, monkeypatch):
+        # the inside-root split decides p in each step; root squaring
+        # serves only the winding map
+        want = q.eig_all(fix_a)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Graeffe root count inside a Newton run")
+
+        monkeypatch.setattr("qteig.solver.winding", refuse)
+        monkeypatch.setattr("qteig.poly.count_inside", refuse)
+        assert q.eig_all(fix_a) == want
+        rec = q.eig_single(test1_case1, -0.40 + 1.22j)
+        assert rec.is_isolated
 
 
 class TestEigAll:
@@ -167,6 +187,17 @@ class TestWindingMap:
     def test_resolution_guard(self, fix_a):
         with pytest.raises(InvalidInputError):
             q.winding_map(fix_a, (-1, 1), (-1, 1), 1)
+
+    def test_non_finite_range(self, fix_a):
+        for re_range, im_range in (
+            ((math.nan, 1), (-1, 1)),
+            ((-1, math.inf), (-1, 1)),
+            ((-1, 1), (-math.inf, 1)),
+        ):
+            with pytest.raises(InvalidInputError):
+                q.winding_map(fix_a, re_range, im_range, 3)
+            with pytest.raises(InvalidInputError):
+                q.basins(fix_a, re_range, im_range, 3)
 
 
 class TestBasins:
