@@ -92,11 +92,13 @@ def _coeffs(raw, name: str) -> list:
     return [_scalar(v, f"{name}[{k}]") for k, v in enumerate(raw)]
 
 
-def _position(value, where: str) -> int:
-    """A 1-based correction row or column; an integral float such as 2.0 counts."""
+def _integer(value, where: str, least: int) -> int:
+    """A correction position (least 1) or block size (least 0): an int or
+    an integral float such as 2.0, not a bool."""
     integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral or value < 1:
-        raise ProblemError(f"{where}: must be a positive integer")
+    if isinstance(value, bool) or not integral or value < least:
+        kind = "positive" if least > 0 else "nonnegative"
+        raise ProblemError(f"{where}: must be a {kind} integer")
     return int(value)
 
 
@@ -107,7 +109,8 @@ def _correction(raw) -> Correction:
         for key in ("rows", "cols", "values"):
             if key not in raw:
                 raise ProblemError(f"E.{key}: missing")
-        rows, cols = raw["rows"], raw["cols"]
+        rows = _integer(raw["rows"], "E.rows", 0)
+        cols = _integer(raw["cols"], "E.cols", 0)
         vals = raw["values"]
         if not isinstance(vals, list) or len(vals) != rows:
             raise ProblemError("E.values: expected one list per row")
@@ -126,8 +129,8 @@ def _correction(raw) -> Correction:
             if not isinstance(item, dict) or "i" not in item or "j" not in item:
                 raise ProblemError(f"E[{k}]: expected an object with i, j, re, im")
             z = _scalar([item.get("re", 0.0), item.get("im", 0.0)], f"E[{k}]")
-            i = _position(item["i"], f"E[{k}].i")
-            j = _position(item["j"], f"E[{k}].j")
+            i = _integer(item["i"], f"E[{k}].i", 1)
+            j = _integer(item["j"], f"E[{k}].j", 1)
             entries.append((i, j, z))
         return Correction.from_entries(entries)
     raise ProblemError("E: expected a dense block or a triplet list")

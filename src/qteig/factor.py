@@ -14,6 +14,7 @@ from one resultant-style linear system.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,12 @@ def inside_roots(sym: LaurentSymbol, lam: complex) -> tuple:
     Raises OnCurveError when any root has modulus within SPLIT_BAND of 1,
     where the split is undefined.
     """
-    roots = roots_companion(char_poly(sym, lam))
+    return _split(char_poly(sym, lam), lam)
+
+
+def _split(b: Poly, lam: complex) -> tuple:
+    """inside_roots for the polynomial b = char_poly(sym, lam)."""
+    roots = roots_companion(b)
     if any(abs(abs(r) - 1.0) <= SPLIT_BAND for r in roots):
         raise OnCurveError(
             f"root of modulus within {SPLIT_BAND:g} of the unit circle at shift {lam}"
@@ -103,14 +109,22 @@ def _deconv_descending(b: Poly, s: Poly) -> tuple:
     return Poly(tuple(u)), resid
 
 
+@functools.lru_cache(maxsize=64)
+def _shift_index(rows: int, cols: int) -> np.ndarray:
+    """Read-only (rows, cols) array with entry cols + i - j."""
+    idx = np.subtract.outer(np.arange(rows), np.arange(cols)) + cols
+    idx.setflags(write=False)
+    return idx
+
+
 def _conv_matrix(w: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Banded matrix whose column j is w shifted down by j."""
-    out = np.zeros((rows, cols), dtype=complex)
-    for j in range(cols):
-        top = min(rows - j, w.size)
-        if top > 0:
-            out[j : j + top, j] = w[:top]
-    return out
+    # entry (i, j) is w[i - j], or 0 outside w: index w with cols zeros
+    # in front and zeros behind
+    padded = np.zeros(cols + rows, dtype=complex)
+    top = min(w.size, rows)
+    padded[cols : cols + top] = w[:top]
+    return padded[_shift_index(rows, cols)]
 
 
 def _factor_derivatives(sym: LaurentSymbol, s: Poly, u: Poly) -> tuple:
@@ -133,20 +147,22 @@ def _factor_derivatives(sym: LaurentSymbol, s: Poly, u: Poly) -> tuple:
     return tuple(x[:p]), tuple(x[p:])
 
 
-def wiener_hopf(sym: LaurentSymbol, lam: complex, inside=None) -> WienerHopfFactors:
+def wiener_hopf(sym: LaurentSymbol, lam: complex, inside=None, b=None) -> WienerHopfFactors:
     """Factor z**m (a(z) - lam) = s(z) u(z) and attach shift derivatives.
 
     s is the monic product over the inside roots, ``inside_roots(sym,
     lam)`` unless the caller has already computed them and passes them
-    as ``inside``; u comes from descending long division.  The split
+    as ``inside``; u comes from descending long division of b, which is
+    ``char_poly(sym, lam)`` unless the caller passes it.  The split
     raises OnCurveError for a shift on the curve; a division residual
     above DECONV_TOL times the 1-norm raises FactorizationUnstableError.
     An empty inside factor (p = 0) returns s = 1, u = z**m (a(z) - lam),
     and no derivatives.
     """
+    if b is None:
+        b = char_poly(sym, lam)
     if inside is None:
-        inside = inside_roots(sym, lam)
-    b = char_poly(sym, lam)
+        inside = _split(b, lam)
     if not inside:
         return WienerHopfFactors(s=Poly((1.0,)), u=b, s_prime=(), u_prime=())
     s = _monic_from_roots(inside)
@@ -160,11 +176,7 @@ def wiener_hopf(sym: LaurentSymbol, lam: complex, inside=None) -> WienerHopfFact
 
 
 def _lower_toeplitz(first_col: np.ndarray) -> np.ndarray:
-    p = first_col.size
-    out = np.zeros((p, p), dtype=complex)
-    for i in range(p):
-        out[i:, i] = first_col[: p - i]
-    return out
+    return _conv_matrix(first_col, first_col.size, first_col.size)
 
 
 def _upper_toeplitz(first_row: np.ndarray) -> np.ndarray:
@@ -173,7 +185,7 @@ def _upper_toeplitz(first_row: np.ndarray) -> np.ndarray:
 
 def _solve_unit_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Forward substitution with a unit-diagonal lower triangular matrix."""
-    x = rhs.astype(complex).copy()
+    x = rhs.astype(complex)
     for i in range(1, x.shape[0]):
         x[i] -= lower[i, :i] @ x[:i]
     return x
@@ -186,34 +198,42 @@ def _check_monic(s: Poly) -> np.ndarray:
     return coeffs
 
 
+def _linv_u(coeffs: np.ndarray) -> tuple:
+    """L and L^{-1} U for the monic coefficients (s_0, ..., s_p)."""
+    p = coeffs.size - 1
+    lower = _lower_toeplitz(coeffs[1:][::-1])  # first column (s_p, ..., s_1)
+    upper = _upper_toeplitz(coeffs[:p])  # first row (s_0, ..., s_{p-1})
+    return lower, _solve_unit_lower(lower, upper)
+
+
 def barnett_g(s: Poly) -> np.ndarray:
     """G = F**p for the companion matrix F of the monic factor s, computed
     as -L^{-1} U with triangular Toeplitz L (unit diagonal) and U; only
     triangular solves, no inverse is formed.  The first row of -G
     reproduces (s_0, ..., s_{p-1})."""
-    coeffs = _check_monic(s)
-    p = s.degree
-    lower = _lower_toeplitz(coeffs[1:][::-1])  # first column (s_p, ..., s_1)
-    upper = _upper_toeplitz(coeffs[:p])  # first row (s_0, ..., s_{p-1})
-    return -_solve_unit_lower(lower, upper)
+    return -_linv_u(_check_monic(s))[1]
 
 
 def barnett_g_prime(s: Poly, s_prime) -> np.ndarray:
     """Shift derivative of G = F**p:  -L^{-1} U' + L^{-1} L' L^{-1} U,
     where the primed triangular Toeplitz factors are built from the
     derivatives of (s_0, ..., s_{p-1}) and s_p' = 0."""
+    return _g_pair(s, s_prime).g_prime
+
+
+def _g_pair(s: Poly, s_prime) -> GPair:
+    """barnett_g and barnett_g_prime together, sharing L and L^{-1} U."""
     coeffs = _check_monic(s)
     p = s.degree
     ds = np.asarray(tuple(s_prime), dtype=complex)
     if ds.size != p:
         raise InvalidInputError(f"expected {p} coefficient derivatives, got {ds.size}")
-    lower = _lower_toeplitz(coeffs[1:][::-1])
-    upper = _upper_toeplitz(coeffs[:p])
+    lower, linv_u = _linv_u(coeffs)
     dl_col = np.concatenate([[0.0 + 0j], ds[1:][::-1]])  # (s_p', s_{p-1}', ..., s_1')
     d_lower = _lower_toeplitz(dl_col)
     d_upper = _upper_toeplitz(ds)
-    linv_u = _solve_unit_lower(lower, upper)
-    return _solve_unit_lower(lower, d_lower @ linv_u - d_upper)
+    g_prime = _solve_unit_lower(lower, d_lower @ linv_u - d_upper)
+    return GPair(g=-linv_u, g_prime=g_prime)
 
 
 def _blocks(sym: LaurentSymbol, lam: complex, p: int) -> list:

@@ -54,23 +54,28 @@ def lu_solve(a, b) -> np.ndarray:
     if B.shape[0] != n:
         raise InvalidInputError("right-hand side has incompatible row count")
 
-    scale = float(np.abs(A).max()) if A.size else 0.0
-    tol = 1e-14 * scale
+    tol = 1e-14 * float(np.abs(A).max()) if A.size else 0.0
     for k in range(n):
-        piv = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[piv, k]) <= tol:
+        col = np.abs(A[k:, k])
+        piv = int(col.argmax())
+        if col[piv] <= tol:
             raise SingularMatrixError(f"pivot {k} below threshold {tol:g}")
-        if piv != k:
-            A[[k, piv]] = A[[piv, k]]
-            B[[k, piv]] = B[[piv, k]]
-        fac = A[k + 1 :, k] / A[k, k]
-        A[k + 1 :, k + 1 :] -= np.outer(fac, A[k, k + 1 :])
-        B[k + 1 :] -= np.outer(fac, B[k])
+        if piv:
+            A[[k, k + piv]] = A[[k + piv, k]]
+            B[[k, k + piv]] = B[[k + piv, k]]
+        if k + 1 < n:
+            # both operands 2-D, as np.outer has them: numpy's complex
+            # multiply rounds differently for other stride layouts
+            fac = (A[k + 1 :, k] / A[k, k])[:, None]
+            A[k + 1 :, k + 1 :] -= fac * A[k, None, k + 1 :]
+            B[k + 1 :] -= fac * B[k, None]
 
-    X = np.zeros_like(B)
+    # back substitution in place: the rows of B below k already hold X
     for k in range(n - 1, -1, -1):
-        X[k] = (B[k] - A[k, k + 1 :] @ X[k + 1 :]) / A[k, k]
-    return X[:, 0] if vector_rhs else X
+        if k + 1 < n:
+            B[k] -= A[k, k + 1 :] @ B[k + 1 :]
+        B[k] /= A[k, k]
+    return B[:, 0] if vector_rhs else B
 
 
 @dataclass(frozen=True, eq=False)

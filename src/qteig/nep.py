@@ -20,7 +20,7 @@ from .errors import (
     InvalidInputError,
     SingularMatrixError,
 )
-from .factor import GPair, WienerHopfFactors, barnett_g, barnett_g_prime, inside_roots
+from .factor import GPair, WienerHopfFactors, _g_pair, inside_roots
 from .linalg import lu_solve, qr_rank_revealing
 from .poly import LaurentSymbol, derivative
 from .qt import QTMatrix
@@ -147,8 +147,8 @@ def basis_frobenius(factors: WienerHopfFactors, rows: int) -> BasisPair:
         raise InvalidInputError("Frobenius basis requires p >= 1")
     if rows < p:
         raise InvalidInputError("basis must have at least p rows")
-    g = barnett_g(factors.s)
-    g_prime = barnett_g_prime(factors.s, factors.s_prime)
+    pair = _g_pair(factors.s, factors.s_prime)
+    g, g_prime = pair.g, pair.g_prime
     v = np.zeros((rows, p), dtype=complex)
     v_prime = np.zeros((rows, p), dtype=complex)
     power = np.eye(p, dtype=complex)
@@ -161,9 +161,7 @@ def basis_frobenius(factors: WienerHopfFactors, rows: int) -> BasisPair:
         d_power = d_power @ g + power @ g_prime
         power = power @ g
         row += take
-    return BasisPair(
-        v=v, v_prime=v_prime, kind="frobenius", g_pair=GPair(g=g, g_prime=g_prime)
-    )
+    return BasisPair(v=v, v_prime=v_prime, kind="frobenius", g_pair=pair)
 
 
 def phi(ctx: NEPContext, basis: BasisPair, rows: int) -> tuple:
@@ -211,23 +209,21 @@ def eigvec_prefix(
     if bvec.ndim != 1 or bvec.size != basis.p or not np.any(bvec):
         raise InvalidInputError("beta must be a nonzero vector of length p")
     m = sym.m
-    total = length + m
     if basis.kind == "vandermonde":
+        # row i holds xi**(m + i), built by repeated multiplication
         xi = np.asarray(basis.xi, dtype=complex)
-        out = np.zeros(length, dtype=complex)
-        powers = xi ** m
-        for i in range(length):
-            out[i] = powers @ bvec
-            powers = powers * xi
-        return out
+        powers = np.repeat(xi[None, :], length, axis=0)
+        powers[:1] = xi**m
+        return np.cumprod(powers, axis=0) @ bvec
+    # column k of cols is G**k beta; while cols has j columns, power is
+    # G**j (by squaring) and power @ cols doubles it
     g = basis.g_pair.g
     p = basis.p
-    out = np.zeros(total, dtype=complex)
-    vec = bvec
-    row = 0
-    while row < total:
-        take = min(p, total - row)
-        out[row : row + take] = vec[:take]
-        vec = g @ vec
-        row += take
-    return out[m:]
+    total = length + m
+    cols = bvec[:, None]
+    power = g
+    while cols.shape[1] * p < total:
+        if cols.shape[1] > 1:
+            power = power @ power
+        cols = np.hstack([cols, power @ cols])
+    return cols.T.ravel()[m:total]

@@ -6,6 +6,10 @@ the rest; the index of that coefficient is the number of roots strictly
 inside the unit circle, certified without computing any root.  When
 roots hug the circle the squaring never separates them and an explicit
 companion-matrix rootfinder takes over.
+
+The squaring runs on the rows of a (polynomials, degree+1) coefficient
+array, so that a raster counts all its cells at once; ``count_inside``,
+``graeffe_step`` and ``winding`` are batches of one on the same kernel.
 """
 
 from __future__ import annotations
@@ -208,19 +212,56 @@ def graeffe_step(b: Poly) -> Poly:
     """
     if b.is_zero:
         raise DomainError("cannot square the roots of the zero polynomial")
-    return Poly(tuple(_graeffe(np.asarray(b.coeffs))))
+    return Poly(tuple(_graeffe_rows(np.asarray(b.coeffs)[None, :])[0]))
 
 
-def _graeffe(c: np.ndarray) -> np.ndarray:
-    """graeffe_step on a coefficient array with a nonzero last entry."""
-    alt = c * ((-1.0) ** np.arange(c.size))
-    even = np.convolve(c, alt)[0::2]
-    even = even / even[int(np.argmax(np.abs(even)))]
-    if even[-1] == 0:
-        # the leading coefficient underflowed: trim it as Poly does, so
-        # that later iterates match graeffe_step's bit for bit
-        even = np.trim_zeros(even, "b")
-    return even
+def _graeffe_rows(c: np.ndarray) -> np.ndarray:
+    """graeffe_step on every row of a (rows, degree+1) coefficient array.
+
+    Each product and sum is formed in a fixed order per row, so a row's
+    result does not depend on the other rows, and a trailing exact zero
+    (an underflowed leading coefficient, which Poly trims) only adds
+    exact zeros: the iterates equal those of the trimmed row.
+    """
+    rows, width = c.shape
+    alt = c.copy()
+    alt[:, 1::2] = -alt[:, 1::2]
+    full = np.zeros((rows, 2 * width - 1), dtype=complex)
+    for j in range(width):
+        full[:, j : j + width] += c[:, j, None] * alt
+    even = full[:, 0::2]
+    pivot = even[np.arange(rows), np.argmax(np.abs(even), axis=1)]
+    return even / pivot[:, None]
+
+
+def _count_rows(c: np.ndarray, maxit: int = GRAEFFE_MAXIT) -> tuple:
+    """The root-squaring count of ``count_inside`` on every row of a
+    (rows, degree+1) coefficient array whose last column is nonzero.
+
+    Returns (count, iterations_used) integer arrays; count is -1 for the
+    rows that did not settle within ``maxit`` steps, which need explicit
+    roots.  Settled rows leave the iteration.
+    """
+    rows, width = c.shape
+    count = np.full(rows, -1, dtype=np.int64)
+    used = np.full(rows, maxit, dtype=np.int64)
+    live = np.arange(rows)
+    ck = np.asarray(c, dtype=complex)
+    for nu in range(1, maxit + 1):
+        ck = _graeffe_rows(ck)
+        mags = np.abs(ck)
+        total = mags[:, 0].copy()
+        for j in range(1, width):  # summed in a fixed order, see _graeffe_rows
+            total += mags[:, j]
+        done = total < 2.0
+        if done.any():
+            count[live[done]] = np.argmax(mags[done], axis=1)
+            used[live[done]] = nu
+            live = live[~done]
+            ck = ck[~done]
+            if not live.size:
+                break
+    return count, used
 
 
 def count_inside(b: Poly, maxit: int = GRAEFFE_MAXIT) -> RootCount:
@@ -236,14 +277,9 @@ def count_inside(b: Poly, maxit: int = GRAEFFE_MAXIT) -> RootCount:
         raise DomainError("root count of the zero polynomial is undefined")
     if maxit < 1:
         raise InvalidSymbolError("maxit must be at least 1")
-    ck = np.asarray(b.coeffs)
-    for nu in range(1, maxit + 1):
-        ck = _graeffe(ck)
-        mags = np.abs(ck)
-        if mags.sum() < 2.0:
-            return RootCount(
-                count=int(np.argmax(mags)), iterations_used=nu, fallback_used=False
-            )
+    count, used = _count_rows(np.asarray(b.coeffs)[None, :], maxit)
+    if count[0] >= 0:
+        return RootCount(count=int(count[0]), iterations_used=int(used[0]), fallback_used=False)
     from .linalg import roots_companion  # deferred: linalg depends on this module
 
     roots = tuple(roots_companion(b)) if b.degree >= 1 else ()

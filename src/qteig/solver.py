@@ -13,6 +13,10 @@ roundoff of the iterate (a step that no longer moves it), after which
 one extra refining step is applied; the run is accepted only if the
 relative residual of the boundary equations passes, and continues
 otherwise.
+
+The winding raster counts inside roots by root squaring on all cells of
+a few grid rows at a time; only the cells whose count does not settle
+(shifts on or hugging the curve) go to ``poly.winding`` one by one.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import (
     OnCurveError,
     SingularMatrixError,
 )
-from .factor import inside_roots, wiener_hopf
+from .factor import _split, inside_roots, wiener_hopf
 from .linalg import eig_dense, qr_rank_revealing
 from .nep import (
     basis_frobenius,
@@ -40,7 +44,7 @@ from .nep import (
     newton_correction,
     phi,
 )
-from .poly import winding
+from .poly import _count_rows, char_poly, winding
 from .qt import EigRecord, QTMatrix, SolveStatus, apply_prefix, finite_section, norm_inf
 
 _UNIT_ROUNDOFF = float(np.finfo(float).eps)
@@ -51,6 +55,9 @@ BASIN_NONCONV = -2
 
 # Raster sentinel for winding cells on the symbol curve.
 CURVE_SENTINEL = -128
+
+# Grid rows per batch of the winding raster: bounds its working memory.
+_MAP_BLOCK = 10
 
 
 @dataclass(frozen=True)
@@ -106,16 +113,16 @@ def _failure(lam: complex, iterations: int, status: SolveStatus, residual=math.i
     )
 
 
-def _build_basis(sym, lam: complex, inside: tuple, width: int, method: str):
+def _build_basis(sym, lam: complex, b, inside: tuple, width: int, method: str):
     """Basis of decaying solutions at the given shift, built from its
-    inside roots; the Vandermonde kind falls back to the G-power kind on
-    clustered roots."""
+    char_poly b and inside roots; the Vandermonde kind falls back to the
+    G-power kind on clustered roots."""
     if method == "vandermonde":
         try:
             return basis_vandermonde(sym, lam, width, inside)
         except ClusteredRootsError:
             pass
-    return basis_frobenius(wiener_hopf(sym, lam, inside), width)
+    return basis_frobenius(wiener_hopf(sym, lam, inside, b), width)
 
 
 def _null_direction(phi_mat: np.ndarray) -> np.ndarray:
@@ -141,8 +148,9 @@ def _checked_step(a, ctx, lam, p0, a_norm, method):
     ``p0`` is the inside-root count of the start's component; None on the
     first step, whose own count defines the component."""
     sym = a.symbol
+    b = char_poly(sym, lam)
     try:
-        inside = inside_roots(sym, lam)
+        inside = _split(b, lam)
     except OnCurveError:
         raise _Guard(SolveStatus.ON_CURVE)
     p = len(inside)
@@ -156,7 +164,7 @@ def _checked_step(a, ctx, lam, p0, a_norm, method):
         # no decaying solutions at all in this component: nothing to solve
         raise _Guard(SolveStatus.NO_CONVERGENCE_PLTQ)
     try:
-        basis = _build_basis(sym, lam, inside, ctx.width, method)
+        basis = _build_basis(sym, lam, b, inside, ctx.width, method)
     except (FactorizationUnstableError, SingularMatrixError):
         # the factorization pipeline broke down at this shift; classified
         # as a failed run rather than escaping the driver
@@ -172,20 +180,24 @@ def _classify(a, ctx, lam, p, iterations, cfg):
     sym = a.symbol
     corr = a.correction
     q = ctx.q
+    b = char_poly(sym, lam)
     try:
-        inside = inside_roots(sym, lam)
+        inside = _split(b, lam)
     except OnCurveError:
         return _failure(lam, iterations, SolveStatus.ON_CURVE)
     if len(inside) != p:
         return _failure(lam, iterations, SolveStatus.ON_CURVE)
     try:
-        basis = _build_basis(sym, lam, inside, ctx.width, cfg.method)
+        basis = _build_basis(sym, lam, b, inside, ctx.width, cfg.method)
     except (FactorizationUnstableError, SingularMatrixError):
         return None
     phi_mat, _ = phi(ctx, basis, p)
     beta = _null_direction(phi_mat)
     res_len = max(q + sym.n, corr.k2)
-    vec = eigvec_prefix(basis, beta, res_len, sym, lam)
+    # one prefix serves the residual rows and the stored eigenvector:
+    # both are leading entries of the same sequence
+    full = eigvec_prefix(basis, beta, max(res_len, cfg.vec_len), sym, lam)
+    vec = full[:res_len]
     denom_q = float(np.linalg.norm(vec[:q]))
     if denom_q == 0.0:
         return None
@@ -205,7 +217,7 @@ def _classify(a, ctx, lam, p, iterations, cfg):
         if full_rank_fac.rank >= p or res_q > cfg.residual_tol:
             return _failure(lam, iterations, SolveStatus.NO_CONVERGENCE_PLTQ, res_q)
         status = SolveStatus.ISOLATED_PLTQ
-    prefix = eigvec_prefix(basis, beta, cfg.vec_len, sym, lam)
+    prefix = full[: cfg.vec_len]
     return EigRecord(
         lam=complex(lam),
         beta=tuple(beta),
@@ -359,17 +371,25 @@ def winding_map(a: QTMatrix, re_range, im_range, resolution) -> np.ndarray:
     with CURVE_SENTINEL marking cells that land on the curve.
 
     Returns an (n_im, n_re) integer grid; row k belongs to the k-th
-    imaginary coordinate, column j to the j-th real coordinate.
+    imaginary coordinate, column j to the j-th real coordinate.  The
+    root squaring runs on all cells of a few grid rows at once; cells it
+    cannot settle go to ``winding`` one at a time.
     """
     res, ims = _grid_axes(re_range, im_range, resolution)
     sym = a.symbol
-    out = np.zeros((ims.size, res.size), dtype=np.int64)
-    for k, y in enumerate(ims):
-        for j, x in enumerate(res):
+    out = np.empty((ims.size, res.size), dtype=np.int64)
+    for k in range(0, ims.size, _MAP_BLOCK):
+        lam = (res[None, :] + 1j * ims[k : k + _MAP_BLOCK, None]).ravel()
+        coeffs = np.repeat(sym.coeffs()[None, :], lam.size, axis=0)
+        coeffs[:, sym.m] -= lam
+        count, _ = _count_rows(coeffs)
+        wind = count - sym.m
+        for i in np.flatnonzero(count < 0):
             try:
-                out[k, j] = winding(sym, complex(x, y))
+                wind[i] = winding(sym, complex(lam[i]))
             except OnCurveError:
-                out[k, j] = CURVE_SENTINEL
+                wind[i] = CURVE_SENTINEL
+        out[k : k + _MAP_BLOCK] = wind.reshape(-1, res.size)
     return out
 
 

@@ -112,6 +112,21 @@ class TestEigAllCommand:
         out = json.loads(capsys.readouterr().out)
         assert len(out["eigenvalues"]) == 1
 
+    def test_non_integer_block_size(self, fix_a, tmp_path, capsys):
+        path = tmp_path / "dense.json"
+        for field, value in (
+            ("rows", True), ("cols", True), ("rows", "1"), ("cols", 1.5), ("rows", -1),
+            ("cols", None),
+        ):
+            block = {"rows": 1, "cols": 1, "values": [[-4]]}
+            block[field] = value
+            path.write_text(json.dumps({"am": [5, -2], "ap": [5, -2], "E": block}))
+            assert main(["eig-all", str(path)]) == 2, (field, value)
+            assert f"E.{field}: must be a nonnegative integer" in capsys.readouterr().err
+        # an integral float is still a size, as for triplet positions
+        problem = {"am": [5, -2], "ap": [5, -2], "E": {"rows": 1.0, "cols": 1, "values": [[-4]]}}
+        assert parse_problem(problem) == fix_a
+
     def test_seven_band_fixture_has_eight_entries(self, tmp_path, capsys):
         # slow: seeds from a 3200 x 3200 section (about a minute)
         path = tmp_path / "seven_band.json"

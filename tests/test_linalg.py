@@ -46,6 +46,28 @@ class TestLuSolve:
             err = np.linalg.norm(a @ x - b)
             assert err <= 1e-12 * np.linalg.norm(a) * max(np.linalg.norm(x), 1)
 
+    def test_agrees_with_numpy_solve(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 14):
+            for _ in range(10):
+                a = _rand(rng, n)
+                for b in (_rand(rng, n, 1)[:, 0], _rand(rng, n, int(rng.integers(1, 4)))):
+                    x = lu_solve(a, b)
+                    want = np.linalg.solve(a, b)
+                    assert x.shape == b.shape
+                    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_pivot_threshold(self):
+        # the second pivot against the threshold 1e-14 * max|A| = 1e-14
+        for ratio, singular in ((1 - 1e-6, True), (1 + 1e-6, False)):
+            a = np.array([[1.0, 0.5], [0.0, ratio * 1e-14]])
+            if singular:
+                with pytest.raises(SingularMatrixError):
+                    lu_solve(a, np.ones(2))
+            else:
+                x = lu_solve(a, np.ones(2))
+                assert np.allclose(x, np.linalg.solve(a, np.ones(2)), rtol=1e-12, atol=0)
+
 
 class TestQrRankRevealing:
     def test_zero_matrix(self):

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 import qteig as q
-from qteig.errors import InvalidInputError
+from qteig.errors import InvalidInputError, OnCurveError
 from qteig.linalg import eig_dense
 from qteig.nep import basis_vandermonde, build_w, newton_correction, phi
-from qteig.solver import BASIN_CONTINUOUS, BASIN_NONCONV
+from qteig.poly import GRAEFFE_MAXIT
+from qteig.solver import BASIN_CONTINUOUS, BASIN_NONCONV, CURVE_SENTINEL
+
+from conftest import random_symbol
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +89,7 @@ class TestEigSingle:
 
         monkeypatch.setattr("qteig.solver.winding", refuse)
         monkeypatch.setattr("qteig.poly.count_inside", refuse)
+        monkeypatch.setattr("qteig.poly._graeffe_rows", refuse)
         assert q.eig_all(fix_a) == want
         rec = q.eig_single(test1_case1, -0.40 + 1.22j)
         assert rec.is_isolated
@@ -183,6 +187,57 @@ class TestWindingMap:
         for a in (fix_a, test1_case2):
             z = 2 * q.norm_inf(a) + 0.1j
             assert q.winding(a.symbol, z) == 0
+
+    def test_matches_scalar_winding(self, fix_a, fig2_symbol):
+        # the batched root squaring of winding_map against winding, one
+        # cell at a time
+        def per_cell(sym, re_range, im_range, n):
+            def centers(lo, hi):
+                return lo + (np.arange(n) + 0.5) * (hi - lo) / n
+
+            out = np.empty((n, n), dtype=np.int64)
+            for k, y in enumerate(centers(*im_range)):
+                for j, x in enumerate(centers(*re_range)):
+                    try:
+                        out[k, j] = q.winding(sym, complex(x, y))
+                    except OnCurveError:
+                        out[k, j] = CURVE_SENTINEL
+            return out, [complex(x, y) for y in centers(*im_range) for x in centers(*re_range)]
+
+        def trims(b):
+            # the leading coefficient underflows before the count settles
+            bk = b
+            for _ in range(GRAEFFE_MAXIT):
+                bk = q.graeffe_step(bk)
+                if bk.degree < b.degree:
+                    return True
+                if np.abs(np.asarray(bk.coeffs)).sum() < 2.0:
+                    return False
+            return False
+
+        # roots 1e6, 0.5 and +-1 at shift 0: near it the leading
+        # coefficient underflows while the roots near the circle keep the
+        # count open
+        c = np.convolve(np.convolve([-1e6, 1], [-0.5, 1]), [-1, 0, 1])
+        far = q.LaurentSymbol(neg=(c[2], c[1], c[0]), pos=(c[2], c[3], c[4]))
+        rng = np.random.default_rng(23)
+        cases = [
+            (fig2_symbol, (-10, 10), (-10, 10), 100),
+            # an odd count puts a row of cell centers on fix_a's curve [1, 9]
+            (fix_a.symbol, (0, 10), (-1, 1), 11),
+            (far, (-2e3, 2e3), (-2e3, 2e3), 9),
+        ] + [(random_symbol(rng), (-4, 4), (-4, 4), 15) for _ in range(6)]
+        sentinels = fallbacks = trimmed = 0
+        for sym, re_range, im_range, n in cases:
+            a = q.QTMatrix(symbol=sym, correction=q.Correction.zero())
+            want, shifts = per_cell(sym, re_range, im_range, n)
+            assert np.array_equal(q.winding_map(a, re_range, im_range, n), want)
+            sentinels += int(np.sum(want == CURVE_SENTINEL))
+            for lam in shifts:
+                b = q.char_poly(sym, lam)
+                fallbacks += q.count_inside(b).fallback_used
+                trimmed += trims(b)
+        assert sentinels > 0 and fallbacks > 0 and trimmed > 0
 
     def test_resolution_guard(self, fix_a):
         with pytest.raises(InvalidInputError):

@@ -1,0 +1,160 @@
+"""Per-start Newton outcomes of qteig, written as JSON, and a comparison
+of two such files.
+
+    python3 tools/outcome_digest.py [--src DIR] --out FILE
+    python3 tools/outcome_digest.py --compare A B
+
+The first form imports qteig from ``DIR/src`` (default: this checkout)
+and runs Newton from three start sets:
+
+- seven_band: the section starts of the seven-band fixture at default
+  settings;
+- cluster: the section starts of the clustered-root fixture with the
+  criterion-4 Frobenius configuration;
+- basins: the 50 x 50 cell centers of [-0.5, 0.5]^2 on the rank-one
+  fixture.
+
+For each start it records (status, iterations, repr(lam)); for each set
+it also records the accepted eigenvalues (``eig_all`` records, or the
+basin limits).  The starts go through the private
+``qteig.solver._run_newton``, because ``eig_all`` keeps only the
+accepted runs.
+
+``--compare`` prints every start whose status or iteration count
+differs, the number of final shifts that differ in any bit, and the
+largest relative difference of the final shifts and of the accepted
+eigenvalues per set.  It exits 1 when a status differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _import_qteig(src: Path):
+    sys.path.insert(0, str(src / "src"))
+    import qteig
+
+    if src.resolve() / "src" not in Path(qteig.__file__).resolve().parents:
+        raise ImportError(f"qteig imported from {qteig.__file__}, not from {src}")
+    return qteig
+
+
+def _problems(q):
+    seven_band = q.qt_new(
+        [0, -1, 1, -1, 0, 0, 0, 1], [0, -1, -1], [(i, 100, i) for i in range(1, 21)]
+    )
+    cluster = q.qt_new(
+        [0, 0, 0, 0, 0, 0, 0, 1.0, 0.3, 0.03, 0.001],
+        [0, 0, 10.0],
+        [(i, 12 + i, 1e-5) for i in range(1, 13)],
+    )
+    cluster_cfg = q.SolverConfig(
+        method="frobenius", gamma=12.5, residual_tol=1e-8, dedupe_tol=1e-4
+    )
+    fix_a = q.qt_new([5, -2], [5, -2], [(1, 1, -4)])
+    return seven_band, cluster, cluster_cfg, fix_a
+
+
+def _runs(q, a, cfg, starts) -> list:
+    from qteig.nep import build_w
+    from qteig.solver import _run_newton
+
+    ctx = build_w(a)
+    a_norm = q.norm_inf(a)
+    out = []
+    for start in starts:
+        rec = _run_newton(a, ctx, a_norm, complex(start), cfg)
+        out.append([rec.status.value, rec.iterations, repr(rec.lam)])
+    return out
+
+
+def _section_set(q, a, cfg) -> dict:
+    from qteig.linalg import eig_dense
+    from qteig.solver import section_size
+
+    a_norm = q.norm_inf(a)
+    starts = eig_dense(q.finite_section(a, section_size(a, cfg.gamma)))
+    starts = [z for z in starts if abs(z) <= 1.1 * a_norm]  # as eig_all filters
+    report = q.eig_all(a, cfg)
+    return {
+        "starts": _runs(q, a, cfg, starts),
+        "accepted": [repr(r.lam) for r in report.records],
+    }
+
+
+def digest(src: Path) -> dict:
+    q = _import_qteig(src)
+    seven_band, cluster, cluster_cfg, fix_a = _problems(q)
+    centers = -0.5 + (np.arange(50) + 0.5) / 50
+    basin_starts = [complex(x, y) for y in centers for x in centers]
+    _, limits = q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 50)
+    return {
+        "seven_band": _section_set(q, seven_band, q.SolverConfig()),
+        "cluster": _section_set(q, cluster, cluster_cfg),
+        "basins": {
+            "starts": _runs(q, fix_a, q.SolverConfig(), basin_starts),
+            "accepted": [repr(z) for z in limits],
+        },
+    }
+
+
+def _rel(a: str, b: str) -> float:
+    za, zb = complex(a), complex(b)
+    return abs(za - zb) / max(abs(za), abs(zb), 1e-300) if za != zb else 0.0
+
+
+def compare(path_a: Path, path_b: Path) -> int:
+    da = json.loads(path_a.read_text())
+    db = json.loads(path_b.read_text())
+    status_diffs = 0
+    for name in da:
+        sa, sb = da[name]["starts"], db[name]["starts"]
+        if len(sa) != len(sb):
+            print(f"{name}: {len(sa)} starts against {len(sb)}")
+            status_diffs += 1
+            continue
+        bits = 0
+        worst = 0.0
+        for k, (ra, rb) in enumerate(zip(sa, sb)):
+            if ra[0] != rb[0] or ra[1] != rb[1]:
+                print(f"{name}[{k}]: {ra[0]} in {ra[1]} steps -> {rb[0]} in {rb[1]} steps")
+            status_diffs += ra[0] != rb[0]
+            bits += ra[2] != rb[2]
+            worst = max(worst, _rel(ra[2], rb[2]))
+        acc_a, acc_b = da[name]["accepted"], db[name]["accepted"]
+        if len(acc_a) != len(acc_b):
+            acc_worst = "count differs"
+        else:
+            acc_worst = f"{max((_rel(x, y) for x, y in zip(acc_a, acc_b)), default=0.0):.2e}"
+        print(f"{name}: {len(sa)} starts, {bits} final shifts differ in some bit, "
+              f"max relative shift difference {worst:.2e}; "
+              f"{len(acc_a)} accepted, max relative difference {acc_worst}")
+    print(f"status differences: {status_diffs}")
+    return 1 if status_diffs else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT,
+                        help="checkout whose src/ provides qteig (default: this one)")
+    parser.add_argument("--out", type=Path, help="write the digest here")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        parser.error("--out is required unless --compare is given")
+    args.out.write_text(json.dumps(digest(args.src), indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
