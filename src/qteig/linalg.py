@@ -88,19 +88,16 @@ class RankRevealingQR:
     rank: int
 
 
-def qr_rank_revealing(a, tol: float | None = None) -> RankRevealingQR:
+def qr_rank_revealing(a) -> RankRevealingQR:
     """Householder QR with column pivoting and a rank decision.
 
     The numerical rank is the number of diagonal entries of R whose
-    modulus exceeds ``tol * |R[0, 0]|``; by default
-    ``tol = 1e-12 * max(rows, cols)``.  A zero matrix has rank 0.
+    modulus exceeds ``1e-12 * max(rows, cols) * |R[0, 0]|``.  A zero
+    matrix has rank 0.
     """
     A = _as_matrix(a)
     rows, cols = A.shape
-    if tol is None:
-        tol = 1e-12 * max(rows, cols, 1)
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
+    tol = 1e-12 * max(rows, cols, 1)
 
     R = A.copy()
     Q = np.eye(rows, dtype=complex)

@@ -234,20 +234,26 @@ def _graeffe_rows(c: np.ndarray) -> np.ndarray:
     return even / pivot[:, None]
 
 
-def _count_rows(c: np.ndarray, maxit: int = GRAEFFE_MAXIT) -> tuple:
+def _count_rows(c: np.ndarray) -> tuple:
     """The root-squaring count of ``count_inside`` on every row of a
     (rows, degree+1) coefficient array whose last column is nonzero.
 
     Returns (count, iterations_used) integer arrays; count is -1 for the
-    rows that did not settle within ``maxit`` steps, which need explicit
-    roots.  Settled rows leave the iteration.
+    rows that did not settle within GRAEFFE_MAXIT steps, which need
+    explicit roots.  Settled rows leave the iteration.  Each row is first
+    scaled by the power of two that brings its largest modulus into
+    [0.5, 1): exact, and the first squaring neither underflows nor
+    overflows on rows of tiny or huge coefficients.
     """
     rows, width = c.shape
     count = np.full(rows, -1, dtype=np.int64)
-    used = np.full(rows, maxit, dtype=np.int64)
+    used = np.full(rows, GRAEFFE_MAXIT, dtype=np.int64)
     live = np.arange(rows)
-    ck = np.asarray(c, dtype=complex)
-    for nu in range(1, maxit + 1):
+    _, exp = np.frexp(np.abs(c).max(axis=1))
+    ck = np.empty((rows, width), dtype=complex)
+    ck.real = np.ldexp(c.real, -exp[:, None])
+    ck.imag = np.ldexp(c.imag, -exp[:, None])
+    for nu in range(1, GRAEFFE_MAXIT + 1):
         ck = _graeffe_rows(ck)
         mags = np.abs(ck)
         total = mags[:, 0].copy()
@@ -264,37 +270,35 @@ def _count_rows(c: np.ndarray, maxit: int = GRAEFFE_MAXIT) -> tuple:
     return count, used
 
 
-def count_inside(b: Poly, maxit: int = GRAEFFE_MAXIT) -> RootCount:
+def count_inside(b: Poly) -> RootCount:
     """Number of roots of b strictly inside the unit disk.
 
     Runs the root-squaring iteration until one coefficient holds more
     than half of the 1-norm, which certifies the count.  If that never
-    happens within ``maxit`` steps (roots on or hugging the circle),
+    happens within GRAEFFE_MAXIT steps (roots on or hugging the circle),
     falls back to explicit companion-matrix rootfinding on the original
     polynomial and reports the computed roots.
     """
     if b.is_zero:
         raise DomainError("root count of the zero polynomial is undefined")
-    if maxit < 1:
-        raise InvalidSymbolError("maxit must be at least 1")
-    count, used = _count_rows(np.asarray(b.coeffs)[None, :], maxit)
+    count, used = _count_rows(np.asarray(b.coeffs)[None, :])
     if count[0] >= 0:
         return RootCount(count=int(count[0]), iterations_used=int(used[0]), fallback_used=False)
     from .linalg import roots_companion  # deferred: linalg depends on this module
 
     roots = tuple(roots_companion(b)) if b.degree >= 1 else ()
     count = sum(1 for r in roots if abs(r) < 1.0)
-    return RootCount(count=count, iterations_used=maxit, fallback_used=True, roots=roots)
+    return RootCount(count=count, iterations_used=GRAEFFE_MAXIT, fallback_used=True, roots=roots)
 
 
-def winding(sym: LaurentSymbol, lam: complex, maxit: int = GRAEFFE_MAXIT) -> int:
+def winding(sym: LaurentSymbol, lam: complex) -> int:
     """Winding number of the symbol curve around ``lam``.
 
     Equals the number of roots of a(z) - lam inside the unit disk minus
     m.  Raises OnCurveError when the count falls back to explicit roots
     and one of them sits within CIRCLE_TOL of the unit circle.
     """
-    rc = count_inside(char_poly(sym, lam), maxit)
+    rc = count_inside(char_poly(sym, lam))
     if rc.fallback_used and rc.roots:
         if any(abs(abs(r) - 1.0) <= CIRCLE_TOL for r in rc.roots):
             raise OnCurveError(f"shift {lam} lies numerically on the symbol curve")

@@ -2,17 +2,19 @@
 all-eigenvalue driver seeded by finite-section eigenvalues, and the
 winding / attraction-basin rasters.
 
-Each iteration splits the companion roots of z**m (a(z) - lam) at the
-unit circle once (``factor.inside_roots``).  Their count p = m + winding
-must not change along the run (the component), p > q flags a continuous
-eigenvalue set, and the same roots then build the basis, so no separate
-winding count runs inside the iteration.  Shifts escaping the operator
-norm are stopped.  Iterations halt once the step modulus is below the
-step tolerance and either did not shrink or is at most one unit
-roundoff of the iterate (a step that no longer moves it), after which
-one extra refining step is applied; the run is accepted only if the
-relative residual of the boundary equations passes, and continues
-otherwise.
+Each shift of a run is evaluated in one place, ``_basis_at``: it splits
+the companion roots of z**m (a(z) - lam) at the unit circle once
+(``factor._split``) and either names the exit that split forces or
+builds the basis from the same roots.  The count p = m + winding must
+not change along the run (the component), p > q flags a continuous
+eigenvalue set, shifts escaping the operator norm are stopped, and no
+separate winding count runs inside the iteration.  Iterations halt once
+the step modulus is below STEP_TOL (relative to max(1, |shift|)) and
+either did not shrink or is at most one unit roundoff of the iterate (a
+step that no longer moves it); one extra refining step follows, and the
+refined shift is classified from its own evaluation.  The run is
+accepted only if the relative residual of the boundary equations
+passes, and otherwise continues from that same evaluation.
 
 The winding raster counts inside roots by root squaring on all cells of
 a few grid rows at a time; only the cells whose count does not settle
@@ -34,7 +36,7 @@ from .errors import (
     OnCurveError,
     SingularMatrixError,
 )
-from .factor import _split, inside_roots, wiener_hopf
+from .factor import _split, wiener_hopf
 from .linalg import eig_dense, qr_rank_revealing
 from .nep import (
     basis_frobenius,
@@ -48,6 +50,10 @@ from .poly import _count_rows, char_poly, winding
 from .qt import EigRecord, QTMatrix, SolveStatus, apply_prefix, finite_section, norm_inf
 
 _UNIT_ROUNDOFF = float(np.finfo(float).eps)
+
+# Step threshold of the stop rule, relative to max(1, |shift|): 1000
+# unit roundoffs.
+STEP_TOL = 1e3 * _UNIT_ROUNDOFF
 
 # Raster labels for attraction basins.
 BASIN_CONTINUOUS = -1
@@ -64,14 +70,10 @@ _MAP_BLOCK = 10
 class SolverConfig:
     """Knobs for a Newton run.
 
-    tol_step is absolute but scaled by max(1, |shift|) at use;
-    the default is 1000 unit roundoffs.  A step below it ends the
-    iteration (one refining step, then classification) when it did not
-    shrink, or when it is at most one unit roundoff times max(1, |shift|),
-    so that steps which keep shrinking below the rounding floor stop too.
+    ``maxit`` counts Newton steps, the refining step included; the stop
+    rule itself is the module constant STEP_TOL.
     """
 
-    tol_step: float = 1e3 * _UNIT_ROUNDOFF
     maxit: int = 20
     method: str = "frobenius"
     gamma: float = 3.0
@@ -80,7 +82,7 @@ class SolverConfig:
     vec_len: int = 100
 
     def __post_init__(self):
-        knobs = (self.tol_step, self.gamma, self.residual_tol, self.dedupe_tol)
+        knobs = (self.gamma, self.residual_tol, self.dedupe_tol)
         if not all(math.isfinite(x) and x > 0 for x in knobs):
             raise InvalidInputError("tolerances and gamma must be positive and finite")
         if self.maxit < 1:
@@ -113,18 +115,6 @@ def _failure(lam: complex, iterations: int, status: SolveStatus, residual=math.i
     )
 
 
-def _build_basis(sym, lam: complex, b, inside: tuple, width: int, method: str):
-    """Basis of decaying solutions at the given shift, built from its
-    char_poly b and inside roots; the Vandermonde kind falls back to the
-    G-power kind on clustered roots."""
-    if method == "vandermonde":
-        try:
-            return basis_vandermonde(sym, lam, width, inside)
-        except ClusteredRootsError:
-            pass
-    return basis_frobenius(wiener_hopf(sym, lam, inside, b), width)
-
-
 def _null_direction(phi_mat: np.ndarray) -> np.ndarray:
     """Approximate null vector of a square matrix: the last column of the
     full Q factor from column-pivoted QR of its conjugate transpose."""
@@ -132,68 +122,56 @@ def _null_direction(phi_mat: np.ndarray) -> np.ndarray:
     return fac.q[:, -1].copy()
 
 
-class _Guard(Exception):
-    """Internal: carries an early classification out of the step helpers."""
+def _basis_at(a, ctx, lam, p0, a_norm, method):
+    """Evaluate one shift of a run: the SolveStatus that ends the run
+    there, or the basis of decaying solutions at it.
 
-    def __init__(self, status: SolveStatus):
-        self.status = status
-
-
-def _checked_step(a, ctx, lam, p0, a_norm, method):
-    """One guarded Newton evaluation.  Splits the companion roots at the
-    unit circle once; their count p is checked against the component,
-    the row count q and p = 0 (after the norm guard), and the same roots
-    build the basis for the trace correction.  Returns (step, p).
-
-    ``p0`` is the inside-root count of the start's component; None on the
-    first step, whose own count defines the component."""
+    Splits the companion roots at the unit circle once.  Their count p
+    is checked against the component ``p0`` (None on the first
+    evaluation, whose own count defines it), the row count q, the
+    operator norm and p = 0, in that order, and the same roots build the
+    basis.  The Vandermonde kind falls back to the G-power kind on
+    clustered roots; a breakdown of the factorization ends the run as
+    max_iterations."""
     sym = a.symbol
     b = char_poly(sym, lam)
     try:
         inside = _split(b, lam)
     except OnCurveError:
-        raise _Guard(SolveStatus.ON_CURVE)
+        return SolveStatus.ON_CURVE
     p = len(inside)
     if p0 is not None and p != p0:
-        raise _Guard(SolveStatus.OUT_OF_COMPONENT)
+        return SolveStatus.OUT_OF_COMPONENT
     if p > ctx.q:
-        raise _Guard(SolveStatus.CONTINUOUS_SET)
+        return SolveStatus.CONTINUOUS_SET
     if abs(lam) > a_norm:
-        raise _Guard(SolveStatus.DIVERGED)
+        return SolveStatus.DIVERGED
     if p == 0:
         # no decaying solutions at all in this component: nothing to solve
-        raise _Guard(SolveStatus.NO_CONVERGENCE_PLTQ)
+        return SolveStatus.NO_CONVERGENCE_PLTQ
+    if method == "vandermonde":
+        try:
+            return basis_vandermonde(sym, lam, ctx.width, inside)
+        except ClusteredRootsError:
+            pass
     try:
-        basis = _build_basis(sym, lam, b, inside, ctx.width, method)
+        return basis_frobenius(wiener_hopf(sym, lam, inside, b), ctx.width)
     except (FactorizationUnstableError, SingularMatrixError):
         # the factorization pipeline broke down at this shift; classified
         # as a failed run rather than escaping the driver
-        raise _Guard(SolveStatus.MAX_ITERATIONS)
-    phi_mat, phi_prime = phi(ctx, basis, p)
-    return newton_correction(phi_mat, phi_prime), p
+        return SolveStatus.MAX_ITERATIONS
 
 
-def _classify(a, ctx, lam, p, iterations, cfg):
+def _classify(a, ctx, lam, basis, iterations, cfg):
     """Residual test and, for p < q, the rank certificate, at a converged
-    shift.  The root split there must still give p inside roots.
-    Returns an EigRecord or None when not accepted."""
+    shift with the basis its evaluation built.  Returns an EigRecord or
+    None when not accepted."""
     sym = a.symbol
-    corr = a.correction
     q = ctx.q
-    b = char_poly(sym, lam)
-    try:
-        inside = _split(b, lam)
-    except OnCurveError:
-        return _failure(lam, iterations, SolveStatus.ON_CURVE)
-    if len(inside) != p:
-        return _failure(lam, iterations, SolveStatus.ON_CURVE)
-    try:
-        basis = _build_basis(sym, lam, b, inside, ctx.width, cfg.method)
-    except (FactorizationUnstableError, SingularMatrixError):
-        return None
+    p = basis.p
     phi_mat, _ = phi(ctx, basis, p)
     beta = _null_direction(phi_mat)
-    res_len = max(q + sym.n, corr.k2)
+    res_len = max(q + sym.n, a.correction.k2)
     # one prefix serves the residual rows and the stored eigenvector:
     # both are leading entries of the same sequence
     full = eigvec_prefix(basis, beta, max(res_len, cfg.vec_len), sym, lam)
@@ -229,56 +207,53 @@ def _classify(a, ctx, lam, p, iterations, cfg):
 
 
 def _run_newton(a, ctx, a_norm, lam0, cfg) -> EigRecord:
-    sym = a.symbol
+    """One Newton run: each pass evaluates the shift, classifies it when
+    the previous pass was the refining step, checks the budget and
+    steps.  A vanishing trace moves the start once by a tiny jitter;
+    anywhere else it ends the run."""
     lam = complex(lam0)
     p0 = None
     prev_step = math.inf
     iters = 0
-    jittered = False
-    while iters < cfg.maxit:
-        try:
-            step, p = _checked_step(a, ctx, lam, p0, a_norm, cfg.method)
-        except _Guard as g:
-            return _failure(lam, iters, g.status)
-        except DerivativeVanishesError:
-            if jittered:
-                return _failure(lam, iters, SolveStatus.MAX_ITERATIONS)
-            jittered = True
-            if p0 is None:
-                # the start's component, before the jitter moves it: the
-                # split the failed step passed its guards with
-                p0 = len(inside_roots(sym, lam))
-            lam = lam * (1 + 1e-8) + 1e-8j
-            continue
-        p0 = p  # the start's component; later steps must stay in it
-        iters += 1
-        nxt = lam - step
-        smod = abs(step)
-        scale = max(1.0, abs(lam))
-        if smod < cfg.tol_step * scale and (
-            smod >= prev_step or smod <= _UNIT_ROUNDOFF * scale
-        ):
-            # at the rounding floor: the step stopped shrinking, or it no
-            # longer moves the iterate.  One extra refining step, charged
-            # against the same iteration budget, then classification.
-            if iters >= cfg.maxit:
-                break
-            try:
-                refine, p = _checked_step(a, ctx, nxt, p0, a_norm, cfg.method)
-            except _Guard as g:
-                return _failure(nxt, iters, g.status)
-            except DerivativeVanishesError:
-                return _failure(nxt, iters, SolveStatus.MAX_ITERATIONS)
-            iters += 1
-            final = nxt - refine
-            record = _classify(a, ctx, final, p, iters, cfg)
+    jittered = refining = classify = False
+    while classify or iters < cfg.maxit:
+        basis = _basis_at(a, ctx, lam, p0, a_norm, cfg.method)
+        if isinstance(basis, SolveStatus):
+            return _failure(lam, iters, basis)
+        p0 = basis.p  # the start's component; later shifts must stay in it
+        if classify:
+            record = _classify(a, ctx, lam, basis, iters, cfg)
             if record is not None:
                 return record
-            prev_step = abs(refine)
-            lam = final
+            classify = False
+            if iters >= cfg.maxit:
+                break
+        try:
+            step = newton_correction(*phi(ctx, basis, p0))
+        except DerivativeVanishesError:
+            if jittered or refining:
+                break
+            jittered = True
+            lam = lam * (1 + 1e-8) + 1e-8j
+            continue
+        iters += 1
+        smod = abs(step)
+        if refining:
+            refining = False
+            classify = True
         else:
-            prev_step = smod
-            lam = nxt
+            scale = max(1.0, abs(lam))
+            if smod < STEP_TOL * scale and (
+                smod >= prev_step or smod <= _UNIT_ROUNDOFF * scale
+            ):
+                # at the rounding floor: the step stopped shrinking, or it
+                # no longer moves the iterate.  One extra refining step,
+                # charged against the same budget, then classification.
+                if iters >= cfg.maxit:
+                    break
+                refining = True
+        prev_step = smod
+        lam = lam - step
     return _failure(lam, iters, SolveStatus.MAX_ITERATIONS)
 
 
@@ -331,8 +306,6 @@ def eig_all(a: QTMatrix, cfg: SolverConfig | None = None) -> EigenSolveReport:
     isolated = []
     continuous = False
     for start in starts:
-        if abs(start) > 1.1 * a_norm:
-            continue
         rec = _run_newton(a, ctx, a_norm, start, cfg)
         if rec.status is SolveStatus.CONTINUOUS_SET:
             continuous = True

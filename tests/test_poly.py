@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,15 @@ class TestCountInside:
         assert rc.fallback_used
         assert rc.count == 0
         assert rc.iterations_used == 30
+
+    def test_extreme_scale_settles(self):
+        # one root at -1/3: the first squaring of the unscaled row would
+        # underflow (or overflow) to 0/0 and exhaust the budget
+        for scale in (1e-200, 1e200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = q.count_inside(q.Poly((scale, 3 * scale)))
+            assert (rc.count, rc.iterations_used, rc.fallback_used) == (1, 1, False)
 
     def test_zero_poly_rejected(self):
         with pytest.raises(DomainError):

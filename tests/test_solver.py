@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import qteig as q
-from qteig.errors import InvalidInputError, OnCurveError
+from qteig.errors import (
+    DerivativeVanishesError,
+    FactorizationUnstableError,
+    InvalidInputError,
+    OnCurveError,
+)
 from qteig.linalg import eig_dense
 from qteig.nep import basis_vandermonde, build_w, newton_correction, phi
 from qteig.poly import GRAEFFE_MAXIT
@@ -74,7 +79,7 @@ class TestEigSingle:
             q.SolverConfig(residual_tol=0.0)
         with pytest.raises(InvalidInputError):
             q.SolverConfig(method="secant")
-        for field in ("tol_step", "gamma", "residual_tol", "dedupe_tol"):
+        for field in ("gamma", "residual_tol", "dedupe_tol"):
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(InvalidInputError):
                     q.SolverConfig(**{field: bad})
@@ -93,6 +98,72 @@ class TestEigSingle:
         assert q.eig_all(fix_a) == want
         rec = q.eig_single(test1_case1, -0.40 + 1.22j)
         assert rec.is_isolated
+
+
+class TestRunExits:
+    """Each exit of a Newton run, pinned on fix_a from 0.05, where the
+    unpatched run ends isolated_pq after 6 iterations."""
+
+    def _fail_on(self, monkeypatch, name, calls, error):
+        real = getattr(q.solver, name)
+        count = [0]
+
+        def wrapped(*args):
+            count[0] += 1
+            if count[0] in calls:
+                raise error("injected")
+            return real(*args)
+
+        monkeypatch.setattr(f"qteig.solver.{name}", wrapped)
+
+    def test_unpatched(self, fix_a):
+        rec = q.eig_single(fix_a, 0.05)
+        assert (rec.status, rec.iterations) == (q.SolveStatus.ISOLATED_PQ, 6)
+
+    def test_vanishing_trace_jitters_once(self, fix_a, monkeypatch):
+        self._fail_on(monkeypatch, "newton_correction", {1}, DerivativeVanishesError)
+        rec = q.eig_single(fix_a, 0.05)
+        assert (rec.status, rec.iterations) == (q.SolveStatus.ISOLATED_PQ, 7)
+
+    def test_vanishing_trace_after_jitter(self, fix_a, monkeypatch):
+        self._fail_on(monkeypatch, "newton_correction", {1, 2}, DerivativeVanishesError)
+        rec = q.eig_single(fix_a, 0.05)
+        assert (rec.status, rec.iterations) == (q.SolveStatus.MAX_ITERATIONS, 0)
+        assert rec.lam == 0.05 * (1 + 1e-8) + 1e-8j
+
+    def test_vanishing_trace_in_refining_step(self, fix_a, monkeypatch):
+        self._fail_on(monkeypatch, "newton_correction", {6}, DerivativeVanishesError)
+        rec = q.eig_single(fix_a, 0.05)
+        assert (rec.status, rec.iterations) == (q.SolveStatus.MAX_ITERATIONS, 5)
+
+    def test_factorization_breakdown(self, fix_a, monkeypatch):
+        self._fail_on(monkeypatch, "basis_frobenius", {1}, FactorizationUnstableError)
+        rec = q.eig_single(fix_a, 0.05)
+        assert (rec.status, rec.iterations) == (q.SolveStatus.MAX_ITERATIONS, 0)
+        assert rec.lam == 0.05
+
+    def test_budget(self, fix_a):
+        rec = q.eig_single(fix_a, 0.05, q.SolverConfig(maxit=4))
+        assert (rec.status, rec.iterations) == (q.SolveStatus.MAX_ITERATIONS, 4)
+
+    def test_no_inside_roots(self):
+        # z (a(z) - 0) = 1 + 0.1 z**2 has both roots outside: p = 0
+        rec = q.eig_single(q.qt_new([0, 1], [0, 0.1]), 0.0)
+        assert (rec.status, rec.iterations) == (q.SolveStatus.NO_CONVERGENCE_PLTQ, 0)
+
+    def test_vandermonde_falls_back_on_double_root(self, monkeypatch):
+        # z**2 (a(z) - 0) = (z - 0.5)**2 (z - 3): a double inside root
+        a = q.qt_new([-4, 3.25, -0.75], [-4, 1])
+        built = []
+        real = q.solver.basis_frobenius
+
+        def spy(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr("qteig.solver.basis_frobenius", spy)
+        q.eig_single(a, 0.0, q.SolverConfig(method="vandermonde", maxit=1))
+        assert built
 
 
 class TestEigAll:

@@ -5,12 +5,14 @@ of two such files.
     python3 tools/outcome_digest.py --compare A B
 
 The first form imports qteig from ``DIR/src`` (default: this checkout)
-and runs Newton from three start sets:
+and runs Newton from five start sets:
 
 - seven_band: the section starts of the seven-band fixture at default
   settings;
 - cluster: the section starts of the clustered-root fixture with the
   criterion-4 Frobenius configuration;
+- seven_band_vandermonde and cluster_vandermonde: the same two sets with
+  ``method="vandermonde"``;
 - basins: the 50 x 50 cell centers of [-0.5, 0.5]^2 on the rank-one
   fixture.
 
@@ -29,6 +31,7 @@ eigenvalues per set.  It exits 1 when a status differs, else 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -80,9 +83,7 @@ def _section_set(q, a, cfg) -> dict:
     from qteig.linalg import eig_dense
     from qteig.solver import section_size
 
-    a_norm = q.norm_inf(a)
     starts = eig_dense(q.finite_section(a, section_size(a, cfg.gamma)))
-    starts = [z for z in starts if abs(z) <= 1.1 * a_norm]  # as eig_all filters
     report = q.eig_all(a, cfg)
     return {
         "starts": _runs(q, a, cfg, starts),
@@ -96,9 +97,14 @@ def digest(src: Path) -> dict:
     centers = -0.5 + (np.arange(50) + 0.5) / 50
     basin_starts = [complex(x, y) for y in centers for x in centers]
     _, limits = q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 50)
+    vandermonde = dataclasses.replace(cluster_cfg, method="vandermonde")
     return {
         "seven_band": _section_set(q, seven_band, q.SolverConfig()),
         "cluster": _section_set(q, cluster, cluster_cfg),
+        "seven_band_vandermonde": _section_set(
+            q, seven_band, q.SolverConfig(method="vandermonde")
+        ),
+        "cluster_vandermonde": _section_set(q, cluster, vandermonde),
         "basins": {
             "starts": _runs(q, fix_a, q.SolverConfig(), basin_starts),
             "accepted": [repr(z) for z in limits],
