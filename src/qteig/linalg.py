@@ -1,9 +1,9 @@
 """Dense complex linear algebra kernels.
 
 Matrices are plain 2-D numpy arrays of complex numbers.  The module
-provides a partially pivoted LU solve, a column-pivoted (rank
-revealing) QR, eigenvalues from numpy's LAPACK driver, and polynomial
-roots as the eigenvalues of a companion matrix.  A real matrix goes to
+provides a linear solve and eigenvalues from numpy's LAPACK drivers, a
+column-pivoted (rank revealing) QR, and polynomial roots as the
+eigenvalues of a companion matrix.  A real matrix goes to
 the real driver, so its non-real eigenvalues come in exact conjugate
 pairs.  Dimensions above ``EIG_MAX_DIM`` are rejected.
 """
@@ -37,45 +37,22 @@ def _phase(z: complex) -> complex:
 
 
 def lu_solve(a, b) -> np.ndarray:
-    """Solve A X = B via LU with partial pivoting.
+    """Solve A X = B by LAPACK's LU with partial pivoting.
 
     B may be a vector or a matrix; the result has the same shape.
-    Raises SingularMatrixError when a pivot falls below
-    1e-14 * max|A|.
+    Raises SingularMatrixError when a pivot is exactly zero.
     """
     A = _as_matrix(a)
     n, nc = A.shape
     if n != nc:
         raise InvalidInputError("coefficient matrix must be square")
     B = np.array(b, dtype=complex)
-    vector_rhs = B.ndim == 1
-    if vector_rhs:
-        B = B[:, None]
-    if B.shape[0] != n:
+    if B.ndim not in (1, 2) or B.shape[0] != n:
         raise InvalidInputError("right-hand side has incompatible row count")
-
-    tol = 1e-14 * float(np.abs(A).max()) if A.size else 0.0
-    for k in range(n):
-        col = np.abs(A[k:, k])
-        piv = int(col.argmax())
-        if col[piv] <= tol:
-            raise SingularMatrixError(f"pivot {k} below threshold {tol:g}")
-        if piv:
-            A[[k, k + piv]] = A[[k + piv, k]]
-            B[[k, k + piv]] = B[[k + piv, k]]
-        if k + 1 < n:
-            # both operands 2-D, as np.outer has them: numpy's complex
-            # multiply rounds differently for other stride layouts
-            fac = (A[k + 1 :, k] / A[k, k])[:, None]
-            A[k + 1 :, k + 1 :] -= fac * A[k, None, k + 1 :]
-            B[k + 1 :] -= fac * B[k, None]
-
-    # back substitution in place: the rows of B below k already hold X
-    for k in range(n - 1, -1, -1):
-        if k + 1 < n:
-            B[k] -= A[k, k + 1 :] @ B[k + 1 :]
-        B[k] /= A[k, k]
-    return B[:, 0] if vector_rhs else B
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from exc
 
 
 @dataclass(frozen=True, eq=False)

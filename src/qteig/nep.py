@@ -5,7 +5,9 @@ solution of the interior recurrence, yield W V(lam) beta = 0 with a
 constant full-rank matrix W and a shift-dependent basis V.  Two bases
 are supported: columns of powers of the inside roots (Vandermonde) and
 block rows I, G, G**2, ... of powers of G = F**p (Frobenius), each with
-its exact shift derivative.
+its exact shift derivative.  The Newton step 1 / trace(Phi^{-1} Phi')
+is taken on Phi and Phi' scaled by powers of two (``equilibrate``), so
+it does not depend on how the boundary equations are scaled.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
 )
 from .factor import GPair, WienerHopfFactors, _g_pair, inside_roots
 from .linalg import lu_solve, qr_rank_revealing
-from .poly import LaurentSymbol, derivative
+from .poly import LaurentSymbol, _ldexp, derivative
 from .qt import QTMatrix
 
 # Inside roots closer than this are too clustered for a root-power
@@ -181,19 +183,37 @@ def phi(ctx: NEPContext, basis: BasisPair, rows: int) -> tuple:
     return full[:rows], full_prime[:rows]
 
 
+def equilibrate(mat: np.ndarray) -> tuple:
+    """Scale the rows of a complex matrix, and then its columns, by the
+    powers of two that bring each largest modulus into [0.5, 1).
+
+    Returns (scaled, r, c) with scaled = mat * 2**-(r + c), r a column
+    and c a row of exponents; a zero row or column keeps exponent 0.
+    """
+    _, r = np.frexp(np.abs(mat).max(axis=1, keepdims=True))
+    rows = _ldexp(mat, -r)
+    _, c = np.frexp(np.abs(rows).max(axis=0, keepdims=True))
+    return _ldexp(rows, -c), r, c
+
+
 def newton_correction(phi_mat, phi_prime) -> complex:
     """The ratio det / (det)' for the square pencil, computed through the
     trace identity 1 / trace(Phi^{-1} Phi').
 
-    A singular Phi means the determinant already vanishes and the
-    correction is 0.  A vanishing trace (below 1e-300) cannot drive the
-    iteration and is surfaced as DerivativeVanishesError.
+    Phi and Phi' are scaled alike by ``equilibrate(Phi)``, which leaves
+    the trace unchanged, so the step depends on how the rows and columns
+    of Phi are scaled only through rounding (on row scalings by powers
+    of two, not at all).  An exactly singular scaled Phi
+    means the determinant vanishes at the shift and the correction is
+    0.  A vanishing trace (below 1e-300) cannot drive the iteration and
+    is surfaced as DerivativeVanishesError.
     """
+    a, r, c = equilibrate(np.asarray(phi_mat, dtype=complex))
     try:
-        x = lu_solve(phi_mat, phi_prime)
+        x = lu_solve(a, _ldexp(np.asarray(phi_prime, dtype=complex), -r - c))
     except SingularMatrixError:
         return 0j
-    tr = complex(np.trace(np.atleast_2d(x)))
+    tr = complex(np.trace(x))
     if abs(tr) < 1e-300:
         raise DerivativeVanishesError("trace of Phi^{-1} Phi' vanished")
     return 1.0 / tr

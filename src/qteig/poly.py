@@ -218,12 +218,17 @@ def graeffe_step(b: Poly) -> Poly:
 def _graeffe_rows(c: np.ndarray) -> np.ndarray:
     """graeffe_step on every row of a (rows, degree+1) coefficient array.
 
-    Each product and sum is formed in a fixed order per row, so a row's
-    result does not depend on the other rows, and a trailing exact zero
-    (an underflowed leading coefficient, which Poly trims) only adds
-    exact zeros: the iterates equal those of the trimmed row.
+    Each row is first scaled by the power of two that brings its largest
+    modulus into [0.5, 1): exact, and the squaring neither underflows
+    nor overflows on rows of tiny or huge coefficients.  Each product
+    and sum is formed in a fixed order per row, so a row's result does
+    not depend on the other rows, and a trailing exact zero (an
+    underflowed leading coefficient, which Poly trims) only adds exact
+    zeros: the iterates equal those of the trimmed row.
     """
     rows, width = c.shape
+    _, exp = np.frexp(np.abs(c).max(axis=1, keepdims=True))
+    c = _ldexp(c, -exp)
     alt = c.copy()
     alt[:, 1::2] = -alt[:, 1::2]
     full = np.zeros((rows, 2 * width - 1), dtype=complex)
@@ -234,25 +239,28 @@ def _graeffe_rows(c: np.ndarray) -> np.ndarray:
     return even / pivot[:, None]
 
 
+def _ldexp(c: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """c * 2**exp for a complex array, exact unless it underflows: numpy's
+    ldexp takes real arrays only."""
+    out = np.empty(np.broadcast_shapes(c.shape, exp.shape), dtype=complex)
+    out.real = np.ldexp(c.real, exp)
+    out.imag = np.ldexp(c.imag, exp)
+    return out
+
+
 def _count_rows(c: np.ndarray) -> tuple:
     """The root-squaring count of ``count_inside`` on every row of a
     (rows, degree+1) coefficient array whose last column is nonzero.
 
     Returns (count, iterations_used) integer arrays; count is -1 for the
     rows that did not settle within GRAEFFE_MAXIT steps, which need
-    explicit roots.  Settled rows leave the iteration.  Each row is first
-    scaled by the power of two that brings its largest modulus into
-    [0.5, 1): exact, and the first squaring neither underflows nor
-    overflows on rows of tiny or huge coefficients.
+    explicit roots.  Settled rows leave the iteration.
     """
     rows, width = c.shape
     count = np.full(rows, -1, dtype=np.int64)
     used = np.full(rows, GRAEFFE_MAXIT, dtype=np.int64)
     live = np.arange(rows)
-    _, exp = np.frexp(np.abs(c).max(axis=1))
-    ck = np.empty((rows, width), dtype=complex)
-    ck.real = np.ldexp(c.real, -exp[:, None])
-    ck.imag = np.ldexp(c.imag, -exp[:, None])
+    ck = c
     for nu in range(1, GRAEFFE_MAXIT + 1):
         ck = _graeffe_rows(ck)
         mags = np.abs(ck)

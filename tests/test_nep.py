@@ -190,6 +190,23 @@ class TestNewtonCorrection:
         with pytest.raises(DerivativeVanishesError):
             newton_correction([[1.0]], [[0.0]])
 
+    def test_invariant_under_power_of_two_scaling(self):
+        # rows of Phi and Phi' scaled alike by 2**k, |k| <= 40, give the
+        # same step bit for bit; columns scaled as well can move the row
+        # maxima, so the pivots, and agree to rounding
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            n = int(rng.integers(2, 8))
+            p0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            p1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            rows = np.exp2(rng.integers(-40, 41, n))[:, None]
+            cols = np.exp2(rng.integers(-40, 41, n))[None, :]
+            step = newton_correction(p0, p1)
+            assert step != 0
+            assert newton_correction(rows * p0, rows * p1) == step
+            both = newton_correction(rows * p0 * cols, rows * p1 * cols)
+            assert both == pytest.approx(step, rel=1e-12)
+
     def test_trace_product_rule(self):
         rng = np.random.default_rng(41)
         for _ in range(10):

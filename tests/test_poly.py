@@ -90,6 +90,15 @@ class TestGraeffeStep:
         assert roots[0] == pytest.approx(0.25, abs=1e-12)
         assert roots[1] == pytest.approx(4.0, abs=1e-12)
 
+    def test_extreme_scale(self):
+        # the row is scaled by a power of two before squaring, as in
+        # count_inside: no 0/0 on tiny or huge coefficients
+        for scale in (1e-200, 1e200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                g = q.graeffe_step(q.Poly((scale, 3 * scale)))
+            assert g.coeffs == pytest.approx((-1 / 9, 1), rel=1e-15)
+
     def test_moduli_squared_property(self):
         rng = np.random.default_rng(11)
         for _ in range(50):

@@ -13,7 +13,7 @@ from qteig.errors import (
 from qteig.linalg import eig_dense
 from qteig.nep import basis_vandermonde, build_w, newton_correction, phi
 from qteig.poly import GRAEFFE_MAXIT
-from qteig.solver import BASIN_CONTINUOUS, BASIN_NONCONV, CURVE_SENTINEL
+from qteig.solver import BASIN_CONTINUOUS, BASIN_NONCONV, CURVE_SENTINEL, _basis_at, _classify
 
 from conftest import random_symbol
 
@@ -54,6 +54,16 @@ class TestEigSingle:
         assert abs(rec.lam) <= 1e-10
         v = np.asarray(rec.vec_prefix)
         assert np.abs(v[1:6] / v[:5] - 0.5).max() <= 1e-8
+
+    def test_rank_certificate_at_rounding_level(self, fix_a_pltq):
+        # a shift 1e-14 from the eigenvalue 0: W V is rank deficient only
+        # up to rounding, which the certificate measures against ||W|| ||V||
+        ctx = build_w(fix_a_pltq)
+        lam = 1e-14
+        basis = _basis_at(fix_a_pltq, ctx, lam, None, q.norm_inf(fix_a_pltq), "frobenius")
+        rec = _classify(fix_a_pltq, ctx, lam, basis, 0, q.SolverConfig())
+        assert rec.status is q.SolveStatus.ISOLATED_PLTQ
+        assert rec.residual <= 1e-13
 
     def test_overdetermined_nonconvergence(self):
         # generic second row: the reduced system still has a zero but the
@@ -102,7 +112,7 @@ class TestEigSingle:
 
 class TestRunExits:
     """Each exit of a Newton run, pinned on fix_a from 0.05, where the
-    unpatched run ends isolated_pq after 6 iterations."""
+    unpatched run ends isolated_pq after 4 iterations."""
 
     def _fail_on(self, monkeypatch, name, calls, error):
         real = getattr(q.solver, name)
@@ -118,23 +128,18 @@ class TestRunExits:
 
     def test_unpatched(self, fix_a):
         rec = q.eig_single(fix_a, 0.05)
-        assert (rec.status, rec.iterations) == (q.SolveStatus.ISOLATED_PQ, 6)
+        assert (rec.status, rec.iterations) == (q.SolveStatus.ISOLATED_PQ, 4)
 
     def test_vanishing_trace_jitters_once(self, fix_a, monkeypatch):
         self._fail_on(monkeypatch, "newton_correction", {1}, DerivativeVanishesError)
         rec = q.eig_single(fix_a, 0.05)
-        assert (rec.status, rec.iterations) == (q.SolveStatus.ISOLATED_PQ, 7)
+        assert (rec.status, rec.iterations) == (q.SolveStatus.ISOLATED_PQ, 4)
 
     def test_vanishing_trace_after_jitter(self, fix_a, monkeypatch):
         self._fail_on(monkeypatch, "newton_correction", {1, 2}, DerivativeVanishesError)
         rec = q.eig_single(fix_a, 0.05)
         assert (rec.status, rec.iterations) == (q.SolveStatus.MAX_ITERATIONS, 0)
         assert rec.lam == 0.05 * (1 + 1e-8) + 1e-8j
-
-    def test_vanishing_trace_in_refining_step(self, fix_a, monkeypatch):
-        self._fail_on(monkeypatch, "newton_correction", {6}, DerivativeVanishesError)
-        rec = q.eig_single(fix_a, 0.05)
-        assert (rec.status, rec.iterations) == (q.SolveStatus.MAX_ITERATIONS, 5)
 
     def test_factorization_breakdown(self, fix_a, monkeypatch):
         self._fail_on(monkeypatch, "basis_frobenius", {1}, FactorizationUnstableError)
@@ -143,8 +148,14 @@ class TestRunExits:
         assert rec.lam == 0.05
 
     def test_budget(self, fix_a):
+        rec = q.eig_single(fix_a, 0.05, q.SolverConfig(maxit=3))
+        assert (rec.status, rec.iterations) == (q.SolveStatus.MAX_ITERATIONS, 3)
+
+    def test_small_last_step_is_classified(self, fix_a):
+        # the fourth and last budgeted step is below STEP_TOL, so the
+        # shift it reaches is still classified
         rec = q.eig_single(fix_a, 0.05, q.SolverConfig(maxit=4))
-        assert (rec.status, rec.iterations) == (q.SolveStatus.MAX_ITERATIONS, 4)
+        assert (rec.status, rec.iterations) == (q.SolveStatus.ISOLATED_PQ, 4)
 
     def test_no_inside_roots(self):
         # z (a(z) - 0) = 1 + 0.1 z**2 has both roots outside: p = 0
@@ -203,6 +214,28 @@ class TestEigAll:
             vand = q.eig_single(test1_case1, s, q.SolverConfig(method="vandermonde"))
             assert frob.is_isolated and vand.is_isolated
             assert abs(frob.lam - vand.lam) <= 1e-8
+
+
+# The four smallest eigenvalues of the cluster fixture (conftest test3),
+# from a 60-digit mpmath evaluation of det(W V(lam)): W from build_w,
+# the Vandermonde basis of the inside roots from mp.polyroots, and the
+# zeros of the determinant located by mp.findroot.
+CLUSTER_SMALL_PAIRS = (
+    -0.008528945510870696 + 0.049549224604607j,
+    -0.008528945510870696 - 0.049549224604607j,
+    0.15852833217131373 + 0.30041519358828805j,
+    0.15852833217131373 - 0.30041519358828805j,
+)
+
+
+@pytest.mark.parametrize("method", ["frobenius", "vandermonde"])
+def test_cluster_small_eigenvalues_to_reference_digits(test3, method):
+    # the criterion-4 configuration
+    cfg = q.SolverConfig(method=method, gamma=12.5, residual_tol=1e-8, dedupe_tol=1e-4)
+    found = [r.lam for r in q.eig_all(test3, cfg).records]
+    for ref in CLUSTER_SMALL_PAIRS:
+        err = min((abs(z - ref) for z in found), default=math.inf) / abs(ref)
+        assert err <= 1e-10, (ref, err)
 
 
 class TestConvergenceRate:

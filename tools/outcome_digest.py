@@ -22,10 +22,12 @@ basin limits).  The starts go through the private
 ``qteig.solver._run_newton``, because ``eig_all`` keeps only the
 accepted runs.
 
-``--compare`` prints every start whose status or iteration count
-differs, the number of final shifts that differ in any bit, and the
-largest relative difference of the final shifts and of the accepted
-eigenvalues per set.  It exits 1 when a status differs, else 0.
+``--compare`` prints, per set, the status histogram of each side, the
+number of starts whose iteration count changed, the number of final
+shifts that differ in any bit, and the largest relative difference of
+the final shifts and of the accepted eigenvalues; then one line for
+each start whose status differs.  It exits 1 when a status differs,
+else 0.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +120,11 @@ def _rel(a: str, b: str) -> float:
     return abs(za - zb) / max(abs(za), abs(zb), 1e-300) if za != zb else 0.0
 
 
+def _histogram(starts) -> str:
+    counts = Counter(r[0] for r in starts)
+    return ", ".join(f"{status} {n}" for status, n in sorted(counts.items()))
+
+
 def compare(path_a: Path, path_b: Path) -> int:
     da = json.loads(path_a.read_text())
     db = json.loads(path_b.read_text())
@@ -127,22 +135,25 @@ def compare(path_a: Path, path_b: Path) -> int:
             print(f"{name}: {len(sa)} starts against {len(sb)}")
             status_diffs += 1
             continue
-        bits = 0
-        worst = 0.0
-        for k, (ra, rb) in enumerate(zip(sa, sb)):
-            if ra[0] != rb[0] or ra[1] != rb[1]:
-                print(f"{name}[{k}]: {ra[0]} in {ra[1]} steps -> {rb[0]} in {rb[1]} steps")
-            status_diffs += ra[0] != rb[0]
-            bits += ra[2] != rb[2]
-            worst = max(worst, _rel(ra[2], rb[2]))
+        changed = [k for k, (ra, rb) in enumerate(zip(sa, sb)) if ra[0] != rb[0]]
+        iters = sum(ra[1] != rb[1] for ra, rb in zip(sa, sb))
+        bits = sum(ra[2] != rb[2] for ra, rb in zip(sa, sb))
+        worst = max((_rel(ra[2], rb[2]) for ra, rb in zip(sa, sb)), default=0.0)
         acc_a, acc_b = da[name]["accepted"], db[name]["accepted"]
         if len(acc_a) != len(acc_b):
             acc_worst = "count differs"
         else:
             acc_worst = f"{max((_rel(x, y) for x, y in zip(acc_a, acc_b)), default=0.0):.2e}"
-        print(f"{name}: {len(sa)} starts, {bits} final shifts differ in some bit, "
-              f"max relative shift difference {worst:.2e}; "
-              f"{len(acc_a)} accepted, max relative difference {acc_worst}")
+        print(f"{name}: {len(sa)} starts")
+        print(f"  A: {_histogram(sa)}")
+        print(f"  B: {_histogram(sb)}")
+        print(f"  {iters} iteration counts changed, {bits} final shifts differ in "
+              f"some bit, max relative shift difference {worst:.2e}; "
+              f"{len(acc_a)} -> {len(acc_b)} accepted, max relative difference {acc_worst}")
+        for k in changed:
+            ra, rb = sa[k], sb[k]
+            print(f"  [{k}]: {ra[0]} in {ra[1]} steps -> {rb[0]} in {rb[1]} steps")
+        status_diffs += len(changed)
     print(f"status differences: {status_diffs}")
     return 1 if status_diffs else 0
 
