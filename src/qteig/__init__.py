@@ -28,7 +28,6 @@ from .poly import (
     convolve,
     count_inside,
     derivative,
-    evaluate,
     graeffe_step,
     winding,
 )

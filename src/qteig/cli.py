@@ -26,6 +26,7 @@ from .solver import (
     BASIN_CONTINUOUS,
     BASIN_NONCONV,
     SolverConfig,
+    _grid_axes,
     basins,
     eig_all,
     eig_single,
@@ -232,10 +233,9 @@ def cmd_eig_single(args) -> int:
     lam0 = _parse_complex(args.lambda0, "--lambda0")
     rec = eig_single(a, lam0, _config(args))
     out = _record_obj(rec)
-    if args.vec_len and rec.vec_prefix:
-        vec = rec.vec_prefix[: args.vec_len]
-        out["eigenvector"] = [[v.real, v.imag] for v in vec]
-        out["tail_abs"] = abs(vec[-1])
+    if rec.vec_prefix:
+        out["eigenvector"] = [[v.real, v.imag] for v in rec.vec_prefix]
+        out["tail_abs"] = rec.tail_abs
     print(_emit(out))
     return EXIT_OK
 
@@ -260,13 +260,16 @@ def cmd_map(args) -> int:
         raise ProblemError("--box: ranges must be increasing")
     if args.res < 2:
         raise ProblemError("--res: resolution must be at least 2")
+    if args.curve_samples < 2:
+        raise ProblemError("--curve-samples: must be at least 2")
+    cfg = _config(args)  # checks the solver flags for every kind, before any write
     out_path = Path(args.out)
 
     if args.kind == "winding":
         grid = winding_map(a, (re0, re1), (im0, im1), args.res)
         labels = None
     else:
-        grid, limits = basins(a, (re0, re1), (im0, im1), args.res, _config(args))
+        grid, limits = basins(a, (re0, re1), (im0, im1), args.res, cfg)
         labels = {
             "eigenvalues": {
                 str(k): {"re": z.real, "im": z.imag} for k, z in enumerate(limits)
@@ -275,9 +278,7 @@ def cmd_map(args) -> int:
             "nonconvergent_label": BASIN_NONCONV,
         }
 
-    n_im, n_re = grid.shape
-    res = [re0 + (j + 0.5) * (re1 - re0) / n_re for j in range(n_re)]
-    ims = [im0 + (k + 0.5) * (im1 - im0) / n_im for k in range(n_im)]
+    res, ims = _grid_axes((re0, re1), (im0, im1), args.res)
     with out_path.open("w") as fh:
         fh.write("re,im,value\n")
         for k, y in enumerate(ims):

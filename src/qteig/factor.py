@@ -10,6 +10,11 @@ triangular Toeplitz identity G = -L^{-1} U (first column of L is
 (s_p, ..., s_1), first row of U is (s_0, ..., s_{p-1})), and the
 derivatives of the factor coefficients with respect to the shift come
 from one resultant-style linear system.
+
+Every Toeplitz matrix here is one gather through a cached index
+(``_conv_matrix``), and every unit lower triangular Toeplitz system,
+the long division for the outside factor included, goes through the
+one forward substitution ``_solve_unit_lower``.
 """
 
 from __future__ import annotations
@@ -93,18 +98,15 @@ def _deconv_descending(b: Poly, s: Poly) -> tuple:
     Division starts from the leading coefficient: with every root of s
     inside the unit disk, rounding errors injected at step k are damped
     by root powers on the way down, whereas the ascending direction
-    amplifies them like the reciprocal roots.
+    amplifies them like the reciprocal roots.  In reversed coefficient
+    order the division is forward substitution with the unit lower
+    triangular Toeplitz matrix of the reversed monic s.
     """
     bb = np.asarray(b.coeffs)
     ss = np.asarray(s.coeffs)
-    p = s.degree
-    phat = b.degree - p
-    u = np.zeros(phat + 1, dtype=complex)
-    for k in range(phat, -1, -1):
-        acc = bb[p + k]
-        for i in range(1, min(p, phat - k) + 1):
-            acc -= ss[p - i] * u[k + i]
-        u[k] = acc / ss[p]
+    size = b.degree - s.degree + 1
+    lower = _conv_matrix(ss[::-1], size, size)
+    u = _solve_unit_lower(lower, bb[::-1][:size])[::-1]
     resid = float(np.abs(bb - np.convolve(ss, u)).sum())
     return Poly(tuple(u)), resid
 
@@ -240,23 +242,16 @@ def _blocks(sym: LaurentSymbol, lam: complex, p: int) -> list:
     """The p x p coefficient blocks of the band matrix with symbol
     z**(m-p) (a(z) - lam), partitioned from block row -1 upward."""
     m, n = sym.m, sym.n
-
-    def shifted(off: int) -> complex:
-        return sym.coeff(off) - (lam if off == 0 else 0)
-
-    blocks = []
-    k = -1
-    while k * p - m + 1 <= n:
-        blk = np.zeros((p, p), dtype=complex)
-        base = k * p - m + p
-        for i in range(p):
-            for j in range(p):
-                off = j - i + base
-                if -m <= off <= n:
-                    blk[i, j] = shifted(off)
-        blocks.append(blk)
-        k += 1
-    return blocks
+    # entry (i, j) of block k is the shifted coefficient of offset
+    # (k + 1) p - m + j - i, or 0 outside -m..n; pad = 2p zeros on each
+    # side keep every such offset inside ``shifted``
+    pad = 2 * p
+    shifted = np.zeros(m + n + 1 + 2 * pad, dtype=complex)
+    shifted[pad : pad + m + n + 1] = sym.coeffs()
+    shifted[pad + m] -= lam
+    diff = p - _shift_index(p, p)  # j - i
+    last = (m + n - 1) // p  # block rows k = -1 .. last
+    return [shifted[pad + (k + 1) * p + diff] for k in range(-1, last + 1)]
 
 
 def residual_mateq(sym: LaurentSymbol, lam: complex, g) -> float:
@@ -264,8 +259,8 @@ def residual_mateq(sym: LaurentSymbol, lam: complex, g) -> float:
     of the shifted band operator; a certificate that G generates the
     decaying solution space."""
     gm = np.asarray(g, dtype=complex)
-    if gm.ndim != 2 or gm.shape[0] != gm.shape[1]:
-        raise InvalidInputError("G must be square")
+    if gm.ndim != 2 or gm.shape[0] != gm.shape[1] or gm.size == 0:
+        raise InvalidInputError("G must be a nonempty square matrix")
     p = gm.shape[0]
     acc = np.zeros((p, p), dtype=complex)
     power = np.eye(p, dtype=complex)

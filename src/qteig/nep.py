@@ -5,9 +5,11 @@ solution of the interior recurrence, yield W V(lam) beta = 0 with a
 constant full-rank matrix W and a shift-dependent basis V.  Two bases
 are supported: columns of powers of the inside roots (Vandermonde) and
 block rows I, G, G**2, ... of powers of G = F**p (Frobenius), each with
-its exact shift derivative.  The Newton step 1 / trace(Phi^{-1} Phi')
-is taken on Phi and Phi' scaled by powers of two (``equilibrate``), so
-it does not depend on how the boundary equations are scaled.
+its exact shift derivative.  W's Toeplitz block comes from the same
+index gather as the factorization's.  The Newton step
+1 / trace(Phi^{-1} Phi') is taken on Phi and Phi' scaled once each by
+powers of two (``equilibrate``), so it does not depend on how the
+boundary equations are scaled.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     InvalidInputError,
     SingularMatrixError,
 )
-from .factor import GPair, WienerHopfFactors, _g_pair, inside_roots
+from .factor import GPair, WienerHopfFactors, _g_pair, _upper_toeplitz, inside_roots
 from .linalg import lu_solve, qr_rank_revealing
 from .poly import LaurentSymbol, _ldexp, derivative
 from .qt import QTMatrix
@@ -75,9 +77,8 @@ def build_w(a: QTMatrix) -> NEPContext:
 
     q = m + r2
     w = np.zeros((q, width), dtype=complex)
-    for i in range(m):
-        for j in range(i, m):
-            w[i, j] = -sym.coeff(-m + j - i)
+    # negated before building, so the zeros below the diagonal stay +0
+    w[:m, :m] = _upper_toeplitz(-sym.coeffs()[:m])
     if k1 > 0:
         block = corr.dense()
         top = min(m, k1)
@@ -119,12 +120,12 @@ def basis_vandermonde(sym: LaurentSymbol, lam: complex, rows: int, inside=None) 
         inside = inside_roots(sym, lam)
     p = len(inside)
     xi = np.asarray(inside, dtype=complex)
-    for i in range(p):
-        for j in range(i + 1, p):
-            if abs(xi[i] - xi[j]) < ROOT_SEP_TOL:
-                raise ClusteredRootsError(
-                    f"inside roots {xi[i]} and {xi[j]} closer than {ROOT_SEP_TOL:g}"
-                )
+    close = np.argwhere(np.triu(np.abs(np.subtract.outer(xi, xi)) < ROOT_SEP_TOL, 1))
+    if close.size:
+        i, j = close[0]
+        raise ClusteredRootsError(
+            f"inside roots {xi[i]} and {xi[j]} closer than {ROOT_SEP_TOL:g}"
+        )
     da = derivative(sym)
     dvals = np.array([da(x) for x in xi], dtype=complex)
     if np.any(np.abs(dvals) < 1e-250):
@@ -135,8 +136,7 @@ def basis_vandermonde(sym: LaurentSymbol, lam: complex, rows: int, inside=None) 
         v[0, :] = 1.0
         for i in range(1, rows):
             v[i, :] = v[i - 1, :] * xi
-        for i in range(1, rows):
-            v_prime[i, :] = i * v[i - 1, :] / dvals
+        v_prime[1:] = np.arange(1, rows)[:, None] * v[:-1] / dvals
     return BasisPair(v=v, v_prime=v_prime, kind="vandermonde", xi=tuple(xi))
 
 
@@ -189,11 +189,13 @@ def equilibrate(mat: np.ndarray) -> tuple:
 
     Returns (scaled, r, c) with scaled = mat * 2**-(r + c), r a column
     and c a row of exponents; a zero row or column keeps exponent 0.
+    Both exponent vectors come from the real moduli, and the complex
+    matrix is scaled once.
     """
-    _, r = np.frexp(np.abs(mat).max(axis=1, keepdims=True))
-    rows = _ldexp(mat, -r)
-    _, c = np.frexp(np.abs(rows).max(axis=0, keepdims=True))
-    return _ldexp(rows, -c), r, c
+    mod = np.abs(mat)
+    _, r = np.frexp(mod.max(axis=1, keepdims=True))
+    _, c = np.frexp(np.ldexp(mod, -r).max(axis=0, keepdims=True))
+    return _ldexp(mat, -(r + c)), r, c
 
 
 def newton_correction(phi_mat, phi_prime) -> complex:

@@ -146,23 +146,6 @@ class Poly:
         return float(sum(abs(c) for c in self.coeffs))
 
 
-def evaluate(sym: LaurentSymbol, z: complex) -> complex:
-    """Value of the symbol at a nonzero point z."""
-    if z == 0:
-        raise DomainError("symbol has negative powers; z must be nonzero")
-    zc = complex(z)
-    acc = complex(sym.pos[0])
-    zp = 1.0 + 0j
-    for c in sym.pos[1:]:
-        zp *= zc
-        acc += c * zp
-    zm = 1.0 + 0j
-    for c in sym.neg[1:]:
-        zm /= zc
-        acc += c * zm
-    return acc
-
-
 def derivative(sym: LaurentSymbol) -> Laurent:
     """Term-by-term derivative: coefficients j*a_j for z**(j-1), j = -m..n."""
     coeffs = [j * sym.coeff(j) for j in range(-sym.m, sym.n + 1)]

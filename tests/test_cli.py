@@ -209,7 +209,13 @@ class TestMapCommand:
         for box in ("--box=nan,1,-1,1", "--box=-1,inf,-1,1", "--box=-1,1,-inf,1"):
             assert main(["map", fix_a_file, box, "--res", "3", "--out", str(out)]) == 2
             assert "--box: must be finite" in capsys.readouterr().err
+        # every flag is checked before the grid or the curve is written
+        for flags in (["--curve-samples", "1"], ["--kind", "winding", "--maxit", "0"]):
+            argv = ["map", fix_a_file, "--box=-1,1,-1,1", "--res", "3", "--out", str(out)]
+            assert main(argv + flags) == 2
+            capsys.readouterr()
         assert not out.exists()
+        assert not (tmp_path / "curve.csv").exists()
 
 
 class TestProblemRoundTrip:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qteig as q
-from qteig.errors import FactorizationUnstableError, OnCurveError
+from qteig.errors import FactorizationUnstableError, InvalidInputError, OnCurveError
 from qteig.factor import barnett_g, barnett_g_prime, inside_roots, residual_mateq, wiener_hopf
 from qteig.linalg import eig_dense, roots_companion
 from qteig.poly import char_poly, convolve
@@ -201,6 +201,11 @@ class TestResidualMateq:
 
     def test_fix_a_wrong_g(self, fix_a):
         assert residual_mateq(fix_a.symbol, 0.0, [[0.9]]) == pytest.approx(0.88)
+
+    def test_shape_rejected(self, fix_a):
+        for g in (np.zeros((0, 0)), np.zeros((1, 2)), np.zeros(3)):
+            with pytest.raises(InvalidInputError):
+                residual_mateq(fix_a.symbol, 0.0, g)
 
     def test_pipeline_certificate(self, fix_b_symbol, test2_case1):
         for sym, lam in ((fix_b_symbol, -1 + 0.5j), (test2_case1.symbol, -1.5)):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from qteig.nep import (
     basis_vandermonde,
     build_w,
     eigvec_prefix,
+    equilibrate,
     newton_correction,
     phi,
 )
@@ -177,6 +180,33 @@ class TestPhi:
         c1 = newton_correction(*phi(ctx, bas, 1))
         c2 = newton_correction(*phi(scaled, bas, 1))
         assert c1 == pytest.approx(c2, abs=1e-10)
+
+
+class TestEquilibrate:
+    def test_extreme_rows_and_columns(self):
+        # a zero row, a row whose largest modulus is subnormal, a row near
+        # 2**1000, columns spread over 2**-500 .. 2**500, a zero column,
+        # and a column whose only entry is 2**-1040 of its row's maximum
+        # (subnormal once the row alone is scaled)
+        mat = np.zeros((5, 5), dtype=complex)
+        mat[1, :2] = [3 * 2.0**-1062, (1 + 1j) * 2.0**-1061]
+        mat[2, :3] = [0.7 * 2.0**1000, -(2.0**990) * 1j, 0.3 * 2.0**1000]
+        mat[2, 4] = (0.1 + 0.3j) * 2.0**-40
+        mat[3, :3] = [0.3 * 2.0**500, (0.2 + 0.9j) * 2.0**-500, 1.5]
+        mat[4, :3] = [2.0**480, 0.5j * 2.0**-480, -3.0]
+        scaled, r, c = equilibrate(mat)
+        assert r.shape == (5, 1) and c.shape == (1, 5)
+        assert r[0, 0] == 0 and c[0, 3] == 0
+        mod = np.abs(scaled)
+        for maxima in (mod.max(axis=1)[1:], mod.max(axis=0)[[0, 1, 2, 4]]):
+            assert np.all((maxima >= 0.5) & (maxima < 1.0))
+        assert not scaled[0].any() and not scaled[:, 3].any()
+        # exact: compare as rationals, since 2**-(r + c) can overflow a float
+        exps = -(r + c)
+        for (i, j), z in np.ndenumerate(mat):
+            k = int(exps[i, j])
+            for part, want in ((scaled[i, j].real, z.real), (scaled[i, j].imag, z.imag)):
+                assert Fraction(part) == Fraction(want) * Fraction(2) ** k
 
 
 class TestNewtonCorrection:

@@ -31,13 +31,6 @@ class TestSymbol:
         with pytest.raises(InconsistentConstantError):
             q.LaurentSymbol(neg=(1, 2), pos=(3, 2))
 
-    def test_evaluate(self, sym_a, sym_shift2):
-        assert q.evaluate(sym_a, 1) == pytest.approx(1.0)
-        assert q.evaluate(sym_a, 0.5) == pytest.approx(0.0)
-        assert q.evaluate(sym_shift2, 1j) == pytest.approx(1j)
-        with pytest.raises(DomainError):
-            q.evaluate(sym_a, 0)
-
     def test_derivative(self, sym_a, sym_shift2):
         da = q.derivative(sym_a)
         assert da.low == -2

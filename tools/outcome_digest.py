@@ -22,20 +22,32 @@ basin limits).  The starts go through the private
 ``qteig.solver._run_newton``, because ``eig_all`` keeps only the
 accepted runs.
 
+It also records output bytes: the stdout of ``qteig eig-all`` on the
+seven-band fixture (defaults) and on the clustered-root fixture
+(``--gamma 12.5 --tol 1e-8``), each with both methods; a SHA-256 of the
+fig-2 200 x 200 ``winding_map`` grid over [-10, 10]^2; and SHA-256s of
+the files ``qteig map`` writes for that winding map and for the 50 x 50
+basins of the rank-one fixture over [-0.5, 0.5]^2.
+
 ``--compare`` prints, per set, the status histogram of each side, the
 number of starts whose iteration count changed, the number of final
 shifts that differ in any bit, and the largest relative difference of
 the final shifts and of the accepted eigenvalues; then one line for
-each start whose status differs.  It exits 1 when a status differs,
-else 0.
+each start whose status differs.  For each recorded output it prints
+"identical" or the first differing line.  It exits 1 when a status or
+an output differs, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -94,6 +106,54 @@ def _section_set(q, a, cfg) -> dict:
     }
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _outputs(q, seven_band, cluster, fix_a) -> dict:
+    """Output bytes of the CLI and of the winding raster, as text."""
+    from qteig.cli import main, serialize_problem
+
+    fig2 = q.QTMatrix(
+        symbol=q.LaurentSymbol(neg=(0, 1, -2, 3), pos=(0, -1, -4, -3)),
+        correction=q.Correction.zero(),
+    )
+    grid = q.winding_map(fig2, (-10, 10), (-10, 10), 200)
+    out = {"winding_map fig2 200": _sha256(np.ascontiguousarray(grid, dtype=np.int64).tobytes())}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {}
+        for name, a in (("seven_band", seven_band), ("cluster", cluster),
+                        ("fig2", fig2), ("fix_a", fix_a)):
+            files[name] = tmp / f"{name}.json"
+            files[name].write_text(json.dumps(serialize_problem(a)))
+
+        def run(argv) -> str:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(argv)
+            return f"exit {code}\n{buf.getvalue()}"
+
+        for name, flags in (("seven_band", []), ("cluster", ["--gamma", "12.5", "--tol", "1e-8"])):
+            for method in ("frobenius", "vandermonde"):
+                out[f"eig-all {name} {method}"] = run(
+                    ["eig-all", str(files[name]), "--method", method] + flags
+                )
+        for key, name, box, res, kind in (
+            ("map fig2 winding 200", "fig2", "-10,10,-10,10", "200", "winding"),
+            ("map fix_a basins 50", "fix_a", "-0.5,0.5,-0.5,0.5", "50", "basins"),
+        ):
+            grid_csv = tmp / f"{name}_{kind}.csv"
+            text = run(["map", str(files[name]), f"--box={box}", "--res", res,
+                        "--kind", kind, "--out", str(grid_csv)])
+            sidecar = grid_csv.with_suffix(".csv.labels.json")
+            for path in (grid_csv, sidecar, tmp / "curve.csv"):
+                if path.exists():
+                    text += f"{path.name} {_sha256(path.read_bytes())}\n"
+            out[key] = text
+    return out
+
+
 def digest(src: Path) -> dict:
     q = _import_qteig(src)
     seven_band, cluster, cluster_cfg, fix_a = _problems(q)
@@ -101,7 +161,7 @@ def digest(src: Path) -> dict:
     basin_starts = [complex(x, y) for y in centers for x in centers]
     _, limits = q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 50)
     vandermonde = dataclasses.replace(cluster_cfg, method="vandermonde")
-    return {
+    sets = {
         "seven_band": _section_set(q, seven_band, q.SolverConfig()),
         "cluster": _section_set(q, cluster, cluster_cfg),
         "seven_band_vandermonde": _section_set(
@@ -113,6 +173,7 @@ def digest(src: Path) -> dict:
             "accepted": [repr(z) for z in limits],
         },
     }
+    return {"sets": sets, "outputs": _outputs(q, seven_band, cluster, fix_a)}
 
 
 def _rel(a: str, b: str) -> float:
@@ -125,9 +186,36 @@ def _histogram(starts) -> str:
     return ", ".join(f"{status} {n}" for status, n in sorted(counts.items()))
 
 
-def compare(path_a: Path, path_b: Path) -> int:
-    da = json.loads(path_a.read_text())
-    db = json.loads(path_b.read_text())
+def _first_difference(text_a: str, text_b: str) -> str:
+    """The first differing line, shown from 40 characters before its
+    first differing character (the eig-all output is one long line)."""
+    lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
+    for k, (la, lb) in enumerate(zip(lines_a, lines_b)):
+        if la != lb:
+            col = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
+            lo = max(col - 40, 0)
+            return (f"line {k + 1}, column {col + 1}:\n"
+                    f"    A: ...{la[lo : col + 40]}\n    B: ...{lb[lo : col + 40]}")
+    k = min(len(lines_a), len(lines_b))
+    return f"line {k + 1}: only one side has it ({len(lines_a)} against {len(lines_b)} lines)"
+
+
+def _compare_outputs(oa: dict, ob: dict) -> int:
+    diffs = 0
+    for key in sorted(oa.keys() | ob.keys()):
+        if key not in oa or key not in ob:
+            print(f"{key}: recorded on one side only")
+            diffs += 1
+        elif oa[key] == ob[key]:
+            print(f"{key}: identical")
+        else:
+            print(f"{key}: differs at {_first_difference(oa[key], ob[key])}")
+            diffs += 1
+    print(f"output differences: {diffs}")
+    return diffs
+
+
+def _compare_sets(da: dict, db: dict) -> int:
     status_diffs = 0
     for name in da:
         sa, sb = da[name]["starts"], db[name]["starts"]
@@ -155,7 +243,15 @@ def compare(path_a: Path, path_b: Path) -> int:
             print(f"  [{k}]: {ra[0]} in {ra[1]} steps -> {rb[0]} in {rb[1]} steps")
         status_diffs += len(changed)
     print(f"status differences: {status_diffs}")
-    return 1 if status_diffs else 0
+    return status_diffs
+
+
+def compare(path_a: Path, path_b: Path) -> int:
+    da = json.loads(path_a.read_text())
+    db = json.loads(path_b.read_text())
+    status_diffs = _compare_sets(da["sets"], db["sets"])
+    out_diffs = _compare_outputs(da["outputs"], db["outputs"])
+    return 1 if status_diffs or out_diffs else 0
 
 
 def main(argv=None) -> int:
