@@ -17,17 +17,15 @@ from .errors import (
     SectionTooSmallError,
     SingularMatrixError,
 )
-from .factor import GPair, WienerHopfFactors, barnett_g, barnett_g_prime, inside_roots, residual_mateq, wiener_hopf
+from .factor import GPair, WienerHopfFactors, barnett_g, inside_roots, residual_mateq, wiener_hopf
 from .nep import BasisPair, NEPContext, basis_frobenius, basis_vandermonde, build_w, eigvec_prefix, newton_correction, phi
 from .poly import (
-    Laurent,
     LaurentSymbol,
     Poly,
     RootCount,
     char_poly,
     convolve,
     count_inside,
-    derivative,
     graeffe_step,
     winding,
 )

@@ -26,11 +26,7 @@ import numpy as np
 
 from .errors import FactorizationUnstableError, InvalidInputError, OnCurveError
 from .linalg import lu_solve, roots_companion
-from .poly import LaurentSymbol, Poly, char_poly
-
-# Roots this close to the unit circle make the inside/outside split
-# meaningless; the shift is flagged as on the curve instead.
-SPLIT_BAND = 1e-10
+from .poly import SPLIT_BAND, LaurentSymbol, Poly, char_poly
 
 # Relative 1-norm bound on the deconvolution residual.
 DECONV_TOL = 1e-6
@@ -216,15 +212,10 @@ def barnett_g(s: Poly) -> np.ndarray:
     return -_linv_u(_check_monic(s))[1]
 
 
-def barnett_g_prime(s: Poly, s_prime) -> np.ndarray:
-    """Shift derivative of G = F**p:  -L^{-1} U' + L^{-1} L' L^{-1} U,
-    where the primed triangular Toeplitz factors are built from the
-    derivatives of (s_0, ..., s_{p-1}) and s_p' = 0."""
-    return _g_pair(s, s_prime).g_prime
-
-
 def _g_pair(s: Poly, s_prime) -> GPair:
-    """barnett_g and barnett_g_prime together, sharing L and L^{-1} U."""
+    """G = F**p and its shift derivative -L^{-1} U' + L^{-1} L' L^{-1} U,
+    sharing L and L^{-1} U; the primed triangular Toeplitz factors are
+    built from the derivatives of (s_0, ..., s_{p-1}) and s_p' = 0."""
     coeffs = _check_monic(s)
     p = s.degree
     ds = np.asarray(tuple(s_prime), dtype=complex)

@@ -108,6 +108,12 @@ def qr_rank_revealing(a) -> RankRevealingQR:
     return RankRevealingQR(q=Q, r=R, permutation=tuple(int(p) for p in perm), rank=rank)
 
 
+def _check_eig_dim(n: int) -> None:
+    """Reject an eigenproblem of dimension above EIG_MAX_DIM."""
+    if n > EIG_MAX_DIM:
+        raise InvalidInputError(f"dimension {n} exceeds the cap {EIG_MAX_DIM}")
+
+
 def eig_dense(a) -> list:
     """All eigenvalues of a square matrix, with multiplicity.
 
@@ -119,8 +125,7 @@ def eig_dense(a) -> list:
         raise InvalidInputError("eigenvalue problem requires a square matrix")
     if n < 1:
         raise InvalidInputError("matrix dimension must be at least 1")
-    if n > EIG_MAX_DIM:
-        raise InvalidInputError(f"dimension {n} exceeds the cap {EIG_MAX_DIM}")
+    _check_eig_dim(n)
     try:
         vals = np.linalg.eigvals(A if A.imag.any() else A.real)
     except np.linalg.LinAlgError as exc:

@@ -2,7 +2,9 @@
 
 The boundary rows of the shifted operator, applied to any decaying
 solution of the interior recurrence, yield W V(lam) beta = 0 with a
-constant full-rank matrix W and a shift-dependent basis V.  Two bases
+constant full-rank matrix W and a shift-dependent basis V.  W's width
+m + k2 comes from the correction's support, derived from its entries,
+and its row count is the reduced equation count q.  Two bases
 are supported: columns of powers of the inside roots (Vandermonde) and
 block rows I, G, G**2, ... of powers of G = F**p (Frobenius), each with
 its exact shift derivative.  W's Toeplitz block comes from the same
@@ -26,7 +28,7 @@ from .errors import (
 )
 from .factor import GPair, WienerHopfFactors, _g_pair, _upper_toeplitz, inside_roots
 from .linalg import lu_solve, qr_rank_revealing
-from .poly import LaurentSymbol, _ldexp, derivative
+from .poly import LaurentSymbol, _ldexp
 from .qt import QTMatrix
 
 # Inside roots closer than this are too clustered for a root-power
@@ -39,13 +41,15 @@ ROOT_SEP_TOL = 1e-6
 @dataclass(frozen=True, eq=False)
 class NEPContext:
     """The constant boundary matrix W restricted to its m + k2 possibly
-    nonzero columns, plus the reduced row count q = m + rank of the
-    below-band correction rows."""
+    nonzero columns.  Its row count is the reduced equation count
+    q = m + rank of the below-band correction rows."""
 
     w: np.ndarray
     m: int
-    q: int
-    r2: int
+
+    @property
+    def q(self) -> int:
+        return self.w.shape[0]
 
     @property
     def width(self) -> int:
@@ -75,8 +79,7 @@ def build_w(a: QTMatrix) -> NEPContext:
         compressed = np.zeros((r2, k2), dtype=complex)
         compressed[:, list(fac.permutation)] = fac.r[:r2, :]
 
-    q = m + r2
-    w = np.zeros((q, width), dtype=complex)
+    w = np.zeros((m + r2, width), dtype=complex)
     # negated before building, so the zeros below the diagonal stay +0
     w[:m, :m] = _upper_toeplitz(-sym.coeffs()[:m])
     if k1 > 0:
@@ -85,7 +88,7 @@ def build_w(a: QTMatrix) -> NEPContext:
         w[:top, m:] = block[:top, :]
     if r2 > 0:
         w[m:, m:] = compressed
-    return NEPContext(w=w, m=m, q=q, r2=r2)
+    return NEPContext(w=w, m=m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +129,15 @@ def basis_vandermonde(sym: LaurentSymbol, lam: complex, rows: int, inside=None) 
         raise ClusteredRootsError(
             f"inside roots {xi[i]} and {xi[j]} closer than {ROOT_SEP_TOL:g}"
         )
-    da = derivative(sym)
-    dvals = np.array([da(x) for x in xi], dtype=complex)
+    # a'(xi) = sum of j a_j xi**(j-1) over the nonzero terms, j = -m..n,
+    # accumulated in that order in Python complex arithmetic
+    terms = [(j * sym.coeff(j), j - 1) for j in range(-sym.m, sym.n + 1) if j and sym.coeff(j)]
+    dvals = np.zeros(p, dtype=complex)
+    for i, x in enumerate(xi):
+        acc = 0j
+        for c, k in terms:
+            acc += c * complex(x) ** k
+        dvals[i] = acc
     if np.any(np.abs(dvals) < 1e-250):
         raise ClusteredRootsError("vanishing a'(xi): numerically multiple root")
     v = np.zeros((rows, p), dtype=complex)

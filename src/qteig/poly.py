@@ -5,7 +5,9 @@ part of b(z)*b(-z)) until a single coefficient dominates the 1-norm of
 the rest; the index of that coefficient is the number of roots strictly
 inside the unit circle, certified without computing any root.  When
 roots hug the circle the squaring never separates them and an explicit
-companion-matrix rootfinder takes over.
+companion-matrix rootfinder takes over; a root within SPLIT_BAND of the
+circle puts the shift on the symbol curve, the same threshold at which
+``factor`` refuses to split the roots for a Newton step.
 
 The squaring runs on the rows of a (polynomials, degree+1) coefficient
 array, so that a raster counts all its cells at once; ``count_inside``,
@@ -31,9 +33,10 @@ from .errors import (
 # before 30 steps.
 GRAEFFE_MAXIT = 30
 
-# A fallback root whose modulus is within this distance of 1 is treated
-# as sitting on the symbol curve.
-CIRCLE_TOL = 1e-8
+# A root whose modulus is within this distance of 1 sits on the symbol
+# curve: the inside/outside split of the Newton step and the fallback of
+# the root count both flag such a shift as on the curve.
+SPLIT_BAND = 1e-10
 
 
 def _complex_tuple(values) -> tuple:
@@ -90,27 +93,6 @@ class LaurentSymbol:
 
 
 @dataclass(frozen=True)
-class Laurent:
-    """A two-sided polynomial sum(c_k z^k) for k = low .. low + len(coeffs) - 1."""
-
-    coeffs: tuple
-    low: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _complex_tuple(self.coeffs))
-
-    def __call__(self, z: complex) -> complex:
-        if z == 0 and self.low < 0:
-            raise DomainError("cannot evaluate negative powers at z = 0")
-        zc = complex(z)
-        acc = 0j
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                acc += c * zc ** (self.low + k)
-        return acc
-
-
-@dataclass(frozen=True)
 class Poly:
     """A dense polynomial, coefficients in ascending power order.
 
@@ -136,20 +118,8 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
     def norm1(self) -> float:
         return float(sum(abs(c) for c in self.coeffs))
-
-
-def derivative(sym: LaurentSymbol) -> Laurent:
-    """Term-by-term derivative: coefficients j*a_j for z**(j-1), j = -m..n."""
-    coeffs = [j * sym.coeff(j) for j in range(-sym.m, sym.n + 1)]
-    return Laurent(tuple(coeffs), low=-sym.m - 1)
 
 
 def char_poly(sym: LaurentSymbol, lam: complex) -> Poly:
@@ -287,10 +257,10 @@ def winding(sym: LaurentSymbol, lam: complex) -> int:
 
     Equals the number of roots of a(z) - lam inside the unit disk minus
     m.  Raises OnCurveError when the count falls back to explicit roots
-    and one of them sits within CIRCLE_TOL of the unit circle.
+    and one of them sits within SPLIT_BAND of the unit circle.
     """
     rc = count_inside(char_poly(sym, lam))
     if rc.fallback_used and rc.roots:
-        if any(abs(abs(r) - 1.0) <= CIRCLE_TOL for r in rc.roots):
+        if any(abs(abs(r) - 1.0) <= SPLIT_BAND for r in rc.roots):
             raise OnCurveError(f"shift {lam} lies numerically on the symbol curve")
     return rc.count - sym.m

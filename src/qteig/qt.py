@@ -1,9 +1,11 @@
 """The operator model: a banded two-sided part plus a finite correction.
 
 A matrix here is the semi-infinite operator A whose entry (i, j) is
-a_{j-i} + e_{i,j}, acting on square-summable sequences.  The module
-builds finite sections, applies the operator to vector prefixes,
-computes the exact row-sum norm, and samples the symbol curve.
+a_{j-i} + e_{i,j}, acting on square-summable sequences.  The correction
+E is stored as its nonzero entries alone; its support (k1, k2) is
+derived from them.  The module builds finite sections, applies the
+operator to vector prefixes, computes the exact row-sum norm, and
+samples the symbol curve.
 """
 
 from __future__ import annotations
@@ -24,21 +26,20 @@ from .poly import LaurentSymbol
 
 @dataclass(frozen=True)
 class Correction:
-    """A finite-support correction stored as 1-based (row, col, value) triplets.
+    """A finite-support correction: its nonzero entries as 1-based
+    (row, col, value) triplets with unique positions, sorted by position.
 
-    k1 and k2 are the tight row and column support: some entry lies in
-    row k1 and some entry in column k2, or both are 0 for the zero
-    correction.  Values are nonzero and positions unique.
+    The support is derived from the entries: k1 is the last row and k2
+    the last column that holds an entry, both 0 for the zero correction.
     """
 
-    k1: int
-    k2: int
     entries: tuple
 
     def __post_init__(self):
-        ents = tuple(
-            (int(i), int(j), complex(v)) for i, j, v in self.entries
-        )
+        ents = tuple(sorted(
+            ((int(i), int(j), complex(v)) for i, j, v in self.entries),
+            key=lambda t: (t[0], t[1]),
+        ))
         object.__setattr__(self, "entries", ents)
         seen = set()
         for i, j, v in ents:
@@ -51,40 +52,23 @@ class Correction:
             if (i, j) in seen:
                 raise InvalidInputError(f"duplicate correction entry at ({i}, {j})")
             seen.add((i, j))
-        k1 = max((i for i, _, _ in ents), default=0)
-        k2 = max((j for _, j, _ in ents), default=0)
-        if (self.k1, self.k2) != (k1, k2):
-            raise InvalidInputError(
-                f"support ({self.k1}, {self.k2}) is not tight; expected ({k1}, {k2})"
-            )
 
     @classmethod
     def from_entries(cls, entries) -> "Correction":
-        """Normalize arbitrary triplets: drop zeros, sort, recompute support."""
-        ents = sorted(
-            ((int(i), int(j), complex(v)) for i, j, v in entries if complex(v) != 0),
-            key=lambda t: (t[0], t[1]),
-        )
-        k1 = max((i for i, _, _ in ents), default=0)
-        k2 = max((j for _, j, _ in ents), default=0)
-        return cls(k1=k1, k2=k2, entries=tuple(ents))
-
-    @classmethod
-    def from_dense(cls, block) -> "Correction":
-        arr = np.asarray(block, dtype=complex)
-        if arr.ndim != 2:
-            raise InvalidInputError("dense correction block must be 2-D")
-        ents = [
-            (i + 1, j + 1, arr[i, j])
-            for i in range(arr.shape[0])
-            for j in range(arr.shape[1])
-            if arr[i, j] != 0
-        ]
-        return cls.from_entries(ents)
+        """Arbitrary triplets with the zero values dropped."""
+        return cls(tuple((i, j, v) for i, j, v in entries if complex(v) != 0))
 
     @classmethod
     def zero(cls) -> "Correction":
-        return cls(k1=0, k2=0, entries=())
+        return cls(())
+
+    @property
+    def k1(self) -> int:
+        return max((i for i, _, _ in self.entries), default=0)
+
+    @property
+    def k2(self) -> int:
+        return max((j for _, j, _ in self.entries), default=0)
 
     @property
     def is_zero(self) -> bool:
@@ -111,14 +95,13 @@ def qt_new(neg, pos, correction=None) -> QTMatrix:
     coefficient convention plus an optional correction.
 
     ``correction`` may be None, a Correction, or an iterable of
-    1-based (row, col, value) triplets; its support is re-tightened
-    (zero values dropped, k1/k2 recomputed).
+    1-based (row, col, value) triplets whose zero values are dropped.
     """
     sym = LaurentSymbol(neg=tuple(neg), pos=tuple(pos))
     if correction is None:
         corr = Correction.zero()
     elif isinstance(correction, Correction):
-        corr = Correction.from_entries(correction.entries)
+        corr = correction
     else:
         corr = Correction.from_entries(correction)
     return QTMatrix(symbol=sym, correction=corr)

@@ -38,7 +38,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .factor import _split, wiener_hopf
-from .linalg import eig_dense
+from .linalg import _check_eig_dim, eig_dense
 from .nep import (
     basis_frobenius,
     basis_vandermonde,
@@ -101,9 +101,11 @@ class EigenSolveReport:
 
     records: tuple
     section_size: int
-    raw_starts: int
-    converged: int
     continuous_detected: bool
+
+    @property
+    def converged(self) -> int:
+        return len(self.records)
 
 
 def _failure(lam: complex, iterations: int, status: SolveStatus, residual=math.inf) -> EigRecord:
@@ -290,6 +292,7 @@ def eig_all(a: QTMatrix, cfg: SolverConfig | None = None) -> EigenSolveReport:
     """
     cfg = cfg or SolverConfig()
     size = section_size(a, cfg.gamma)
+    _check_eig_dim(size)  # before the section is built
     starts = eig_dense(finite_section(a, size))
     a_norm = norm_inf(a)
     ctx = build_w(a)
@@ -301,12 +304,9 @@ def eig_all(a: QTMatrix, cfg: SolverConfig | None = None) -> EigenSolveReport:
             continuous = True
         if rec.is_isolated:
             isolated.append(rec)
-    deduped = tuple(_dedupe(isolated, cfg.dedupe_tol))
     return EigenSolveReport(
-        records=deduped,
+        records=tuple(_dedupe(isolated, cfg.dedupe_tol)),
         section_size=size,
-        raw_starts=len(starts),
-        converged=len(deduped),
         continuous_detected=continuous,
     )
 

@@ -101,6 +101,16 @@ class TestEigAllCommand:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["eig-all", str(tmp_path / "nope.json")]) == 2
 
+    def test_oversized_section(self, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "am": [5, -2], "ap": [5, -2], "E": [{"i": 1, "j": 1e300, "re": 1, "im": 0}],
+        }))
+        assert main(["eig-all", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the cap" in captured.err
+
     def test_dense_block_encoding(self, tmp_path, capsys):
         path = tmp_path / "dense.json"
         path.write_text(json.dumps({

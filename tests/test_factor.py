@@ -3,7 +3,7 @@ import pytest
 
 import qteig as q
 from qteig.errors import FactorizationUnstableError, InvalidInputError, OnCurveError
-from qteig.factor import barnett_g, barnett_g_prime, inside_roots, residual_mateq, wiener_hopf
+from qteig.factor import _g_pair, barnett_g, inside_roots, residual_mateq, wiener_hopf
 from qteig.linalg import eig_dense, roots_companion
 from qteig.poly import char_poly, convolve
 
@@ -178,18 +178,18 @@ class TestBarnett:
 
 class TestBarnettPrime:
     def test_scalar(self):
-        gp = barnett_g_prime(q.Poly((-0.5, 1)), (-1 / 6,))
+        gp = _g_pair(q.Poly((-0.5, 1)), (-1 / 6,)).g_prime
         assert gp[0, 0] == pytest.approx(1 / 6)
 
     def test_zero_derivative(self):
-        gp = barnett_g_prime(q.Poly((-0.12, 0.1, 1.0)), (0.0, 0.0))
+        gp = _g_pair(q.Poly((-0.12, 0.1, 1.0)), (0.0, 0.0)).g_prime
         assert np.abs(gp).max() == 0.0
 
     def test_matches_finite_difference(self, fix_b_symbol):
         lam = -1.0 + 0.5j
         h = 1e-6
         f = wiener_hopf(fix_b_symbol, lam)
-        gp = barnett_g_prime(f.s, f.s_prime)
+        gp = _g_pair(f.s, f.s_prime).g_prime
         g_plus = barnett_g(wiener_hopf(fix_b_symbol, lam + h).s)
         g_minus = barnett_g(wiener_hopf(fix_b_symbol, lam - h).s)
         assert np.abs(gp - (g_plus - g_minus) / (2 * h)).max() <= 1e-6

@@ -31,14 +31,6 @@ class TestSymbol:
         with pytest.raises(InconsistentConstantError):
             q.LaurentSymbol(neg=(1, 2), pos=(3, 2))
 
-    def test_derivative(self, sym_a, sym_shift2):
-        da = q.derivative(sym_a)
-        assert da.low == -2
-        assert da.coeffs == (2, 0, -2)
-        assert da(0.5) == pytest.approx(6.0)
-        db = q.derivative(sym_shift2)
-        assert db.coeffs == (-1, 0, 2)
-
 
 class TestCharPoly:
     def test_fix_a(self, sym_a):

@@ -43,9 +43,16 @@ class TestQtNew:
 
     def test_dense_round_trip(self):
         block = np.array([[0, 2.0, 0], [1j, 0, 0]])
-        corr = q.Correction.from_dense(block)
+        corr = q.Correction.from_entries(
+            (i + 1, j + 1, block[i, j]) for i in range(2) for j in range(3)
+        )
         assert (corr.k1, corr.k2) == (2, 2)
         assert np.allclose(corr.dense(), block[:2, :2])
+
+    def test_support_derived_and_entries_sorted(self):
+        corr = q.Correction(((3, 1, 1.0), (1, 5, 2.0), (1, 2, 3j)))
+        assert (corr.k1, corr.k2) == (3, 5)
+        assert corr.entries == ((1, 2, 3j), (1, 5, 2.0), (3, 1, 1.0))
 
 
 class TestFiniteSection:

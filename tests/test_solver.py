@@ -48,7 +48,7 @@ class TestEigSingle:
 
     def test_overdetermined_eigenvalue(self, fix_a_pltq):
         ctx = build_w(fix_a_pltq)
-        assert (ctx.q, ctx.r2) == (2, 1)
+        assert ctx.q == 2
         rec = q.eig_single(fix_a_pltq, 0.07)
         assert rec.status is q.SolveStatus.ISOLATED_PLTQ
         assert abs(rec.lam) <= 1e-10
@@ -194,6 +194,19 @@ class TestEigAll:
     def test_deterministic(self, fix_a, fix_a_pltq):
         for a in (fix_a, fix_a_pltq):
             assert q.eig_all(a) == q.eig_all(a)
+
+    def test_oversized_section_rejected_before_it_is_built(self, test1_case2, monkeypatch):
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            raise AssertionError("finite section built")
+
+        monkeypatch.setattr("qteig.solver.finite_section", spy)
+        # gamma 41 asks for a 4100 x 4100 section, above EIG_MAX_DIM
+        with pytest.raises(InvalidInputError, match="exceeds the cap"):
+            q.eig_all(test1_case2, q.SolverConfig(gamma=41))
+        assert not built
 
     def test_residual_recomputed_independently(self, fix_a, test2_case1):
         for a, start in ((fix_a, 0.05), (test2_case1, -1.9)):

@@ -24,10 +24,13 @@ accepted runs.
 
 It also records output bytes: the stdout of ``qteig eig-all`` on the
 seven-band fixture (defaults) and on the clustered-root fixture
-(``--gamma 12.5 --tol 1e-8``), each with both methods; a SHA-256 of the
-fig-2 200 x 200 ``winding_map`` grid over [-10, 10]^2; and SHA-256s of
-the files ``qteig map`` writes for that winding map and for the 50 x 50
-basins of the rank-one fixture over [-0.5, 0.5]^2.
+(``--gamma 12.5 --tol 1e-8``), each with both methods; the stdout of
+``qteig eig-single`` on the rank-one fixture from ``--lambda0 0.05
+--vec-len 20`` (Frobenius) and from ``--lambda0 0.3,0.1 --method
+vandermonde``; a SHA-256 of the fig-2 200 x 200 ``winding_map`` grid
+over [-10, 10]^2; and SHA-256s of the files ``qteig map`` writes for
+that winding map and for the 50 x 50 basins of the rank-one fixture
+over [-0.5, 0.5]^2.
 
 ``--compare`` prints, per set, the status histogram of each side, the
 number of starts whose iteration count changed, the number of final
@@ -139,6 +142,11 @@ def _outputs(q, seven_band, cluster, fix_a) -> dict:
                 out[f"eig-all {name} {method}"] = run(
                     ["eig-all", str(files[name]), "--method", method] + flags
                 )
+        for key, flags in (
+            ("eig-single fix_a frobenius", ["--lambda0", "0.05", "--vec-len", "20"]),
+            ("eig-single fix_a vandermonde", ["--lambda0", "0.3,0.1", "--method", "vandermonde"]),
+        ):
+            out[key] = run(["eig-single", str(files["fix_a"])] + flags)
         for key, name, box, res, kind in (
             ("map fig2 winding 200", "fig2", "-10,10,-10,10", "200", "winding"),
             ("map fix_a basins 50", "fix_a", "-0.5,0.5,-0.5,0.5", "50", "basins"),
