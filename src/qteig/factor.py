@@ -1,15 +1,13 @@
 """Splitting z**m (a(z) - lam) into a monic factor with roots inside the
 unit disk times a factor with roots outside, with shift derivatives.
 
-The split itself is decided in one place, ``inside_roots``: the
-companion roots of z**m (a(z) - lam) that lie inside the unit disk.
-Their count is p, and the same roots build the factors here and the
-root-power basis in ``nep``.  The inside factor s drives everything
-downstream: its companion matrix F gives G = F**p through the
-triangular Toeplitz identity G = -L^{-1} U (first column of L is
-(s_p, ..., s_1), first row of U is (s_0, ..., s_{p-1})), and the
-derivatives of the factor coefficients with respect to the shift come
-from one resultant-style linear system.
+The roots are split at the unit circle in ``poly._split``, and the p
+roots inside the disk build the factors here.  The inside factor s
+drives everything downstream: its companion matrix F gives G = F**p
+through the triangular Toeplitz identity G = -L^{-1} U (first column
+of L is (s_p, ..., s_1), first row of U is (s_0, ..., s_{p-1})), and
+the derivatives of the factor coefficients with respect to the shift
+come from one resultant-style linear system.
 
 Every Toeplitz matrix here is one gather through a cached index
 (``_conv_matrix``), and every unit lower triangular Toeplitz system,
@@ -24,33 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorizationUnstableError, InvalidInputError, OnCurveError
-from .linalg import lu_solve, roots_companion
-from .poly import SPLIT_BAND, LaurentSymbol, Poly, char_poly
+from .errors import FactorizationUnstableError, InvalidInputError
+from .linalg import lu_solve
+from .poly import LaurentSymbol, Poly, _split, char_poly
 
 # Relative 1-norm bound on the deconvolution residual.
 DECONV_TOL = 1e-6
-
-
-def inside_roots(sym: LaurentSymbol, lam: complex) -> tuple:
-    """Roots of z**m (a(z) - lam) inside the unit disk, sorted by modulus
-    then argument; there are p = m + winding(sym, lam) of them.
-
-    Raises OnCurveError when any root has modulus within SPLIT_BAND of 1,
-    where the split is undefined.
-    """
-    return _split(char_poly(sym, lam), lam)
-
-
-def _split(b: Poly, lam: complex) -> tuple:
-    """inside_roots for the polynomial b = char_poly(sym, lam)."""
-    roots = roots_companion(b)
-    if any(abs(abs(r) - 1.0) <= SPLIT_BAND for r in roots):
-        raise OnCurveError(
-            f"root of modulus within {SPLIT_BAND:g} of the unit circle at shift {lam}"
-        )
-    inside = (r for r in roots if abs(r) < 1.0)
-    return tuple(sorted(inside, key=lambda z: (abs(z), np.angle(z))))
 
 
 @dataclass(frozen=True)
@@ -227,35 +204,3 @@ def _g_pair(s: Poly, s_prime) -> GPair:
     d_upper = _upper_toeplitz(ds)
     g_prime = _solve_unit_lower(lower, d_lower @ linv_u - d_upper)
     return GPair(g=-linv_u, g_prime=g_prime)
-
-
-def _blocks(sym: LaurentSymbol, lam: complex, p: int) -> list:
-    """The p x p coefficient blocks of the band matrix with symbol
-    z**(m-p) (a(z) - lam), partitioned from block row -1 upward."""
-    m, n = sym.m, sym.n
-    # entry (i, j) of block k is the shifted coefficient of offset
-    # (k + 1) p - m + j - i, or 0 outside -m..n; pad = 2p zeros on each
-    # side keep every such offset inside ``shifted``
-    pad = 2 * p
-    shifted = np.zeros(m + n + 1 + 2 * pad, dtype=complex)
-    shifted[pad : pad + m + n + 1] = sym.coeffs()
-    shifted[pad + m] -= lam
-    diff = p - _shift_index(p, p)  # j - i
-    last = (m + n - 1) // p  # block rows k = -1 .. last
-    return [shifted[pad + (k + 1) * p + diff] for k in range(-1, last + 1)]
-
-
-def residual_mateq(sym: LaurentSymbol, lam: complex, g) -> float:
-    """Row-sum norm of sum_k A_k G**(k+1) for the coefficient blocks A_k
-    of the shifted band operator; a certificate that G generates the
-    decaying solution space."""
-    gm = np.asarray(g, dtype=complex)
-    if gm.ndim != 2 or gm.shape[0] != gm.shape[1] or gm.size == 0:
-        raise InvalidInputError("G must be a nonempty square matrix")
-    p = gm.shape[0]
-    acc = np.zeros((p, p), dtype=complex)
-    power = np.eye(p, dtype=complex)
-    for blk in _blocks(sym, lam, p):
-        acc += blk @ power
-        power = power @ gm
-    return float(np.abs(acc).sum(axis=1).max())

@@ -26,9 +26,9 @@ from .errors import (
     InvalidInputError,
     SingularMatrixError,
 )
-from .factor import GPair, WienerHopfFactors, _g_pair, _upper_toeplitz, inside_roots
+from .factor import GPair, WienerHopfFactors, _g_pair, _upper_toeplitz
 from .linalg import lu_solve, qr_rank_revealing
-from .poly import LaurentSymbol, _ldexp
+from .poly import LaurentSymbol, _ldexp, inside_roots
 from .qt import QTMatrix
 
 # Inside roots closer than this are too clustered for a root-power
@@ -45,7 +45,6 @@ class NEPContext:
     q = m + rank of the below-band correction rows."""
 
     w: np.ndarray
-    m: int
 
     @property
     def q(self) -> int:
@@ -88,7 +87,7 @@ def build_w(a: QTMatrix) -> NEPContext:
         w[:top, m:] = block[:top, :]
     if r2 > 0:
         w[m:, m:] = compressed
-    return NEPContext(w=w, m=m)
+    return NEPContext(w=w)
 
 
 @dataclass(frozen=True, eq=False)

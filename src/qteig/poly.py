@@ -1,17 +1,20 @@
-"""Laurent symbols, dense polynomials, and unit-disk root counting.
+"""Laurent symbols, dense polynomials, and the split of roots at the
+unit circle.
 
-The root counter squares the roots of a polynomial repeatedly (the even
-part of b(z)*b(-z)) until a single coefficient dominates the 1-norm of
-the rest; the index of that coefficient is the number of roots strictly
-inside the unit circle, certified without computing any root.  When
-roots hug the circle the squaring never separates them and an explicit
-companion-matrix rootfinder takes over; a root within SPLIT_BAND of the
-circle puts the shift on the symbol curve, the same threshold at which
-``factor`` refuses to split the roots for a Newton step.
+The split is decided in one place, ``_split``: the companion roots of
+z**m (a(z) - lam) that lie inside the unit disk, or OnCurveError when a
+root is within SPLIT_BAND of the circle.  Their count p = m + winding
+sizes the reduced problem, and the same roots build the factors in
+``factor`` and the root-power basis in ``nep``.
 
-The squaring runs on the rows of a (polynomials, degree+1) coefficient
-array, so that a raster counts all its cells at once; ``count_inside``,
-``graeffe_step`` and ``winding`` are batches of one on the same kernel.
+The winding number needs only the count, which root squaring certifies
+without computing any root: square the roots repeatedly (the even part
+of b(z)*b(-z)) until a single coefficient dominates the 1-norm of the
+rest; the index of that coefficient is the number of roots strictly
+inside the unit circle.  The squaring runs on the rows of a
+(polynomials, degree+1) coefficient array, so that a raster counts all
+its cells at once; a row that does not settle (roots on or hugging the
+circle) goes to ``_split``.  ``winding`` is a batch of one on that path.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .errors import (
     InvalidSymbolError,
     OnCurveError,
 )
+from .linalg import roots_companion
 
 # Number of root squarings before giving up: coefficient dynamic range
 # grows doubly exponentially, so double precision is exhausted well
@@ -34,8 +38,7 @@ from .errors import (
 GRAEFFE_MAXIT = 30
 
 # A root whose modulus is within this distance of 1 sits on the symbol
-# curve: the inside/outside split of the Newton step and the fallback of
-# the root count both flag such a shift as on the curve.
+# curve: ``_split`` flags such a shift as on the curve.
 SPLIT_BAND = 1e-10
 
 
@@ -142,34 +145,41 @@ def convolve(p: Poly, q: Poly) -> Poly:
     return Poly(tuple(np.convolve(a, b)))
 
 
+def inside_roots(sym: LaurentSymbol, lam: complex) -> tuple:
+    """Roots of z**m (a(z) - lam) inside the unit disk, sorted by modulus
+    then argument; there are p = m + winding(sym, lam) of them.
+
+    Raises OnCurveError when any root has modulus within SPLIT_BAND of 1,
+    where the split is undefined.
+    """
+    return _split(char_poly(sym, lam), lam)
+
+
+def _split(b: Poly, lam: complex) -> tuple:
+    """inside_roots for the polynomial b = char_poly(sym, lam)."""
+    roots = roots_companion(b)
+    if any(abs(abs(r) - 1.0) <= SPLIT_BAND for r in roots):
+        raise OnCurveError(
+            f"root of modulus within {SPLIT_BAND:g} of the unit circle at shift {lam}"
+        )
+    inside = (r for r in roots if abs(r) < 1.0)
+    return tuple(sorted(inside, key=lambda z: (abs(z), np.angle(z))))
+
+
 @dataclass(frozen=True)
 class RootCount:
-    """Outcome of counting roots inside the unit disk.
-
-    ``roots`` carries the explicitly computed roots when the fallback
-    rootfinder ran, so callers can inspect proximity to the circle.
-    """
+    """Outcome of counting roots inside the unit disk."""
 
     count: int
     iterations_used: int
     fallback_used: bool
-    roots: tuple | None = None
-
-
-def graeffe_step(b: Poly) -> Poly:
-    """One root-squaring step: the even part of b(z)*b(-z), scaled so its
-    first maximum-modulus coefficient becomes 1.
-
-    The roots of the output are the squares of the roots of the input;
-    the degree is preserved in exact arithmetic.
-    """
-    if b.is_zero:
-        raise DomainError("cannot square the roots of the zero polynomial")
-    return Poly(tuple(_graeffe_rows(np.asarray(b.coeffs)[None, :])[0]))
 
 
 def _graeffe_rows(c: np.ndarray) -> np.ndarray:
-    """graeffe_step on every row of a (rows, degree+1) coefficient array.
+    """One root-squaring step on every row of a (rows, degree+1)
+    coefficient array: the even part of b(z)*b(-z), scaled so that its
+    first maximum-modulus coefficient becomes 1.  The roots of a row of
+    the output are the squares of the roots of the input row.
 
     Each row is first scaled by the power of two that brings its largest
     modulus into [0.5, 1): exact, and the squaring neither underflows
@@ -237,30 +247,47 @@ def count_inside(b: Poly) -> RootCount:
     Runs the root-squaring iteration until one coefficient holds more
     than half of the 1-norm, which certifies the count.  If that never
     happens within GRAEFFE_MAXIT steps (roots on or hugging the circle),
-    falls back to explicit companion-matrix rootfinding on the original
-    polynomial and reports the computed roots.
+    counts the companion roots of modulus below 1 instead: a root near
+    the circle counts on the side of its computed modulus, so this never
+    raises for a shift on the curve.
     """
     if b.is_zero:
         raise DomainError("root count of the zero polynomial is undefined")
     count, used = _count_rows(np.asarray(b.coeffs)[None, :])
     if count[0] >= 0:
         return RootCount(count=int(count[0]), iterations_used=int(used[0]), fallback_used=False)
-    from .linalg import roots_companion  # deferred: linalg depends on this module
+    count = sum(1 for r in roots_companion(b) if abs(r) < 1.0)
+    return RootCount(count=count, iterations_used=GRAEFFE_MAXIT, fallback_used=True)
 
-    roots = tuple(roots_companion(b)) if b.degree >= 1 else ()
-    count = sum(1 for r in roots if abs(r) < 1.0)
-    return RootCount(count=count, iterations_used=GRAEFFE_MAXIT, fallback_used=True, roots=roots)
+
+def _windings(sym: LaurentSymbol, lam: np.ndarray) -> tuple:
+    """Winding numbers of the symbol curve around a 1-D array of shifts,
+    and the mask of the shifts on the curve, whose winding entry is
+    meaningless.
+
+    Root squaring counts the inside roots of all rows z**m (a(z) - lam)
+    at once; only the rows it does not settle go to ``_split``.
+    """
+    coeffs = np.repeat(sym.coeffs()[None, :], lam.size, axis=0)
+    coeffs[:, sym.m] -= lam
+    count, _ = _count_rows(coeffs)
+    on_curve = np.zeros(lam.size, dtype=bool)
+    for i in np.flatnonzero(count < 0):
+        try:
+            count[i] = len(_split(Poly(tuple(coeffs[i])), lam[i]))
+        except OnCurveError:
+            on_curve[i] = True
+    return count - sym.m, on_curve
 
 
 def winding(sym: LaurentSymbol, lam: complex) -> int:
     """Winding number of the symbol curve around ``lam``.
 
     Equals the number of roots of a(z) - lam inside the unit disk minus
-    m.  Raises OnCurveError when the count falls back to explicit roots
-    and one of them sits within SPLIT_BAND of the unit circle.
+    m.  Raises OnCurveError when root squaring does not settle the count
+    and ``_split`` puts the shift on the curve.
     """
-    rc = count_inside(char_poly(sym, lam))
-    if rc.fallback_used and rc.roots:
-        if any(abs(abs(r) - 1.0) <= SPLIT_BAND for r in rc.roots):
-            raise OnCurveError(f"shift {lam} lies numerically on the symbol curve")
-    return rc.count - sym.m
+    wind, on_curve = _windings(sym, np.array([complex(lam)]))
+    if on_curve[0]:
+        raise OnCurveError(f"shift {lam} lies numerically on the symbol curve")
+    return int(wind[0])

@@ -24,6 +24,18 @@ from .errors import (
 from .poly import LaurentSymbol
 
 
+def _position(x) -> int:
+    """A correction position given as an integral value (2, 2.0, numpy
+    integers)."""
+    try:
+        k = int(x)
+    except (ValueError, OverflowError):  # nan, inf
+        k = None
+    if k is None or k != x:
+        raise InvalidInputError(f"correction position {x!r} is not an integer")
+    return k
+
+
 @dataclass(frozen=True)
 class Correction:
     """A finite-support correction: its nonzero entries as 1-based
@@ -37,7 +49,7 @@ class Correction:
 
     def __post_init__(self):
         ents = tuple(sorted(
-            ((int(i), int(j), complex(v)) for i, j, v in self.entries),
+            ((_position(i), _position(j), complex(v)) for i, j, v in self.entries),
             key=lambda t: (t[0], t[1]),
         ))
         object.__setattr__(self, "entries", ents)

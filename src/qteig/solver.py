@@ -4,7 +4,7 @@ winding / attraction-basin rasters.
 
 Each shift of a run is evaluated in one place, ``_basis_at``: it splits
 the companion roots of z**m (a(z) - lam) at the unit circle once
-(``factor._split``) and either names the exit that split forces or
+(``poly._split``) and either names the exit that split forces or
 builds the basis from the same roots.  The count p = m + winding must
 not change along the run (the component), p > q flags a continuous
 eigenvalue set, shifts escaping the operator norm are stopped, and no
@@ -17,14 +17,16 @@ equations passes and, when p < q, the smallest singular value of W V
 certifies rank deficiency; otherwise it keeps stepping from that same
 evaluation until the budget runs out.
 
-The winding raster counts inside roots by root squaring on all cells of
-a few grid rows at a time; only the cells whose count does not settle
-(shifts on or hugging the curve) go to ``poly.winding`` one by one.
+The winding raster takes its counts from the path of ``poly.winding``,
+a few grid rows at a time: root squaring on all their cells at once,
+and ``poly._split`` for the cells it does not settle (shifts on or
+hugging the curve).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +39,7 @@ from .errors import (
     OnCurveError,
     SingularMatrixError,
 )
-from .factor import _split, wiener_hopf
+from .factor import wiener_hopf
 from .linalg import _check_eig_dim, eig_dense
 from .nep import (
     basis_frobenius,
@@ -48,7 +50,7 @@ from .nep import (
     newton_correction,
     phi,
 )
-from .poly import _count_rows, _ldexp, char_poly, winding
+from .poly import _ldexp, _split, _windings, char_poly
 from .qt import EigRecord, QTMatrix, SolveStatus, apply_prefix, finite_section, norm_inf
 
 # Step threshold of the stop rule, relative to max(1, |shift|).  At the
@@ -87,12 +89,12 @@ class SolverConfig:
         knobs = (self.gamma, self.residual_tol, self.dedupe_tol)
         if not all(math.isfinite(x) and x > 0 for x in knobs):
             raise InvalidInputError("tolerances and gamma must be positive and finite")
-        if self.maxit < 1:
-            raise InvalidInputError("maxit must be at least 1")
+        for name in ("maxit", "vec_len"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise InvalidInputError(f"{name} must be an integer of at least 1")
         if self.method not in ("frobenius", "vandermonde"):
             raise InvalidInputError(f"unknown method {self.method!r}")
-        if self.vec_len < 1:
-            raise InvalidInputError("vec_len must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -335,23 +337,16 @@ def winding_map(a: QTMatrix, re_range, im_range, resolution) -> np.ndarray:
 
     Returns an (n_im, n_re) integer grid; row k belongs to the k-th
     imaginary coordinate, column j to the j-th real coordinate.  The
-    root squaring runs on all cells of a few grid rows at once; cells it
-    cannot settle go to ``winding`` one at a time.
+    cells of a few grid rows at a time go through ``poly.winding``'s
+    path as one batch.
     """
     res, ims = _grid_axes(re_range, im_range, resolution)
     sym = a.symbol
     out = np.empty((ims.size, res.size), dtype=np.int64)
     for k in range(0, ims.size, _MAP_BLOCK):
         lam = (res[None, :] + 1j * ims[k : k + _MAP_BLOCK, None]).ravel()
-        coeffs = np.repeat(sym.coeffs()[None, :], lam.size, axis=0)
-        coeffs[:, sym.m] -= lam
-        count, _ = _count_rows(coeffs)
-        wind = count - sym.m
-        for i in np.flatnonzero(count < 0):
-            try:
-                wind[i] = winding(sym, complex(lam[i]))
-            except OnCurveError:
-                wind[i] = CURVE_SENTINEL
+        wind, on_curve = _windings(sym, lam)
+        wind[on_curve] = CURVE_SENTINEL
         out[k : k + _MAP_BLOCK] = wind.reshape(-1, res.size)
     return out
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qteig as q
+from qteig.poly import _graeffe_rows
 
 
 @pytest.fixture(scope="session")
@@ -68,6 +69,12 @@ def poly_from_roots(roots) -> q.Poly:
     for r in roots:
         acc = np.convolve(acc, np.array([-r, 1.0 + 0j]))
     return q.Poly(tuple(acc))
+
+
+def square_roots(b: q.Poly) -> q.Poly:
+    """One root-squaring step of the winding count on the coefficients of
+    b, as a Poly, so a leading coefficient that underflows is trimmed."""
+    return q.Poly(tuple(_graeffe_rows(np.asarray(b.coeffs)[None, :])[0]))
 
 
 def random_symbol(rng, max_m=5, max_n=5) -> q.LaurentSymbol:

@@ -174,7 +174,7 @@ class TestPhi:
 
     def test_row_scaling_leaves_correction_invariant(self, fix_a):
         ctx = build_w(fix_a)
-        scaled = NEPContext(w=10.0 * ctx.w, m=ctx.m)
+        scaled = NEPContext(w=10.0 * ctx.w)
         lam = 0.1
         bas = basis_vandermonde(fix_a.symbol, lam, ctx.width)
         c1 = newton_correction(*phi(ctx, bas, 1))

@@ -49,6 +49,13 @@ class TestQtNew:
         assert (corr.k1, corr.k2) == (2, 2)
         assert np.allclose(corr.dense(), block[:2, :2])
 
+    def test_positions_must_be_integral(self):
+        corr = q.Correction.from_entries([(np.int64(2), 3.0, 1.0)])
+        assert corr.entries == ((2, 3, 1.0),)
+        for i, j in ((1.5, 2), (2, 2.9), (float("nan"), 1), (1, float("inf"))):
+            with pytest.raises(InvalidInputError):
+                q.Correction.from_entries([(i, j, 3.0)])
+
     def test_support_derived_and_entries_sorted(self):
         corr = q.Correction(((3, 1, 1.0), (1, 5, 2.0), (1, 2, 3j)))
         assert (corr.k1, corr.k2) == (3, 5)

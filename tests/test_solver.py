@@ -12,10 +12,10 @@ from qteig.errors import (
 )
 from qteig.linalg import eig_dense
 from qteig.nep import basis_vandermonde, build_w, newton_correction, phi
-from qteig.poly import GRAEFFE_MAXIT
+from qteig.poly import GRAEFFE_MAXIT, _count_rows, _graeffe_rows
 from qteig.solver import BASIN_CONTINUOUS, BASIN_NONCONV, CURVE_SENTINEL, _basis_at, _classify
 
-from conftest import random_symbol
+from conftest import random_symbol, square_roots
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +89,11 @@ class TestEigSingle:
             q.SolverConfig(residual_tol=0.0)
         with pytest.raises(InvalidInputError):
             q.SolverConfig(method="secant")
+        # a non-integer step budget or prefix length would reach a slice
+        for field in ("maxit", "vec_len"):
+            for bad in (2.5, 3.0, "3"):
+                with pytest.raises(InvalidInputError):
+                    q.SolverConfig(**{field: bad})
         for field in ("gamma", "residual_tol", "dedupe_tol"):
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(InvalidInputError):
@@ -102,7 +107,7 @@ class TestEigSingle:
         def refuse(*args, **kwargs):
             raise AssertionError("Graeffe root count inside a Newton run")
 
-        monkeypatch.setattr("qteig.solver.winding", refuse)
+        monkeypatch.setattr("qteig.solver._windings", refuse)
         monkeypatch.setattr("qteig.poly.count_inside", refuse)
         monkeypatch.setattr("qteig.poly._graeffe_rows", refuse)
         assert q.eig_all(fix_a) == want
@@ -325,7 +330,7 @@ class TestWindingMap:
             # the leading coefficient underflows before the count settles
             bk = b
             for _ in range(GRAEFFE_MAXIT):
-                bk = q.graeffe_step(bk)
+                bk = square_roots(bk)
                 if bk.degree < b.degree:
                     return True
                 if np.abs(np.asarray(bk.coeffs)).sum() < 2.0:
@@ -355,6 +360,30 @@ class TestWindingMap:
                 fallbacks += q.count_inside(b).fallback_used
                 trimmed += trims(b)
         assert sentinels > 0 and fallbacks > 0 and trimmed > 0
+
+    def test_unsettled_cell_squared_once(self, fix_a, monkeypatch):
+        # 44 cells of this one-block box sit within 3e-9 of fix_a's curve
+        # [1, 9]: root squaring settles none of them, and the explicit
+        # roots put 12 on the curve.  None may be squared again on its own.
+        passes = unsettled = 0
+
+        def square_spy(c):
+            nonlocal passes
+            passes += 1
+            return _graeffe_rows(c)
+
+        def count_spy(c):
+            nonlocal unsettled
+            count, used = _count_rows(c)
+            unsettled += int(np.sum(count < 0))
+            return count, used
+
+        monkeypatch.setattr("qteig.poly._graeffe_rows", square_spy)
+        monkeypatch.setattr("qteig.poly._count_rows", count_spy)
+        grid = q.winding_map(fix_a, (0.5, 9.5), (-3e-9, 3e-9), 10)
+        assert passes <= GRAEFFE_MAXIT
+        assert unsettled == 44
+        assert int(np.sum(grid == CURVE_SENTINEL)) == 12
 
     def test_resolution_guard(self, fix_a):
         with pytest.raises(InvalidInputError):

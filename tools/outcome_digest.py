@@ -27,8 +27,11 @@ seven-band fixture (defaults) and on the clustered-root fixture
 (``--gamma 12.5 --tol 1e-8``), each with both methods; the stdout of
 ``qteig eig-single`` on the rank-one fixture from ``--lambda0 0.05
 --vec-len 20`` (Frobenius) and from ``--lambda0 0.3,0.1 --method
-vandermonde``; a SHA-256 of the fig-2 200 x 200 ``winding_map`` grid
-over [-10, 10]^2; and SHA-256s of the files ``qteig map`` writes for
+vandermonde``; SHA-256s of two ``winding_map`` grids, the fig-2 200 x 200
+grid over [-10, 10]^2 and the rank-one fixture's 10 x 10 grid over
+[0.5, 9.5] x [-3e-9, 3e-9], where root squaring cannot settle the 44
+cells next to the curve, so the explicit-root split decides them; and
+SHA-256s of the files ``qteig map`` writes for
 that winding map and for the 50 x 50 basins of the rank-one fixture
 over [-0.5, 0.5]^2.
 
@@ -121,8 +124,13 @@ def _outputs(q, seven_band, cluster, fix_a) -> dict:
         symbol=q.LaurentSymbol(neg=(0, 1, -2, 3), pos=(0, -1, -4, -3)),
         correction=q.Correction.zero(),
     )
-    grid = q.winding_map(fig2, (-10, 10), (-10, 10), 200)
-    out = {"winding_map fig2 200": _sha256(np.ascontiguousarray(grid, dtype=np.int64).tobytes())}
+    out = {}
+    for key, a, box, res in (
+        ("winding_map fig2 200", fig2, ((-10, 10), (-10, 10)), 200),
+        ("winding_map fix_a unsettled 10", fix_a, ((0.5, 9.5), (-3e-9, 3e-9)), 10),
+    ):
+        grid = q.winding_map(a, *box, res)
+        out[key] = _sha256(np.ascontiguousarray(grid, dtype=np.int64).tobytes())
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         files = {}
