@@ -71,14 +71,15 @@ def _emit(obj) -> str:
     raise TypeError(f"cannot emit {type(obj)!r}")
 
 
+def _real(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _scalar(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _real(value):
         z = complex(value)
-    elif (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
+    elif isinstance(value, list) and len(value) == 2 and all(_real(v) for v in value):
         z = complex(value[0], value[1])
     else:
         raise ProblemError(f"{where}: expected a real or an [re, im] pair")
@@ -96,8 +97,8 @@ def _coeffs(raw, name: str) -> list:
 def _integer(value, where: str, least: int) -> int:
     """A correction position (least 1) or block size (least 0): an int or
     an integral float such as 2.0, not a bool."""
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral or value < least:
+    integral = _real(value) and (isinstance(value, int) or value.is_integer())
+    if not integral or value < least:
         kind = "positive" if least > 0 else "nonnegative"
         raise ProblemError(f"{where}: must be a {kind} integer")
     return int(value)

@@ -2,9 +2,9 @@
 
 The boundary rows of the shifted operator, applied to any decaying
 solution of the interior recurrence, yield W V(lam) beta = 0 with a
-constant full-rank matrix W and a shift-dependent basis V.  W's width
-m + k2 comes from the correction's support, derived from its entries,
-and its row count is the reduced equation count q.  Two bases
+constant full-rank matrix W and a shift-dependent basis V.  W is built
+from the correction's entries alone; its width m + k2 comes from their
+support, and its row count is the reduced equation count q.  Two bases
 are supported: columns of powers of the inside roots (Vandermonde) and
 block rows I, G, G**2, ... of powers of G = F**p (Frobenius), each with
 its exact shift derivative.  W's Toeplitz block comes from the same
@@ -59,34 +59,33 @@ def build_w(a: QTMatrix) -> NEPContext:
     """Assemble W = [-B, E1; 0, R] from the symbol and the correction.
 
     B is the m x m upper triangular Toeplitz of (a_-m, ..., a_-1); the
-    correction block enters shifted right by m columns.  Correction
-    rows below row m are compressed to their rank by column-pivoted QR,
-    so q = m when the correction has at most m rows.
+    entries in rows up to m (E1) enter shifted right by m columns.  The
+    entries below are gathered on the rows and columns that hold them
+    and compressed to their rank R by column-pivoted QR, whose rows
+    land back on those columns; so q = m when k1 <= m.
     """
     sym = a.symbol
-    corr = a.correction
     m = sym.m
-    k1, k2 = corr.k1, corr.k2
-    width = m + k2
+    top = [e for e in a.correction.entries if e[0] <= m]
+    below = [e for e in a.correction.entries if e[0] > m]
 
     r2 = 0
-    compressed = None
-    if k1 > m:
-        e2 = corr.dense()[m:, :]
-        fac = qr_rank_revealing(e2)
+    if below:
+        rows, cols, vals = zip(*below)
+        urows, ri = np.unique(rows, return_inverse=True)
+        ucols, ci = np.unique(cols, return_inverse=True)
+        block = np.zeros((urows.size, ucols.size), dtype=complex)
+        block[ri, ci] = vals
+        fac = qr_rank_revealing(block)
         r2 = fac.rank
-        compressed = np.zeros((r2, k2), dtype=complex)
-        compressed[:, list(fac.permutation)] = fac.r[:r2, :]
 
-    w = np.zeros((m + r2, width), dtype=complex)
+    w = np.zeros((m + r2, m + a.correction.k2), dtype=complex)
     # negated before building, so the zeros below the diagonal stay +0
     w[:m, :m] = _upper_toeplitz(-sym.coeffs()[:m])
-    if k1 > 0:
-        block = corr.dense()
-        top = min(m, k1)
-        w[:top, m:] = block[:top, :]
+    for i, j, v in top:
+        w[i - 1, m + j - 1] = v
     if r2 > 0:
-        w[m:, m:] = compressed
+        w[m:, m - 1 + ucols[list(fac.permutation)]] = fac.r[:r2, :]
     return NEPContext(w=w)
 
 
@@ -94,13 +93,13 @@ def build_w(a: QTMatrix) -> NEPContext:
 class BasisPair:
     """K x p basis of decaying interior solutions and its shift derivative.
 
-    ``xi`` carries the inside roots for the Vandermonde kind, ``g_pair``
-    the matrix G and its derivative for the Frobenius kind.
+    ``xi`` carries the inside roots of a Vandermonde basis, ``g_pair``
+    the matrix G and its derivative of a Frobenius basis; the other is
+    None.
     """
 
     v: np.ndarray
     v_prime: np.ndarray
-    kind: str
     xi: tuple | None = None
     g_pair: GPair | None = None
 
@@ -146,7 +145,7 @@ def basis_vandermonde(sym: LaurentSymbol, lam: complex, rows: int, inside=None) 
         for i in range(1, rows):
             v[i, :] = v[i - 1, :] * xi
         v_prime[1:] = np.arange(1, rows)[:, None] * v[:-1] / dvals
-    return BasisPair(v=v, v_prime=v_prime, kind="vandermonde", xi=tuple(xi))
+    return BasisPair(v=v, v_prime=v_prime, xi=tuple(xi))
 
 
 def basis_frobenius(factors: WienerHopfFactors, rows: int) -> BasisPair:
@@ -172,7 +171,7 @@ def basis_frobenius(factors: WienerHopfFactors, rows: int) -> BasisPair:
         d_power = d_power @ g + power @ g_prime
         power = power @ g
         row += take
-    return BasisPair(v=v, v_prime=v_prime, kind="frobenius", g_pair=pair)
+    return BasisPair(v=v, v_prime=v_prime, g_pair=pair)
 
 
 def phi(ctx: NEPContext, basis: BasisPair, rows: int) -> tuple:
@@ -230,9 +229,7 @@ def newton_correction(phi_mat, phi_prime) -> complex:
     return 1.0 / tr
 
 
-def eigvec_prefix(
-    basis: BasisPair, beta, length: int, sym: LaurentSymbol, lam: complex
-) -> np.ndarray:
+def eigvec_prefix(basis: BasisPair, beta, length: int, sym: LaurentSymbol) -> np.ndarray:
     """Leading ``length`` eigenvector entries v_i = (row i + m of the
     basis) . beta, extending past the stored rows by the interior
     recurrence (root powers or further G powers)."""
@@ -240,7 +237,7 @@ def eigvec_prefix(
     if bvec.ndim != 1 or bvec.size != basis.p or not np.any(bvec):
         raise InvalidInputError("beta must be a nonzero vector of length p")
     m = sym.m
-    if basis.kind == "vandermonde":
+    if basis.xi is not None:
         # row i holds xi**(m + i), built by repeated multiplication
         xi = np.asarray(basis.xi, dtype=complex)
         powers = np.repeat(xi[None, :], length, axis=0)

@@ -2,17 +2,20 @@
 
 A matrix here is the semi-infinite operator A whose entry (i, j) is
 a_{j-i} + e_{i,j}, acting on square-summable sequences.  The correction
-E is stored as its nonzero entries alone; its support (k1, k2) is
-derived from them.  The module builds finite sections, applies the
-operator to vector prefixes, computes the exact row-sum norm, and
-samples the symbol curve.
+E is stored as its nonzero entries alone, never as a dense block; its
+support (k1, k2) is derived from them.  The module builds finite
+sections, applies the operator to vector prefixes, computes the exact
+row-sum norm, and samples the symbol curve.  Positions and sizes share
+one integer rule, ``_position``.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 
 import numpy as np
 
@@ -24,15 +27,15 @@ from .errors import (
 from .poly import LaurentSymbol
 
 
-def _position(x) -> int:
-    """A correction position given as an integral value (2, 2.0, numpy
-    integers)."""
+def _position(x, what: str) -> int:
+    """A position or size given as an integral value (2, 2.0, numpy
+    integers); ``what`` names it in the error."""
     try:
         k = int(x)
-    except (ValueError, OverflowError):  # nan, inf
+    except (TypeError, ValueError, OverflowError):  # nan, inf, non-numbers
         k = None
     if k is None or k != x:
-        raise InvalidInputError(f"correction position {x!r} is not an integer")
+        raise InvalidInputError(f"{what} {x!r} is not an integer")
     return k
 
 
@@ -48,8 +51,9 @@ class Correction:
     entries: tuple
 
     def __post_init__(self):
+        what = "correction position"
         ents = tuple(sorted(
-            ((_position(i), _position(j), complex(v)) for i, j, v in self.entries),
+            ((_position(i, what), _position(j, what), complex(v)) for i, j, v in self.entries),
             key=lambda t: (t[0], t[1]),
         ))
         object.__setattr__(self, "entries", ents)
@@ -82,17 +86,6 @@ class Correction:
     def k2(self) -> int:
         return max((j for _, j, _ in self.entries), default=0)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def dense(self) -> np.ndarray:
-        """The k1 x k2 block holding every nonzero entry."""
-        block = np.zeros((self.k1, self.k2), dtype=complex)
-        for i, j, v in self.entries:
-            block[i - 1, j - 1] = v
-        return block
-
 
 @dataclass(frozen=True)
 class QTMatrix:
@@ -123,7 +116,7 @@ def finite_section(a: QTMatrix, size: int) -> np.ndarray:
     """The size x size leading principal submatrix."""
     sym = a.symbol
     corr = a.correction
-    n = int(size)
+    n = _position(size, "section size")
     if n < max(sym.m, sym.n, corr.k1, corr.k2, 1):
         raise SectionTooSmallError(
             f"section size {n} does not cover the band and correction"
@@ -156,7 +149,7 @@ def apply_prefix(a: QTMatrix, v, out_len: int) -> np.ndarray:
     if vec.ndim != 1:
         raise InvalidInputError("prefix must be a 1-D vector")
     L = vec.size
-    out_len = int(out_len)
+    out_len = _position(out_len, "out_len")
     if out_len < 0:
         raise InvalidInputError("out_len must be nonnegative")
     if L < out_len + sym.n:
@@ -181,27 +174,23 @@ def apply_prefix(a: QTMatrix, v, out_len: int) -> np.ndarray:
 
 
 def norm_inf(a: QTMatrix) -> float:
-    """Exact row-sum operator norm: the maximum of the corrected row sums
-    and the generic band row sum."""
+    """Exact row-sum operator norm: the generic band row sum, which bounds
+    every row without entries, or the largest sum of a row with entries,
+    formed from its band coefficients plus its entries."""
     sym = a.symbol
-    corr = a.correction
-    generic = float(np.abs(sym.coeffs()).sum())
-    best = generic
-    if not corr.is_zero:
-        block = corr.dense()
-        for i in range(1, corr.k1 + 1):
-            hi = max(i + sym.n, corr.k2)
-            row = np.zeros(hi, dtype=complex)
-            for j in range(max(1, i - sym.m), i + sym.n + 1):
-                row[j - 1] = sym.coeff(j - i)
-            row[: corr.k2] += block[i - 1]
-            best = max(best, float(np.abs(row).sum()))
+    best = float(np.abs(sym.coeffs()).sum())
+    for i, ents in groupby(a.correction.entries, key=lambda e: e[0]):
+        row = {j: sym.coeff(j - i) for j in range(max(1, i - sym.m), i + sym.n + 1)}
+        for _, j, v in ents:
+            row[j] = row.get(j, 0) + v
+        best = max(best, math.fsum(abs(v) for v in row.values()))
     return best
 
 
 def symbol_curve(a: QTMatrix, nsamples: int) -> np.ndarray:
     """The symbol evaluated at nsamples equispaced points of the unit
     circle, starting at z = 1."""
+    nsamples = _position(nsamples, "nsamples")
     if nsamples < 2:
         raise InvalidInputError("nsamples must be at least 2")
     sym = a.symbol

@@ -51,7 +51,15 @@ from .nep import (
     phi,
 )
 from .poly import _ldexp, _split, _windings, char_poly
-from .qt import EigRecord, QTMatrix, SolveStatus, apply_prefix, finite_section, norm_inf
+from .qt import (
+    EigRecord,
+    QTMatrix,
+    SolveStatus,
+    _position,
+    apply_prefix,
+    finite_section,
+    norm_inf,
+)
 
 # Step threshold of the stop rule, relative to max(1, |shift|).  At the
 # small eigenvalues of the clustered-root fixture the step stalls at a
@@ -177,17 +185,20 @@ def _classify(a, ctx, lam, basis, iterations, cfg):
     sym = a.symbol
     q = ctx.q
     p = basis.p
-    phi_mat, _ = phi(ctx, basis, p)
-    beta = _null_direction(phi_mat)
+    # W V, all q rows: Phi is its first p, the certificate reads it whole
+    wv = phi(ctx, basis, q)[0]
+    beta = _null_direction(wv[:p])
     res_len = max(q + sym.n, a.correction.k2)
     # one prefix serves the residual rows and the stored eigenvector:
     # both are leading entries of the same sequence
-    full = eigvec_prefix(basis, beta, max(res_len, cfg.vec_len), sym, lam)
+    full = eigvec_prefix(basis, beta, max(res_len, cfg.vec_len), sym)
     vec = full[:res_len]
     denom_q = float(np.linalg.norm(vec[:q]))
     if denom_q == 0.0:
         return None
-    res_q = float(np.linalg.norm(apply_prefix(a, vec, q) - lam * vec[:q])) / denom_q
+    # rows are computed each on its own: r[:p] is the p-row residual
+    r = apply_prefix(a, vec, q) - lam * vec[:q]
+    res_q = float(np.linalg.norm(r)) / denom_q
     if p == q:
         if res_q > cfg.residual_tol:
             return None
@@ -196,12 +207,12 @@ def _classify(a, ctx, lam, basis, iterations, cfg):
         denom_p = float(np.linalg.norm(vec[:p]))
         if denom_p == 0.0:
             return None
-        res_p = float(np.linalg.norm(apply_prefix(a, vec, p) - lam * vec[:p])) / denom_p
+        res_p = float(np.linalg.norm(r[:p])) / denom_p
         if res_p > cfg.residual_tol:
             return None
         # W V is q x p: rank deficient when its smallest singular value
         # is at rounding level of ||W|| ||V||
-        smin = np.linalg.svd(ctx.w @ basis.v, compute_uv=False)[-1]
+        smin = np.linalg.svd(wv, compute_uv=False)[-1]
         tol = 1e-12 * q * np.linalg.norm(ctx.w, 2) * np.linalg.norm(basis.v, 2)
         if smin > tol or res_q > cfg.residual_tol:
             return _failure(lam, iterations, SolveStatus.NO_CONVERGENCE_PLTQ, res_q)
@@ -314,10 +325,9 @@ def eig_all(a: QTMatrix, cfg: SolverConfig | None = None) -> EigenSolveReport:
 
 
 def _grid_axes(re_range, im_range, resolution):
-    if isinstance(resolution, int):
-        n_re = n_im = resolution
-    else:
-        n_re, n_im = (int(r) for r in resolution)
+    if np.ndim(resolution) == 0:
+        resolution = (resolution, resolution)
+    n_re, n_im = (_position(r, "resolution") for r in resolution)
     if n_re < 2 or n_im < 2:
         raise InvalidInputError("resolution must be at least 2 per axis")
     re0, re1 = (float(x) for x in re_range)

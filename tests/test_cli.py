@@ -98,6 +98,21 @@ class TestEigAllCommand:
             assert captured.out == ""
             assert "must be positive and finite" in captured.err
 
+    def test_boolean_numbers_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        for problem, where in (
+            ({"am": [True, -2], "ap": [True, -2]}, "am[0]"),
+            ({"am": [5, [-2, False]], "ap": [5, -2]}, "am[1]"),
+            ({"am": [5, -2], "ap": [5, -2], "E": [{"i": 1, "j": 1, "re": True}]}, "E[0]"),
+            ({"am": [5, -2], "ap": [5, -2], "E": {"rows": 1, "cols": 1, "values": [[True]]}},
+             "E.values[0][0]"),
+        ):
+            path.write_text(json.dumps(problem))
+            assert main(["eig-all", str(path)]) == 2, problem
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{where}: expected a real or an [re, im] pair" in captured.err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["eig-all", str(tmp_path / "nope.json")]) == 2
 

@@ -10,7 +10,7 @@ from qteig.errors import (
     InvalidInputError,
 )
 from qteig.factor import wiener_hopf
-from qteig.linalg import lu_solve
+from qteig.linalg import lu_solve, qr_rank_revealing
 from qteig.nep import (
     NEPContext,
     basis_frobenius,
@@ -75,6 +75,54 @@ class TestBuildW:
         ctx = build_w(q.qt_new([0, 1], [0, 2]))
         assert (ctx.q, ctx.width) == (1, 1)
         assert np.allclose(ctx.w, [[-1.0]])
+
+    def test_scattered_rank_deficient_rows(self, monkeypatch):
+        # below-m rows on scattered columns, some of them repeated up to a
+        # factor or summed: q counts the independent rows, R spans the
+        # dense block's row space, and the QR sees only the rows and
+        # columns that hold entries
+        shapes = []
+
+        def spy(block):
+            shapes.append(block.shape)
+            return qr_rank_revealing(block)
+
+        monkeypatch.setattr("qteig.nep.qr_rank_revealing", spy)
+        rng = np.random.default_rng(34)
+
+        def projector(mat):
+            # orthogonal projector onto the row space
+            return np.linalg.pinv(mat) @ mat
+
+        for _ in range(40):
+            m = int(rng.integers(1, 4))
+            neg = [0.0] + list(rng.standard_normal(m))
+            a_rows = []
+            for _ in range(int(rng.integers(1, 6))):
+                cols = rng.choice(200, size=int(rng.integers(1, 4)), replace=False)
+                row = np.zeros(200, dtype=complex)
+                row[cols] = rng.standard_normal(cols.size) + 1j * rng.standard_normal(cols.size)
+                a_rows.append(row)
+            rows = list(a_rows)
+            for _ in range(int(rng.integers(0, 4))):
+                x, y = rng.integers(0, len(a_rows), size=2)
+                rows.append(2.0 * a_rows[x] if x == y else a_rows[x] + a_rows[y])
+            rng.shuffle(rows)
+            # leave some rows below m empty
+            at = np.sort(rng.choice(np.arange(m + 1, m + 12), size=len(rows), replace=False))
+            top = [(int(rng.integers(1, m + 1)), int(rng.integers(1, 200)), 3.0)]
+            below = [(int(i), int(j) + 1, r[j]) for i, r in zip(at, rows) for j in np.flatnonzero(r)]
+            a = q.qt_new(neg, [0.0, 1.0], top + below)
+            dense = np.zeros((at[-1] - m, a.correction.k2), dtype=complex)
+            for i, j, v in below:
+                dense[i - m - 1, j - 1] = v
+            shapes.clear()
+            ctx = build_w(a)
+            assert ctx.q == m + np.linalg.matrix_rank(dense)
+            r = ctx.w[m:, m:]
+            assert np.abs(projector(r) - projector(dense)).max() <= 1e-12
+            assert shapes == [(len(rows), len({j for _, j, _ in below}))]
+            assert ctx.w[top[0][0] - 1, m + top[0][1] - 1] == 3.0
 
 
 class TestBasisVandermonde:
@@ -278,23 +326,23 @@ class TestNewtonCorrection:
 class TestEigvecPrefix:
     def test_fix_a(self, fix_a):
         bas = basis_vandermonde(fix_a.symbol, 0.0, 2)
-        v = eigvec_prefix(bas, [1.0], 4, fix_a.symbol, 0.0)
+        v = eigvec_prefix(bas, [1.0], 4, fix_a.symbol)
         assert np.allclose(v, [0.5, 0.25, 0.125, 0.0625])
 
     def test_linearity(self, fix_a):
         bas = basis_vandermonde(fix_a.symbol, 0.0, 2)
-        v1 = eigvec_prefix(bas, [1.0], 6, fix_a.symbol, 0.0)
-        v2 = eigvec_prefix(bas, [2.5j], 6, fix_a.symbol, 0.0)
+        v1 = eigvec_prefix(bas, [1.0], 6, fix_a.symbol)
+        v2 = eigvec_prefix(bas, [2.5j], 6, fix_a.symbol)
         assert np.allclose(v2, 2.5j * v1)
 
     def test_frobenius_matches_vandermonde(self, fix_a):
         bas_v = basis_vandermonde(fix_a.symbol, 0.0, 2)
         bas_f = basis_frobenius(wiener_hopf(fix_a.symbol, 0.0), 2)
-        v1 = eigvec_prefix(bas_v, [1.0], 8, fix_a.symbol, 0.0)
-        v2 = eigvec_prefix(bas_f, [1.0], 8, fix_a.symbol, 0.0)
+        v1 = eigvec_prefix(bas_v, [1.0], 8, fix_a.symbol)
+        v2 = eigvec_prefix(bas_f, [1.0], 8, fix_a.symbol)
         assert np.allclose(v1, v2)
 
     def test_zero_beta_rejected(self, fix_a):
         bas = basis_vandermonde(fix_a.symbol, 0.0, 2)
         with pytest.raises(InvalidInputError):
-            eigvec_prefix(bas, [0.0], 4, fix_a.symbol, 0.0)
+            eigvec_prefix(bas, [0.0], 4, fix_a.symbol)

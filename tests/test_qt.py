@@ -47,7 +47,7 @@ class TestQtNew:
             (i + 1, j + 1, block[i, j]) for i in range(2) for j in range(3)
         )
         assert (corr.k1, corr.k2) == (2, 2)
-        assert np.allclose(corr.dense(), block[:2, :2])
+        assert corr.entries == ((1, 2, 2.0), (2, 1, 1j))
 
     def test_positions_must_be_integral(self):
         corr = q.Correction.from_entries([(np.int64(2), 3.0, 1.0)])
@@ -60,6 +60,32 @@ class TestQtNew:
         corr = q.Correction(((3, 1, 1.0), (1, 5, 2.0), (1, 2, 3j)))
         assert (corr.k1, corr.k2) == (3, 5)
         assert corr.entries == ((1, 2, 3j), (1, 5, 2.0), (3, 1, 1.0))
+
+
+def test_sizes_take_integral_values_only(fix_a):
+    # one rule for positions and sizes: ints, integral floats and numpy
+    # integers pass, anything else raises InvalidInputError
+    box = ((-1, 1), (-1, 1))
+    for size in (3, 3.0, np.int64(3)):
+        assert q.finite_section(fix_a, size).shape == (3, 3)
+        assert q.apply_prefix(fix_a, np.ones(4), size).shape == (3,)
+        assert q.symbol_curve(fix_a, size).shape == (3,)
+        assert q.winding_map(fix_a, *box, size).shape == (3, 3)
+    assert q.winding_map(fix_a, *box, (np.int64(4), 2.0)).shape == (2, 4)
+    labels, _ = q.basins(fix_a, *box, np.int64(2))
+    assert labels.shape == (2, 2)
+    for bad in (2.7, 2.5, float("nan"), float("inf"), "3", None, 3 + 0j):
+        with pytest.raises(InvalidInputError):
+            q.finite_section(fix_a, bad)
+        with pytest.raises(InvalidInputError):
+            q.apply_prefix(fix_a, np.ones(8), bad)
+        with pytest.raises(InvalidInputError):
+            q.symbol_curve(fix_a, bad)
+        for res in (bad, (4, bad)):
+            with pytest.raises(InvalidInputError):
+                q.winding_map(fix_a, *box, res)
+            with pytest.raises(InvalidInputError):
+                q.basins(fix_a, *box, res)
 
 
 class TestFiniteSection:
@@ -128,6 +154,41 @@ class TestNormInf:
         # column 100; row 3 dominates: |1| + |-1| + 0 + |-1| + |-1| + 24
         expected = max(5.0, 2 + 8, 3 + 16, 4 + 24)
         assert q.norm_inf(test1_case2) == pytest.approx(expected)
+
+    def test_matches_section_row_sums(self):
+        # reference: the generic band sum or the largest absolute row sum
+        # over the first max(k1, m) rows of a section wide enough to hold
+        # every corrected row whole
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            m, n = (int(x) for x in rng.integers(1, 4, size=2))
+            neg = list(rng.standard_normal(m + 1))
+            pos = [neg[0]] + list(rng.standard_normal(n))
+            sym = q.LaurentSymbol(neg=tuple(neg), pos=tuple(pos))
+            entries = {}
+            for _ in range(int(rng.integers(1, 8))):
+                i = int(rng.integers(1, 9))
+                kind = rng.integers(0, 4)
+                if kind == 0:  # on the band, cancelling its coefficient
+                    j = max(1, i + int(rng.integers(-m, n + 1)))
+                    entries[i, j] = -sym.coeff(j - i) or 1.0
+                elif kind == 1:  # on the band
+                    entries[i, max(1, i + int(rng.integers(-m, n + 1)))] = rng.standard_normal()
+                elif kind == 2:  # off the band
+                    entries[i, i + n + int(rng.integers(1, 30))] = complex(*rng.standard_normal(2))
+                else:  # in a row <= m
+                    entries[int(rng.integers(1, m + 1)), int(rng.integers(1, 12))] = 2.0
+            a = q.qt_new(neg, pos, [(i, j, v) for (i, j), v in entries.items()])
+            k1, k2 = a.correction.k1, a.correction.k2
+            section = q.finite_section(a, max(k1 + n, k2, m + n))
+            rows = np.abs(section[: max(k1, m)]).sum(axis=1).max()
+            ref = max(float(np.abs(sym.coeffs()).sum()), rows)
+            assert q.norm_inf(a) == pytest.approx(ref, rel=1e-14)
+
+    def test_far_column(self):
+        # row 1 is |5| + |-2| + |4| with the entry in column 10**300
+        a = q.qt_new([5, -2], [5, -2], [(1, 10**300, 4.0)])
+        assert q.norm_inf(a) == 11.0
 
     def test_bounds_sections(self, fix_a, test1_case2):
         for a in (fix_a, test1_case2):

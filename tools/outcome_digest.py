@@ -35,6 +35,12 @@ SHA-256s of the files ``qteig map`` writes for
 that winding map and for the 50 x 50 basins of the rank-one fixture
 over [-0.5, 0.5]^2.
 
+For the seven-band, clustered-root and rank-one fixtures, and for one
+operator whose rows below m hold entries on scattered columns with a
+repeated (rank-deficient) row, it records the reduction: repr of
+``norm_inf``, the row count q of ``build_w`` and the SHA-256 of W's
+bytes.
+
 ``--compare`` prints, per set, the status histogram of each side, the
 number of starts whose iteration count changed, the number of final
 shifts that differ in any bit, and the largest relative difference of
@@ -170,6 +176,19 @@ def _outputs(q, seven_band, cluster, fix_a) -> dict:
     return out
 
 
+def _reductions(q, ops) -> dict:
+    """norm_inf, q and the W bytes of each named operator, as text."""
+    from qteig.nep import build_w
+
+    out = {}
+    for name, a in ops.items():
+        ctx = build_w(a)
+        out[f"reduction {name}"] = (
+            f"norm_inf {q.norm_inf(a)!r}\nq {ctx.q}\nW {_sha256(ctx.w.tobytes())}\n"
+        )
+    return out
+
+
 def digest(src: Path) -> dict:
     q = _import_qteig(src)
     seven_band, cluster, cluster_cfg, fix_a = _problems(q)
@@ -189,7 +208,15 @@ def digest(src: Path) -> dict:
             "accepted": [repr(z) for z in limits],
         },
     }
-    return {"sets": sets, "outputs": _outputs(q, seven_band, cluster, fix_a)}
+    scattered = q.qt_new(
+        [0, -1, 1, -1],
+        [0, -1, -1],
+        [(2, 7, 0.5), (4, 5, 1), (5, 40, 2), (6, 5, 2), (6, 40, 4), (7, 90, -1)],
+    )
+    outputs = _outputs(q, seven_band, cluster, fix_a)
+    outputs.update(_reductions(q, {"seven_band": seven_band, "cluster": cluster,
+                                   "fix_a": fix_a, "scattered": scattered}))
+    return {"sets": sets, "outputs": outputs}
 
 
 def _rel(a: str, b: str) -> float:
