@@ -17,7 +17,7 @@ from .errors import (
     SectionTooSmallError,
     SingularMatrixError,
 )
-from .factor import GPair, WienerHopfFactors, barnett_g, wiener_hopf
+from .factor import WienerHopfFactors, barnett_g, wiener_hopf
 from .nep import BasisPair, NEPContext, basis_frobenius, basis_vandermonde, build_w, eigvec_prefix, newton_correction, phi
 from .poly import (
     LaurentSymbol,

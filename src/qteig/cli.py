@@ -241,6 +241,11 @@ def cmd_eig_single(args) -> int:
     return EXIT_OK
 
 
+def _beside(out_path: Path, ext: str) -> Path:
+    """The file ``<out><ext>`` that ``map`` writes next to its grid."""
+    return out_path.with_suffix(out_path.suffix + ext)
+
+
 def _write_curve(path: Path, a: QTMatrix, nsamples: int) -> None:
     pts = symbol_curve(a, nsamples)
     with path.open("w") as fh:
@@ -286,9 +291,8 @@ def cmd_map(args) -> int:
             for j, x in enumerate(res):
                 fh.write(f"{_fmt(x)},{_fmt(y)},{int(grid[k, j])}\n")
     if labels is not None:
-        sidecar = out_path.with_suffix(out_path.suffix + ".labels.json")
-        sidecar.write_text(_emit(labels) + "\n")
-    _write_curve(out_path.parent / "curve.csv", a, args.curve_samples)
+        _beside(out_path, ".labels.json").write_text(_emit(labels) + "\n")
+    _write_curve(_beside(out_path, ".curve.csv"), a, args.curve_samples)
     return EXIT_OK
 
 

@@ -47,14 +47,6 @@ class WienerHopfFactors:
         return self.s.degree
 
 
-@dataclass(frozen=True, eq=False)
-class GPair:
-    """G = F**p together with its shift derivative."""
-
-    g: np.ndarray
-    g_prime: np.ndarray
-
-
 def _monic_from_roots(roots) -> Poly:
     # roots come in inside_roots' order of increasing modulus, which
     # limits cancellation in the small coefficients
@@ -189,10 +181,10 @@ def barnett_g(s: Poly) -> np.ndarray:
     return -_linv_u(_check_monic(s))[1]
 
 
-def _g_pair(s: Poly, s_prime) -> GPair:
-    """G = F**p and its shift derivative -L^{-1} U' + L^{-1} L' L^{-1} U,
-    sharing L and L^{-1} U; the primed triangular Toeplitz factors are
-    built from the derivatives of (s_0, ..., s_{p-1}) and s_p' = 0."""
+def _g_pair(s: Poly, s_prime) -> tuple:
+    """(G, G'): G = F**p and its shift derivative
+    -L^{-1} U' + L^{-1} L' L^{-1} U, sharing L and L^{-1} U; the primed
+    triangular Toeplitz factors are built from s_0', ..., s_{p-1}' and s_p' = 0."""
     coeffs = _check_monic(s)
     p = s.degree
     ds = np.asarray(tuple(s_prime), dtype=complex)
@@ -203,4 +195,4 @@ def _g_pair(s: Poly, s_prime) -> GPair:
     d_lower = _lower_toeplitz(dl_col)
     d_upper = _upper_toeplitz(ds)
     g_prime = _solve_unit_lower(lower, d_lower @ linv_u - d_upper)
-    return GPair(g=-linv_u, g_prime=g_prime)
+    return -linv_u, g_prime

@@ -16,6 +16,7 @@ boundary equations are scaled.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     InvalidInputError,
     SingularMatrixError,
 )
-from .factor import GPair, WienerHopfFactors, _g_pair, _upper_toeplitz
+from .factor import WienerHopfFactors, _g_pair, _upper_toeplitz
 from .linalg import lu_solve, qr_rank_revealing
 from .poly import LaurentSymbol, _ldexp, inside_roots
 from .qt import QTMatrix
@@ -53,6 +54,10 @@ class NEPContext:
     @property
     def width(self) -> int:
         return self.w.shape[1]
+
+    @functools.cached_property
+    def norm2(self) -> float:
+        return np.linalg.norm(self.w, 2)
 
 
 def build_w(a: QTMatrix) -> NEPContext:
@@ -93,15 +98,14 @@ def build_w(a: QTMatrix) -> NEPContext:
 class BasisPair:
     """K x p basis of decaying interior solutions and its shift derivative.
 
-    ``xi`` carries the inside roots of a Vandermonde basis, ``g_pair``
-    the matrix G and its derivative of a Frobenius basis; the other is
-    None.
+    ``xi`` carries the inside roots of a Vandermonde basis, ``g`` the
+    matrix G of a Frobenius basis; the other is None.
     """
 
     v: np.ndarray
     v_prime: np.ndarray
     xi: tuple | None = None
-    g_pair: GPair | None = None
+    g: np.ndarray | None = None
 
     @property
     def p(self) -> int:
@@ -157,8 +161,7 @@ def basis_frobenius(factors: WienerHopfFactors, rows: int) -> BasisPair:
         raise InvalidInputError("Frobenius basis requires p >= 1")
     if rows < p:
         raise InvalidInputError("basis must have at least p rows")
-    pair = _g_pair(factors.s, factors.s_prime)
-    g, g_prime = pair.g, pair.g_prime
+    g, g_prime = _g_pair(factors.s, factors.s_prime)
     v = np.zeros((rows, p), dtype=complex)
     v_prime = np.zeros((rows, p), dtype=complex)
     power = np.eye(p, dtype=complex)
@@ -171,7 +174,7 @@ def basis_frobenius(factors: WienerHopfFactors, rows: int) -> BasisPair:
         d_power = d_power @ g + power @ g_prime
         power = power @ g
         row += take
-    return BasisPair(v=v, v_prime=v_prime, g_pair=pair)
+    return BasisPair(v=v, v_prime=v_prime, g=g)
 
 
 def phi(ctx: NEPContext, basis: BasisPair, rows: int) -> tuple:
@@ -186,9 +189,7 @@ def phi(ctx: NEPContext, basis: BasisPair, rows: int) -> tuple:
         )
     if rows > ctx.q:
         raise InvalidInputError("cannot take more rows than equations")
-    full = ctx.w @ basis.v
-    full_prime = ctx.w @ basis.v_prime
-    return full[:rows], full_prime[:rows]
+    return (ctx.w @ basis.v)[:rows], (ctx.w @ basis.v_prime)[:rows]
 
 
 def equilibrate(mat: np.ndarray) -> tuple:
@@ -245,7 +246,7 @@ def eigvec_prefix(basis: BasisPair, beta, length: int, sym: LaurentSymbol) -> np
         return np.cumprod(powers, axis=0) @ bvec
     # column k of cols is G**k beta; while cols has j columns, power is
     # G**j (by squaring) and power @ cols doubles it
-    g = basis.g_pair.g
+    g = basis.g
     p = basis.p
     total = length + m
     cols = bvec[:, None]

@@ -29,12 +29,12 @@ from .poly import LaurentSymbol
 
 def _position(x, what: str) -> int:
     """A position or size given as an integral value (2, 2.0, numpy
-    integers); ``what`` names it in the error."""
+    integers), not a boolean; ``what`` names it in the error."""
     try:
         k = int(x)
     except (TypeError, ValueError, OverflowError):  # nan, inf, non-numbers
         k = None
-    if k is None or k != x:
+    if k is None or k != x or isinstance(x, (bool, np.bool_)):
         raise InvalidInputError(f"{what} {x!r} is not an integer")
     return k
 

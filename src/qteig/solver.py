@@ -1,16 +1,18 @@
-"""Newton's iteration on the determinant of the reduced pencil, the
-all-eigenvalue driver seeded by finite-section eigenvalues, and the
-winding / attraction-basin rasters.
+"""Newton's iteration on the determinant of the reduced pencil, its
+drivers and the winding raster.  ``eig_single`` (one start), ``eig_all``
+(the finite-section eigenvalues) and ``basins`` (the raster cells) run
+their starts through one generator, ``_runs``, which builds W and the
+row-sum norm once; ``_limit_index`` is the one "same limit" rule, for
+deduplication and basin labels alike.
 
 Each shift of a run is evaluated in one place, ``_basis_at``: it splits
 the companion roots of z**m (a(z) - lam) at the unit circle once
 (``poly._split``) and either names the exit that split forces or
 builds the basis from the same roots.  The count p = m + winding must
 not change along the run (the component), p > q flags a continuous
-eigenvalue set, shifts escaping the operator norm are stopped, and no
-separate winding count runs inside the iteration.  A step whose modulus
-is below STEP_TOL (relative to max(1, |shift|)) sends the new shift to
-classification from its own evaluation.  The step is scale invariant
+eigenvalue set, and shifts escaping the operator norm are stopped.  A
+step below STEP_TOL (relative to max(1, |shift|)) sends the new shift
+to classification from its own evaluation; the step is scale invariant
 (``nep.newton_correction``), so one threshold serves every fixture.
 The run is accepted only if the relative residual of the boundary
 equations passes and, when p < q, the smallest singular value of W V
@@ -19,8 +21,7 @@ evaluation until the budget runs out.
 
 The winding raster takes its counts from the path of ``poly.winding``,
 a few grid rows at a time: root squaring on all their cells at once,
-and ``poly._split`` for the cells it does not settle (shifts on or
-hugging the curve).
+and ``poly._split`` for the cells it does not settle.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class SolverConfig:
             raise InvalidInputError("tolerances and gamma must be positive and finite")
         for name in ("maxit", "vec_len"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise InvalidInputError(f"{name} must be an integer of at least 1")
         if self.method not in ("frobenius", "vandermonde"):
             raise InvalidInputError(f"unknown method {self.method!r}")
@@ -186,7 +187,7 @@ def _classify(a, ctx, lam, basis, iterations, cfg):
     q = ctx.q
     p = basis.p
     # W V, all q rows: Phi is its first p, the certificate reads it whole
-    wv = phi(ctx, basis, q)[0]
+    wv = ctx.w @ basis.v
     beta = _null_direction(wv[:p])
     res_len = max(q + sym.n, a.correction.k2)
     # one prefix serves the residual rows and the stored eigenvector:
@@ -213,7 +214,7 @@ def _classify(a, ctx, lam, basis, iterations, cfg):
         # W V is q x p: rank deficient when its smallest singular value
         # is at rounding level of ||W|| ||V||
         smin = np.linalg.svd(wv, compute_uv=False)[-1]
-        tol = 1e-12 * q * np.linalg.norm(ctx.w, 2) * np.linalg.norm(basis.v, 2)
+        tol = 1e-12 * q * ctx.norm2 * np.linalg.norm(basis.v, 2)
         if smin > tol or res_q > cfg.residual_tol:
             return _failure(lam, iterations, SolveStatus.NO_CONVERGENCE_PLTQ, res_q)
         status = SolveStatus.ISOLATED_PLTQ
@@ -262,6 +263,20 @@ def _run_newton(a, ctx, a_norm, lam0, cfg) -> EigRecord:
     return _failure(lam, iters, SolveStatus.MAX_ITERATIONS)
 
 
+def _runs(a: QTMatrix, starts, cfg: SolverConfig):
+    """Generator of the Newton record of each start, in order, on one W
+    and one row-sum norm, both built before the first run."""
+    ctx, a_norm = build_w(a), norm_inf(a)
+    return (_run_newton(a, ctx, a_norm, complex(s), cfg) for s in starts)
+
+
+def _limit_index(lam: complex, limits, tol: float):
+    """Index of the first w in ``limits`` with |lam - w| <= tol *
+    max(1, |lam|), the same limit as lam; None if there is none."""
+    scale = tol * max(1.0, abs(lam))
+    return next((k for k, w in enumerate(limits) if abs(lam - w) <= scale), None)
+
+
 def eig_single(a: QTMatrix, lam0: complex, cfg: SolverConfig | None = None) -> EigRecord:
     """Refine one starting shift by Newton's iteration and classify the
     outcome (isolated eigenvalue, continuous component, escape, ...)."""
@@ -269,8 +284,7 @@ def eig_single(a: QTMatrix, lam0: complex, cfg: SolverConfig | None = None) -> E
     start = complex(lam0)
     if not (math.isfinite(start.real) and math.isfinite(start.imag)):
         raise InvalidInputError("starting shift must be finite")
-    ctx = build_w(a)
-    return _run_newton(a, ctx, norm_inf(a), start, cfg)
+    return next(_runs(a, [start], cfg))
 
 
 def _dedupe(records, tol):
@@ -278,13 +292,11 @@ def _dedupe(records, tol):
     the smallest residual per cluster."""
     reps: list = []
     for rec in sorted(records, key=lambda r: (r.lam.real, r.lam.imag)):
-        for k, rep in enumerate(reps):
-            if abs(rec.lam - rep.lam) <= tol * max(1.0, abs(rec.lam)):
-                if rec.residual < rep.residual:
-                    reps[k] = rec
-                break
-        else:
+        k = _limit_index(rec.lam, (rep.lam for rep in reps), tol)
+        if k is None:
             reps.append(rec)
+        elif rec.residual < reps[k].residual:
+            reps[k] = rec
     return sorted(reps, key=lambda r: (r.lam.real, r.lam.imag))
 
 
@@ -307,14 +319,9 @@ def eig_all(a: QTMatrix, cfg: SolverConfig | None = None) -> EigenSolveReport:
     size = section_size(a, cfg.gamma)
     _check_eig_dim(size)  # before the section is built
     starts = eig_dense(finite_section(a, size))
-    a_norm = norm_inf(a)
-    ctx = build_w(a)
-    isolated = []
-    continuous = False
-    for start in starts:
-        rec = _run_newton(a, ctx, a_norm, start, cfg)
-        if rec.status is SolveStatus.CONTINUOUS_SET:
-            continuous = True
+    isolated, continuous = [], False
+    for rec in _runs(a, starts, cfg):
+        continuous |= rec.status is SolveStatus.CONTINUOUS_SET
         if rec.is_isolated:
             isolated.append(rec)
     return EigenSolveReport(
@@ -372,21 +379,16 @@ def basins(a: QTMatrix, re_range, im_range, resolution, cfg: SolverConfig | None
     """
     cfg = cfg or SolverConfig()
     res, ims = _grid_axes(re_range, im_range, resolution)
-    ctx = build_w(a)
-    a_norm = norm_inf(a)
     labels = np.full((ims.size, res.size), BASIN_NONCONV, dtype=np.int64)
+    starts = (complex(x, y) for y in ims for x in res)  # row-major, as labels.flat
     limits: list = []
-    for k, y in enumerate(ims):
-        for j, x in enumerate(res):
-            rec = _run_newton(a, ctx, a_norm, complex(x, y), cfg)
-            if rec.status is SolveStatus.CONTINUOUS_SET:
-                labels[k, j] = BASIN_CONTINUOUS
-            elif rec.is_isolated:
-                for idx, lim in enumerate(limits):
-                    if abs(rec.lam - lim) <= cfg.dedupe_tol * max(1.0, abs(rec.lam)):
-                        labels[k, j] = idx
-                        break
-                else:
-                    limits.append(rec.lam)
-                    labels[k, j] = len(limits) - 1
+    for cell, rec in enumerate(_runs(a, starts, cfg)):
+        if rec.status is SolveStatus.CONTINUOUS_SET:
+            labels.flat[cell] = BASIN_CONTINUOUS
+        elif rec.is_isolated:
+            idx = _limit_index(rec.lam, limits, cfg.dedupe_tol)
+            if idx is None:
+                idx = len(limits)
+                limits.append(rec.lam)
+            labels.flat[cell] = idx
     return labels, limits

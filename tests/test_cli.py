@@ -207,9 +207,22 @@ class TestMapCommand:
         assert lines[0] == "re,im,value"
         values = {int(line.split(",")[2]) for line in lines[1:]}
         assert {0, 1, 2} <= values
-        curve = (tmp_path / "curve.csv").read_text().splitlines()
+        curve = (tmp_path / "w.csv.curve.csv").read_text().splitlines()
         assert curve[0] == "re,im"
         assert len(curve) == 1 + 1024
+
+    def test_each_map_names_its_own_curve(self, fix_a_file, tmp_path, capsys):
+        # two maps in one directory: neither overwrites the other's curve
+        for name, samples in (("one.csv", "8"), ("two.csv", "16")):
+            rc = main([
+                "map", fix_a_file, "--box=-1,1,-1,1", "--res", "2",
+                "--curve-samples", samples, "--out", str(tmp_path / name),
+            ])
+            assert rc == 0
+        for name, samples in (("one.csv", 8), ("two.csv", 16)):
+            curve = (tmp_path / f"{name}.curve.csv").read_text().splitlines()
+            assert len(curve) == 1 + samples
+        assert not (tmp_path / "curve.csv").exists()
 
     def test_basins_csv_and_sidecar(self, fix_a_file, tmp_path, capsys):
         out = tmp_path / "b.csv"
@@ -240,7 +253,7 @@ class TestMapCommand:
             assert main(argv + flags) == 2
             capsys.readouterr()
         assert not out.exists()
-        assert not (tmp_path / "curve.csv").exists()
+        assert not (tmp_path / "m.csv.curve.csv").exists()
 
 
 class TestProblemRoundTrip:

@@ -88,6 +88,20 @@ def test_sizes_take_integral_values_only(fix_a):
                 q.basins(fix_a, *box, res)
 
 
+def test_booleans_are_not_integers(fix_a):
+    # True == 1, but a flag is not a position, a size or a budget
+    for flag in (True, np.bool_(True)):
+        with pytest.raises(InvalidInputError):
+            q.Correction.from_entries([(flag, 2, 1.0)])
+        with pytest.raises(InvalidInputError):
+            q.apply_prefix(fix_a, np.ones(4), flag)
+        with pytest.raises(InvalidInputError):
+            q.finite_section(fix_a, flag)
+    for field in ("maxit", "vec_len"):
+        with pytest.raises(InvalidInputError):
+            q.SolverConfig(**{field: True})
+
+
 class TestFiniteSection:
     def test_fix_a_3(self, fix_a):
         got = q.finite_section(fix_a, 3)

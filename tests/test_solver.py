@@ -13,7 +13,17 @@ from qteig.errors import (
 from qteig.linalg import eig_dense
 from qteig.nep import basis_vandermonde, build_w, newton_correction, phi
 from qteig.poly import GRAEFFE_MAXIT, _count_rows, _graeffe_rows
-from qteig.solver import BASIN_CONTINUOUS, BASIN_NONCONV, CURVE_SENTINEL, _basis_at, _classify
+from qteig.solver import (
+    BASIN_CONTINUOUS,
+    BASIN_NONCONV,
+    CURVE_SENTINEL,
+    _basis_at,
+    _classify,
+    _dedupe,
+    _grid_axes,
+    _run_newton,
+    section_size,
+)
 
 from conftest import random_symbol, square_roots
 
@@ -427,3 +437,67 @@ class TestBasins:
         assert limits == []
         assert set(labels.ravel().tolist()) <= {BASIN_CONTINUOUS, BASIN_NONCONV}
         assert int(np.sum(labels == BASIN_CONTINUOUS)) > 0
+
+
+class TestOneDriver:
+    """eig_single, eig_all and basins give what one Newton run per start,
+    on one W and one row-sum norm, gives."""
+
+    @staticmethod
+    def _records(a, starts, cfg):
+        ctx, a_norm = build_w(a), q.norm_inf(a)
+        return [_run_newton(a, ctx, a_norm, complex(s), cfg) for s in starts]
+
+    def test_eig_single_is_one_run(self, fix_a, fix_a_pltq):
+        cfg = q.SolverConfig()
+        for a in (fix_a, fix_a_pltq):
+            for start in (0.05, 0.07, -0.4 + 0.2j, 20.0, 5.0):
+                assert q.eig_single(a, start, cfg) == self._records(a, [start], cfg)[0]
+
+    @pytest.mark.parametrize("name", ["fix_a", "test2_case1", "continuous"])
+    def test_eig_all_dedupes_the_section_runs(self, name, request):
+        if name == "continuous":
+            a = q.qt_new([0, 1], [0, 2])  # criterion 6's operator
+        else:
+            a = request.getfixturevalue(name)
+        cfg = q.SolverConfig()
+        size = section_size(a, cfg.gamma)
+        recs = self._records(a, eig_dense(q.finite_section(a, size)), cfg)
+        report = q.eig_all(a, cfg)
+        assert report.records == tuple(
+            _dedupe([r for r in recs if r.is_isolated], cfg.dedupe_tol)
+        )
+        continuous = any(r.status is q.SolveStatus.CONTINUOUS_SET for r in recs)
+        assert report.continuous_detected == continuous
+        assert continuous == (name == "continuous")
+
+    @pytest.mark.parametrize("name", ["fix_a", "continuous"])
+    def test_basins_label_each_cell_run(self, name, request):
+        if name == "continuous":
+            a, box = q.qt_new([0, 1], [0, 2]), ((-4, 4), (-2, 2))
+        else:
+            a, box = request.getfixturevalue(name), ((-0.5, 0.5), (-0.5, 0.5))
+        cfg = q.SolverConfig()
+        res, ims = _grid_axes(*box, 7)
+        want = np.full((ims.size, res.size), BASIN_NONCONV, dtype=np.int64)
+        limits = []
+        for k, y in enumerate(ims):
+            recs = self._records(a, [complex(x, y) for x in res], cfg)
+            for j, rec in enumerate(recs):
+                if rec.status is q.SolveStatus.CONTINUOUS_SET:
+                    want[k, j] = BASIN_CONTINUOUS
+                elif rec.is_isolated:
+                    for idx, z in enumerate(limits):
+                        if abs(rec.lam - z) <= cfg.dedupe_tol * max(1.0, abs(rec.lam)):
+                            break
+                    else:
+                        idx = len(limits)
+                        limits.append(rec.lam)
+                    want[k, j] = idx
+        labels, got = q.basins(a, *box, 7, cfg)
+        assert np.array_equal(labels, want)
+        assert got == limits
+        if name == "continuous":
+            assert (labels == BASIN_CONTINUOUS).any() and (labels == BASIN_NONCONV).any()
+        else:
+            assert limits and (labels >= 0).all()

@@ -33,7 +33,9 @@ grid over [-10, 10]^2 and the rank-one fixture's 10 x 10 grid over
 cells next to the curve, so the explicit-root split decides them; and
 SHA-256s of the files ``qteig map`` writes for
 that winding map and for the 50 x 50 basins of the rank-one fixture
-over [-0.5, 0.5]^2.
+over [-0.5, 0.5]^2.  The curve file is recorded under the label
+``curve``, whether the tree names it ``<out>.curve.csv`` or
+``curve.csv``, so trees that differ only in that name compare equal.
 
 For the seven-band, clustered-root and rank-one fixtures, and for one
 operator whose rows below m hold entries on scattered columns with a
@@ -169,9 +171,16 @@ def _outputs(q, seven_band, cluster, fix_a) -> dict:
             text = run(["map", str(files[name]), f"--box={box}", "--res", res,
                         "--kind", kind, "--out", str(grid_csv)])
             sidecar = grid_csv.with_suffix(".csv.labels.json")
-            for path in (grid_csv, sidecar, tmp / "curve.csv"):
+            for path in (grid_csv, sidecar):
                 if path.exists():
                     text += f"{path.name} {_sha256(path.read_bytes())}\n"
+            # the curve file is <out>.curve.csv, or curve.csv next to the
+            # grid in older trees: one label for both, and each file is
+            # removed once read, so the next map cannot reuse it
+            for path in (grid_csv.with_suffix(".csv.curve.csv"), tmp / "curve.csv"):
+                if path.exists():
+                    text += f"curve {_sha256(path.read_bytes())}\n"
+                    path.unlink()
             out[key] = text
     return out
 
