@@ -5,7 +5,10 @@ provides a linear solve and eigenvalues from numpy's LAPACK drivers, a
 column-pivoted (rank revealing) QR, and polynomial roots as the
 eigenvalues of a companion matrix.  A real matrix goes to
 the real driver, so its non-real eigenvalues come in exact conjugate
-pairs.  Dimensions above ``EIG_MAX_DIM`` are rejected.
+pairs.  Dimensions above ``EIG_MAX_DIM`` are rejected.  The solve, the
+eigenvalues and the roots take a stack of problems with a leading batch
+axis (``_solve_rows``, ``_eigvals_rows``, ``_companion_roots``);
+``lu_solve``, ``eig_dense`` and ``roots_companion`` are batches of one.
 """
 
 from __future__ import annotations
@@ -36,6 +39,28 @@ def _phase(z: complex) -> complex:
     return z / az if az > 0 else 1.0 + 0j
 
 
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Solve A X = B for a stack of square A, (n, k, k), and B, (n, k, c),
+    by LAPACK's LU with partial pivoting, one stacked call.
+
+    Returns (x, singular): a stack whose exactly singular row makes the
+    stacked call raise is redone row by row, and those rows get x = 0 and
+    a True in ``singular``; the other rows are unaffected.
+    """
+    try:
+        return np.linalg.solve(a, b), np.zeros(a.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    x = np.zeros(b.shape, dtype=complex)
+    singular = np.zeros(a.shape[0], dtype=bool)
+    for i in range(a.shape[0]):
+        try:
+            x[i] = np.linalg.solve(a[i : i + 1], b[i : i + 1])[0]
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return x, singular
+
+
 def lu_solve(a, b) -> np.ndarray:
     """Solve A X = B by LAPACK's LU with partial pivoting.
 
@@ -49,10 +74,10 @@ def lu_solve(a, b) -> np.ndarray:
     B = np.array(b, dtype=complex)
     if B.ndim not in (1, 2) or B.shape[0] != n:
         raise InvalidInputError("right-hand side has incompatible row count")
-    try:
-        return np.linalg.solve(A, B)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc
+    x, singular = _solve_rows(A[None], B.reshape(n, -1)[None])
+    if singular[0]:
+        raise SingularMatrixError("Singular matrix")
+    return x[0].reshape(B.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,20 +151,37 @@ def eig_dense(a) -> list:
     if n < 1:
         raise InvalidInputError("matrix dimension must be at least 1")
     _check_eig_dim(n)
+    return _eigvals_rows(A[None])[0].tolist()
+
+
+def _eigvals_rows(mats: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each matrix of a stack (n, d, d), one stacked call
+    per driver, each row sorted by (real, imaginary) part.  The real
+    matrices go to the real driver."""
+    real = ~mats.imag.any(axis=(1, 2))
+    vals = np.empty(mats.shape[:2], dtype=complex)
     try:
-        vals = np.linalg.eigvals(A if A.imag.any() else A.real)
+        for rows, stack in ((real, mats.real), (~real, mats)):
+            if rows.any():
+                vals[rows] = np.linalg.eigvals(stack if rows.all() else stack[rows])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(str(exc)) from exc
-    return np.sort_complex(vals).tolist()
+    return np.sort_complex(vals)
+
+
+def _companion_roots(c: np.ndarray) -> np.ndarray:
+    """All roots of each row of a (n, d+1) coefficient array, ascending
+    powers, last column nonzero: the eigenvalues of the companion
+    matrices, each row sorted by (real, imaginary) part."""
+    d = c.shape[1] - 1
+    comp = np.zeros((c.shape[0], d, d), dtype=complex)
+    comp[:, np.arange(d - 1), np.arange(1, d)] = 1.0
+    comp[:, -1] = -(c / c[:, -1:])[:, :d]
+    return _eigvals_rows(comp)
 
 
 def roots_companion(b: "Poly") -> list:
     """All roots of a polynomial via the eigenvalues of its companion matrix."""
     if b.degree < 1:
         raise InvalidInputError("rootfinding requires degree >= 1")
-    coeffs = np.asarray(b.coeffs)
-    monic = coeffs / coeffs[-1]
-    d = b.degree
-    comp = np.eye(d, k=1, dtype=complex)
-    comp[-1] = -monic[:d]
-    return eig_dense(comp)
+    return _companion_roots(np.asarray(b.coeffs)[None])[0].tolist()

@@ -12,6 +12,11 @@ index gather as the factorization's.  The Newton step
 1 / trace(Phi^{-1} Phi') is taken on Phi and Phi' scaled once each by
 powers of two (``equilibrate``), so it does not depend on how the
 boundary equations are scaled.
+
+Each kernel takes a stack with a leading batch axis, one row per shift
+(``_vandermonde_rows``, ``_frobenius_rows``, ``_newton_steps``; ``phi``
+and ``equilibrate`` take either); ``basis_vandermonde``,
+``basis_frobenius`` and ``newton_correction`` are batches of one.
 """
 
 from __future__ import annotations
@@ -21,15 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ClusteredRootsError,
-    DerivativeVanishesError,
-    InvalidInputError,
-    SingularMatrixError,
-)
+from .errors import ClusteredRootsError, DerivativeVanishesError, InvalidInputError
 from .factor import WienerHopfFactors, _g_pair, _upper_toeplitz
-from .linalg import lu_solve, qr_rank_revealing
-from .poly import LaurentSymbol, _ldexp, inside_roots
+from .linalg import _solve_rows, qr_rank_revealing
+from .poly import LaurentSymbol, _ldexp, _row_sums, inside_roots
 from .qt import QTMatrix
 
 # Inside roots closer than this are too clustered for a root-power
@@ -86,7 +86,7 @@ def build_w(a: QTMatrix) -> NEPContext:
 
     w = np.zeros((m + r2, m + a.correction.k2), dtype=complex)
     # negated before building, so the zeros below the diagonal stay +0
-    w[:m, :m] = _upper_toeplitz(-sym.coeffs()[:m])
+    w[:m, :m] = _upper_toeplitz(-sym.coeffs()[None, :m])[0]
     for i, j, v in top:
         w[i - 1, m + j - 1] = v
     if r2 > 0:
@@ -96,105 +96,125 @@ def build_w(a: QTMatrix) -> NEPContext:
 
 @dataclass(frozen=True, eq=False)
 class BasisPair:
-    """K x p basis of decaying interior solutions and its shift derivative.
+    """K x p basis of decaying interior solutions and its shift derivative,
+    or a stack of n such bases with a leading batch axis.
 
     ``xi`` carries the inside roots of a Vandermonde basis, ``g`` the
-    matrix G of a Frobenius basis; the other is None.
+    matrix G of a Frobenius basis; the other is None.  Indexing a stack
+    gives one basis (an integer) or a smaller stack (an index array).
     """
 
     v: np.ndarray
     v_prime: np.ndarray
-    xi: tuple | None = None
+    xi: np.ndarray | None = None
     g: np.ndarray | None = None
 
     @property
     def p(self) -> int:
-        return self.v.shape[1]
+        return self.v.shape[-1]
+
+    def __getitem__(self, k) -> "BasisPair":
+        pick = lambda x: None if x is None else x[k]
+        return BasisPair(v=self.v[k], v_prime=self.v_prime[k], xi=pick(self.xi), g=pick(self.g))
 
 
-def basis_vandermonde(sym: LaurentSymbol, lam: complex, rows: int, inside=None) -> BasisPair:
-    """Root-power basis: column j holds xi_j**0, xi_j**1, ... for the
-    inside roots sorted by modulus then argument, ``inside_roots(sym,
-    lam)`` unless the caller passes them as ``inside``.
+def _vandermonde_rows(sym: LaurentSymbol, xi: np.ndarray, rows: int) -> tuple:
+    """Root-power bases for each row of inside roots xi (n, p): column j
+    holds xi_j**0, xi_j**1, ..., and the derivative uses
+    d xi / d lam = 1 / a'(xi).
 
-    The derivative uses d xi / d lam = 1 / a'(xi).  Raises
-    ClusteredRootsError when two inside roots nearly coincide or a
+    Returns (clustered, stack): the mask of the rows where two inside
+    roots are closer than ROOT_SEP_TOL or a'(xi) vanishes (a numerically
+    multiple root), and the stack of bases of the other rows.
+    """
+    close = np.abs(xi[:, :, None] - xi[:, None, :]) < ROOT_SEP_TOL
+    clustered = np.triu(close, 1).any(axis=(1, 2))
+    # a'(xi) = sum of j a_j xi**(j-1) over the nonzero terms, j = -m..n,
+    # accumulated in that order
+    dvals = np.zeros(xi.shape, dtype=complex)
+    for j in range(-sym.m, sym.n + 1):
+        if j and sym.coeff(j):
+            dvals += (j * sym.coeff(j)) * xi ** (j - 1)
+    clustered |= (np.abs(dvals) < 1e-250).any(axis=1)
+    xi, dvals = xi[~clustered], dvals[~clustered]
+    v = np.zeros((xi.shape[0], rows, xi.shape[1]), dtype=complex)
+    v[:, 0] = 1.0
+    for i in range(1, rows):
+        v[:, i] = v[:, i - 1] * xi
+    v_prime = np.zeros_like(v)
+    v_prime[:, 1:] = np.arange(1, rows)[:, None] * v[:, :-1] / dvals[:, None, :]
+    return clustered, BasisPair(v=v, v_prime=v_prime, xi=xi)
+
+
+def basis_vandermonde(sym: LaurentSymbol, lam: complex, rows: int) -> BasisPair:
+    """Root-power basis of ``rows`` rows for the inside roots
+    ``inside_roots(sym, lam)``, sorted by modulus then argument: a batch
+    of one of ``_vandermonde_rows``.
+
+    Raises ClusteredRootsError when two inside roots nearly coincide or a
     root is (numerically) multiple; the G-power basis is the remedy.
     """
-    if inside is None:
-        inside = inside_roots(sym, lam)
-    p = len(inside)
-    xi = np.asarray(inside, dtype=complex)
-    close = np.argwhere(np.triu(np.abs(np.subtract.outer(xi, xi)) < ROOT_SEP_TOL, 1))
-    if close.size:
-        i, j = close[0]
+    xi = np.array(inside_roots(sym, lam), dtype=complex).reshape(1, -1)
+    clustered, stack = _vandermonde_rows(sym, xi, rows)
+    if clustered[0]:
         raise ClusteredRootsError(
-            f"inside roots {xi[i]} and {xi[j]} closer than {ROOT_SEP_TOL:g}"
+            f"inside roots at shift {lam} closer than {ROOT_SEP_TOL:g} or numerically multiple"
         )
-    # a'(xi) = sum of j a_j xi**(j-1) over the nonzero terms, j = -m..n,
-    # accumulated in that order in Python complex arithmetic
-    terms = [(j * sym.coeff(j), j - 1) for j in range(-sym.m, sym.n + 1) if j and sym.coeff(j)]
-    dvals = np.zeros(p, dtype=complex)
-    for i, x in enumerate(xi):
-        acc = 0j
-        for c, k in terms:
-            acc += c * complex(x) ** k
-        dvals[i] = acc
-    if np.any(np.abs(dvals) < 1e-250):
-        raise ClusteredRootsError("vanishing a'(xi): numerically multiple root")
-    v = np.zeros((rows, p), dtype=complex)
-    v_prime = np.zeros((rows, p), dtype=complex)
-    if p:
-        v[0, :] = 1.0
-        for i in range(1, rows):
-            v[i, :] = v[i - 1, :] * xi
-        v_prime[1:] = np.arange(1, rows)[:, None] * v[:-1] / dvals
-    return BasisPair(v=v, v_prime=v_prime, xi=tuple(xi))
+    return stack[0]
 
 
-def basis_frobenius(factors: WienerHopfFactors, rows: int) -> BasisPair:
-    """G-power basis: block rows I, G, G**2, ... truncated to ``rows``,
-    with derivative block rows 0, G', (G**2)', ... built from the
-    product rule (G**j)' = (G**(j-1))' G + G**(j-1) G'."""
-    p = factors.p
-    if p < 1:
-        raise InvalidInputError("Frobenius basis requires p >= 1")
-    if rows < p:
-        raise InvalidInputError("basis must have at least p rows")
-    g, g_prime = _g_pair(factors.s, factors.s_prime)
-    v = np.zeros((rows, p), dtype=complex)
-    v_prime = np.zeros((rows, p), dtype=complex)
-    power = np.eye(p, dtype=complex)
-    d_power = np.zeros((p, p), dtype=complex)
+def _frobenius_rows(g: np.ndarray, g_prime: np.ndarray, rows: int) -> BasisPair:
+    """G-power bases for a stack of (G, G'), (n, p, p) each: block rows
+    I, G, G**2, ... truncated to ``rows``, with derivative block rows
+    0, G', (G**2)', ... built from the product rule
+    (G**j)' = (G**(j-1))' G + G**(j-1) G'."""
+    n, p = g.shape[:2]
+    v = np.zeros((n, rows, p), dtype=complex)
+    v_prime = np.zeros_like(v)
+    power = np.repeat(np.eye(p, dtype=complex)[None], n, axis=0)
+    d_power = np.zeros_like(power)
     row = 0
     while row < rows:
         take = min(p, rows - row)
-        v[row : row + take] = power[:take]
-        v_prime[row : row + take] = d_power[:take]
+        v[:, row : row + take] = power[:, :take]
+        v_prime[:, row : row + take] = d_power[:, :take]
         d_power = d_power @ g + power @ g_prime
         power = power @ g
         row += take
     return BasisPair(v=v, v_prime=v_prime, g=g)
 
 
+def basis_frobenius(factors: WienerHopfFactors, rows: int) -> BasisPair:
+    """G-power basis of ``rows`` rows for one factorization: a batch of
+    one of ``_frobenius_rows``."""
+    if factors.p < 1:
+        raise InvalidInputError("Frobenius basis requires p >= 1")
+    if rows < factors.p:
+        raise InvalidInputError("basis must have at least p rows")
+    g, g_prime = _g_pair(factors.s, factors.s_prime)
+    return _frobenius_rows(g[None], g_prime[None], rows)[0]
+
+
 def phi(ctx: NEPContext, basis: BasisPair, rows: int) -> tuple:
-    """The leading ``rows`` rows of W V and of W V', as a pair.
+    """The leading ``rows`` rows of W V and of W V', as a pair, for one
+    basis or a stack of them.
 
     Square exactly when rows equals the basis width p; with q > p only
     the first p equations are kept.
     """
-    if basis.v.shape[0] != ctx.width:
+    if basis.v.shape[-2] != ctx.width:
         raise InvalidInputError(
-            f"basis has {basis.v.shape[0]} rows, context width is {ctx.width}"
+            f"basis has {basis.v.shape[-2]} rows, context width is {ctx.width}"
         )
     if rows > ctx.q:
         raise InvalidInputError("cannot take more rows than equations")
-    return (ctx.w @ basis.v)[:rows], (ctx.w @ basis.v_prime)[:rows]
+    return (ctx.w @ basis.v)[..., :rows, :], (ctx.w @ basis.v_prime)[..., :rows, :]
 
 
 def equilibrate(mat: np.ndarray) -> tuple:
-    """Scale the rows of a complex matrix, and then its columns, by the
-    powers of two that bring each largest modulus into [0.5, 1).
+    """Scale the rows of a complex matrix, or of each matrix of a stack,
+    and then its columns, by the powers of two that bring each largest
+    modulus into [0.5, 1).
 
     Returns (scaled, r, c) with scaled = mat * 2**-(r + c), r a column
     and c a row of exponents; a zero row or column keeps exponent 0.
@@ -202,32 +222,43 @@ def equilibrate(mat: np.ndarray) -> tuple:
     matrix is scaled once.
     """
     mod = np.abs(mat)
-    _, r = np.frexp(mod.max(axis=1, keepdims=True))
-    _, c = np.frexp(np.ldexp(mod, -r).max(axis=0, keepdims=True))
+    _, r = np.frexp(mod.max(axis=-1, keepdims=True))
+    _, c = np.frexp(np.ldexp(mod, -r).max(axis=-2, keepdims=True))
     return _ldexp(mat, -(r + c)), r, c
 
 
-def newton_correction(phi_mat, phi_prime) -> complex:
-    """The ratio det / (det)' for the square pencil, computed through the
-    trace identity 1 / trace(Phi^{-1} Phi').
+def _newton_steps(phi_mat: np.ndarray, phi_prime: np.ndarray) -> tuple:
+    """The ratio det / (det)' for each square pencil of a stack (n, p, p),
+    computed through the trace identity 1 / trace(Phi^{-1} Phi').
 
     Phi and Phi' are scaled alike by ``equilibrate(Phi)``, which leaves
     the trace unchanged, so the step depends on how the rows and columns
     of Phi are scaled only through rounding (on row scalings by powers
-    of two, not at all).  An exactly singular scaled Phi
-    means the determinant vanishes at the shift and the correction is
-    0.  A vanishing trace (below 1e-300) cannot drive the iteration and
-    is surfaced as DerivativeVanishesError.
+    of two, not at all).  An exactly singular scaled Phi means the
+    determinant vanishes at the shift and the step is 0.  Returns
+    (steps, vanished): ``vanished`` marks the rows whose trace is below
+    1e-300, which cannot drive the iteration; their step is 0 too.
     """
-    a, r, c = equilibrate(np.asarray(phi_mat, dtype=complex))
-    try:
-        x = lu_solve(a, _ldexp(np.asarray(phi_prime, dtype=complex), -r - c))
-    except SingularMatrixError:
-        return 0j
-    tr = complex(np.trace(x))
-    if abs(tr) < 1e-300:
+    a, r, c = equilibrate(phi_mat)
+    x, singular = _solve_rows(a, _ldexp(phi_prime, -r - c))
+    tr = _row_sums(np.diagonal(x, axis1=1, axis2=2))
+    vanished = ~singular & (np.abs(tr) < 1e-300)
+    steps = np.zeros(tr.shape, dtype=complex)
+    ok = ~singular & ~vanished
+    steps[ok] = 1.0 / tr[ok]
+    return steps, vanished
+
+
+def newton_correction(phi_mat, phi_prime) -> complex:
+    """The Newton step det / (det)' for one square pencil: a batch of one
+    of ``_newton_steps``.  A vanishing trace is surfaced as
+    DerivativeVanishesError."""
+    steps, vanished = _newton_steps(
+        np.asarray(phi_mat, dtype=complex)[None], np.asarray(phi_prime, dtype=complex)[None]
+    )
+    if vanished[0]:
         raise DerivativeVanishesError("trace of Phi^{-1} Phi' vanished")
-    return 1.0 / tr
+    return complex(steps[0])
 
 
 def eigvec_prefix(basis: BasisPair, beta, length: int, sym: LaurentSymbol) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Laurent symbols, dense polynomials, and the split of roots at the
 unit circle.
 
-The split is decided in one place, ``_split``: the companion roots of
-z**m (a(z) - lam) that lie inside the unit disk, or OnCurveError when a
-root is within SPLIT_BAND of the circle.  Their count p = m + winding
+The split is decided in one place, ``_split_rows``: for each row of a
+stack of polynomials z**m (a(z) - lam), the companion roots that lie
+inside the unit disk, and whether a root is within SPLIT_BAND of the
+circle (on the curve).  Their count p = m + winding
 sizes the reduced problem, and the same roots build the factors in
 ``factor`` and the root-power basis in ``nep``.
 
@@ -14,7 +15,8 @@ rest; the index of that coefficient is the number of roots strictly
 inside the unit circle.  The squaring runs on the rows of a
 (polynomials, degree+1) coefficient array, so that a raster counts all
 its cells at once; a row that does not settle (roots on or hugging the
-circle) goes to ``_split``.  ``winding`` is a batch of one on that path.
+circle) goes to ``_split_rows``.  ``winding`` is a batch of one on that
+path, and ``inside_roots`` a batch of one of the split.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     InvalidSymbolError,
     OnCurveError,
 )
-from .linalg import roots_companion
+from .linalg import _companion_roots, roots_companion
 
 # Number of root squarings before giving up: coefficient dynamic range
 # grows doubly exponentially, so double precision is exhausted well
@@ -38,7 +40,7 @@ from .linalg import roots_companion
 GRAEFFE_MAXIT = 30
 
 # A root whose modulus is within this distance of 1 sits on the symbol
-# curve: ``_split`` flags such a shift as on the curve.
+# curve: ``_split_rows`` flags such a shift as on the curve.
 SPLIT_BAND = 1e-10
 
 
@@ -125,15 +127,21 @@ class Poly:
         return float(sum(abs(c) for c in self.coeffs))
 
 
+def _char_rows(sym: LaurentSymbol, lam: np.ndarray) -> np.ndarray:
+    """The coefficient rows of z**m (a(z) - lam), ascending powers, for
+    a 1-D array of shifts: (lam.size, m+n+1), last column a_n != 0."""
+    c = np.repeat(sym.coeffs()[None, :], lam.size, axis=0)
+    c[:, sym.m] -= lam
+    return c
+
+
 def char_poly(sym: LaurentSymbol, lam: complex) -> Poly:
     """The degree m+n polynomial z**m * (a(z) - lam).
 
     Its roots inside the unit disk span the decaying solutions of the
     three-term-style recurrence attached to the shifted operator.
     """
-    c = sym.coeffs()
-    c[sym.m] -= lam
-    return Poly(tuple(c))
+    return Poly(tuple(_char_rows(sym, np.array([complex(lam)]))[0]))
 
 
 def convolve(p: Poly, q: Poly) -> Poly:
@@ -152,18 +160,29 @@ def inside_roots(sym: LaurentSymbol, lam: complex) -> tuple:
     Raises OnCurveError when any root has modulus within SPLIT_BAND of 1,
     where the split is undefined.
     """
-    return _split(char_poly(sym, lam), lam)
-
-
-def _split(b: Poly, lam: complex) -> tuple:
-    """inside_roots for the polynomial b = char_poly(sym, lam)."""
-    roots = roots_companion(b)
-    if any(abs(abs(r) - 1.0) <= SPLIT_BAND for r in roots):
+    roots, p, on_curve = _split_rows(_char_rows(sym, np.array([complex(lam)])))
+    if on_curve[0]:
         raise OnCurveError(
             f"root of modulus within {SPLIT_BAND:g} of the unit circle at shift {lam}"
         )
-    inside = (r for r in roots if abs(r) < 1.0)
-    return tuple(sorted(inside, key=lambda z: (abs(z), np.angle(z))))
+    return tuple(roots[0, : p[0]].tolist())
+
+
+def _split_rows(c: np.ndarray) -> tuple:
+    """The split at the unit circle of the companion roots of each row of
+    a (n, d+1) coefficient array (``_char_rows``).
+
+    Returns (roots, p, on_curve): row i of ``roots`` holds its p[i]
+    inside roots first, sorted by modulus then argument, and then the
+    others; ``on_curve`` marks the rows with a root of modulus within
+    SPLIT_BAND of 1, whose split is undefined.
+    """
+    roots = _companion_roots(c)
+    mod = np.abs(roots)
+    on_curve = (np.abs(mod - 1.0) <= SPLIT_BAND).any(axis=1)
+    inside = mod < 1.0
+    order = np.lexsort((np.angle(roots), np.where(inside, mod, np.inf)), axis=-1)
+    return np.take_along_axis(roots, order, axis=1), inside.sum(axis=1), on_curve
 
 
 @dataclass(frozen=True)
@@ -211,6 +230,15 @@ def _ldexp(c: np.ndarray, exp: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, added in index order, so that a row's
+    sum does not depend on the other rows (see ``_graeffe_rows``)."""
+    total = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        total += x[..., j]
+    return total
+
+
 def _count_rows(c: np.ndarray) -> tuple:
     """The root-squaring count of ``count_inside`` on every row of a
     (rows, degree+1) coefficient array whose last column is nonzero.
@@ -219,7 +247,7 @@ def _count_rows(c: np.ndarray) -> tuple:
     rows that did not settle within GRAEFFE_MAXIT steps, which need
     explicit roots.  Settled rows leave the iteration.
     """
-    rows, width = c.shape
+    rows = c.shape[0]
     count = np.full(rows, -1, dtype=np.int64)
     used = np.full(rows, GRAEFFE_MAXIT, dtype=np.int64)
     live = np.arange(rows)
@@ -227,10 +255,7 @@ def _count_rows(c: np.ndarray) -> tuple:
     for nu in range(1, GRAEFFE_MAXIT + 1):
         ck = _graeffe_rows(ck)
         mags = np.abs(ck)
-        total = mags[:, 0].copy()
-        for j in range(1, width):  # summed in a fixed order, see _graeffe_rows
-            total += mags[:, j]
-        done = total < 2.0
+        done = _row_sums(mags) < 2.0
         if done.any():
             count[live[done]] = np.argmax(mags[done], axis=1)
             used[live[done]] = nu
@@ -266,17 +291,14 @@ def _windings(sym: LaurentSymbol, lam: np.ndarray) -> tuple:
     meaningless.
 
     Root squaring counts the inside roots of all rows z**m (a(z) - lam)
-    at once; only the rows it does not settle go to ``_split``.
+    at once; only the rows it does not settle go to ``_split_rows``.
     """
-    coeffs = np.repeat(sym.coeffs()[None, :], lam.size, axis=0)
-    coeffs[:, sym.m] -= lam
+    coeffs = _char_rows(sym, lam)
     count, _ = _count_rows(coeffs)
     on_curve = np.zeros(lam.size, dtype=bool)
-    for i in np.flatnonzero(count < 0):
-        try:
-            count[i] = len(_split(Poly(tuple(coeffs[i])), lam[i]))
-        except OnCurveError:
-            on_curve[i] = True
+    unsettled = np.flatnonzero(count < 0)
+    if unsettled.size:
+        _, count[unsettled], on_curve[unsettled] = _split_rows(coeffs[unsettled])
     return count - sym.m, on_curve
 
 
@@ -285,7 +307,7 @@ def winding(sym: LaurentSymbol, lam: complex) -> int:
 
     Equals the number of roots of a(z) - lam inside the unit disk minus
     m.  Raises OnCurveError when root squaring does not settle the count
-    and ``_split`` puts the shift on the curve.
+    and ``_split_rows`` puts the shift on the curve.
     """
     wind, on_curve = _windings(sym, np.array([complex(lam)]))
     if on_curve[0]:

@@ -4,20 +4,15 @@ import numpy as np
 import pytest
 
 import qteig as q
-from qteig.errors import (
-    DerivativeVanishesError,
-    FactorizationUnstableError,
-    InvalidInputError,
-    OnCurveError,
-)
+from qteig.errors import InvalidInputError, OnCurveError
+from qteig.factor import wiener_hopf
 from qteig.linalg import eig_dense
-from qteig.nep import basis_vandermonde, build_w, newton_correction, phi
+from qteig.nep import basis_frobenius, basis_vandermonde, build_w, newton_correction, phi
 from qteig.poly import GRAEFFE_MAXIT, _count_rows, _graeffe_rows
 from qteig.solver import (
     BASIN_CONTINUOUS,
     BASIN_NONCONV,
     CURVE_SENTINEL,
-    _basis_at,
     _classify,
     _dedupe,
     _grid_axes,
@@ -70,7 +65,7 @@ class TestEigSingle:
         # up to rounding, which the certificate measures against ||W|| ||V||
         ctx = build_w(fix_a_pltq)
         lam = 1e-14
-        basis = _basis_at(fix_a_pltq, ctx, lam, None, q.norm_inf(fix_a_pltq), "frobenius")
+        basis = basis_frobenius(wiener_hopf(fix_a_pltq.symbol, lam), ctx.width)
         rec = _classify(fix_a_pltq, ctx, lam, basis, 0, q.SolverConfig())
         assert rec.status is q.SolveStatus.ISOLATED_PLTQ
         assert rec.residual <= 1e-13
@@ -109,6 +104,15 @@ class TestEigSingle:
                 with pytest.raises(InvalidInputError):
                     q.SolverConfig(**{field: bad})
 
+    def test_config_rejects_non_real_knobs(self):
+        # a string, None or complex tolerance would reach math.isfinite,
+        # and a bool would count as 1
+        for field in ("gamma", "residual_tol", "dedupe_tol"):
+            for bad in ("3", None, 1j, True, np.True_):
+                with pytest.raises(InvalidInputError, match=field):
+                    q.SolverConfig(**{field: bad})
+            assert getattr(q.SolverConfig(**{field: np.float64(0.5)}), field) == 0.5
+
     def test_newton_does_no_graeffe_count(self, fix_a, test1_case1, monkeypatch):
         # the inside-root split decides p in each step; root squaring
         # serves only the winding map
@@ -129,15 +133,18 @@ class TestRunExits:
     """Each exit of a Newton run, pinned on fix_a from 0.05, where the
     unpatched run ends isolated_pq after 4 iterations."""
 
-    def _fail_on(self, monkeypatch, name, calls, error):
+    def _fail_on(self, monkeypatch, name, calls):
+        # the batched kernel reports its failing rows in the mask it
+        # returns last: on the given calls, every row fails
         real = getattr(q.solver, name)
         count = [0]
 
         def wrapped(*args):
             count[0] += 1
+            *result, failed = real(*args)
             if count[0] in calls:
-                raise error("injected")
-            return real(*args)
+                failed = np.ones_like(failed)
+            return (*result, failed)
 
         monkeypatch.setattr(f"qteig.solver.{name}", wrapped)
 
@@ -146,18 +153,18 @@ class TestRunExits:
         assert (rec.status, rec.iterations) == (q.SolveStatus.ISOLATED_PQ, 4)
 
     def test_vanishing_trace_jitters_once(self, fix_a, monkeypatch):
-        self._fail_on(monkeypatch, "newton_correction", {1}, DerivativeVanishesError)
+        self._fail_on(monkeypatch, "_newton_steps", {1})
         rec = q.eig_single(fix_a, 0.05)
         assert (rec.status, rec.iterations) == (q.SolveStatus.ISOLATED_PQ, 4)
 
     def test_vanishing_trace_after_jitter(self, fix_a, monkeypatch):
-        self._fail_on(monkeypatch, "newton_correction", {1, 2}, DerivativeVanishesError)
+        self._fail_on(monkeypatch, "_newton_steps", {1, 2})
         rec = q.eig_single(fix_a, 0.05)
         assert (rec.status, rec.iterations) == (q.SolveStatus.MAX_ITERATIONS, 0)
         assert rec.lam == 0.05 * (1 + 1e-8) + 1e-8j
 
     def test_factorization_breakdown(self, fix_a, monkeypatch):
-        self._fail_on(monkeypatch, "basis_frobenius", {1}, FactorizationUnstableError)
+        self._fail_on(monkeypatch, "_factor_rows", {1})
         rec = q.eig_single(fix_a, 0.05)
         assert (rec.status, rec.iterations) == (q.SolveStatus.MAX_ITERATIONS, 0)
         assert rec.lam == 0.05
@@ -181,13 +188,13 @@ class TestRunExits:
         # z**2 (a(z) - 0) = (z - 0.5)**2 (z - 3): a double inside root
         a = q.qt_new([-4, 3.25, -0.75], [-4, 1])
         built = []
-        real = q.solver.basis_frobenius
+        real = q.solver._frobenius_rows
 
         def spy(*args):
             built.append(args)
             return real(*args)
 
-        monkeypatch.setattr("qteig.solver.basis_frobenius", spy)
+        monkeypatch.setattr("qteig.solver._frobenius_rows", spy)
         q.eig_single(a, 0.0, q.SolverConfig(method="vandermonde", maxit=1))
         assert built
 
@@ -501,3 +508,83 @@ class TestOneDriver:
             assert (labels == BASIN_CONTINUOUS).any() and (labels == BASIN_NONCONV).any()
         else:
             assert limits and (labels >= 0).all()
+
+
+class TestBatch:
+    """Starts stepped in lockstep give, start by start, the record of a
+    batch of one (``_run_newton``), whatever else is in their chunk."""
+
+    @staticmethod
+    def _one_by_one(a, starts, cfg):
+        ctx, a_norm = build_w(a), q.norm_inf(a)
+        return [_run_newton(a, ctx, a_norm, complex(s), cfg) for s in starts]
+
+    def test_singular_row_next_to_ordinary_rows(self, fix_a, monkeypatch):
+        # at 0.0 the 1 x 1 Phi is exactly 0: its solve raises inside the
+        # stacked call, which must be redone row by row
+        ctx = build_w(fix_a)
+        basis = basis_frobenius(wiener_hopf(fix_a.symbol, 0.0), ctx.width)
+        assert np.array_equal(phi(ctx, basis, 1)[0], [[0.0]])
+        assert newton_correction(*phi(ctx, basis, 1)) == 0
+        starts = [0.05, -0.3 + 0.2j, 0.0, 0.4, 0.1j]
+        raised = []
+        real = np.linalg.solve
+
+        def spy(a, b):
+            try:
+                return real(a, b)
+            except np.linalg.LinAlgError:
+                raised.append(a.shape[0])
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        cfg = q.SolverConfig()
+        recs = list(q.solver._runs(fix_a, starts, cfg))
+        assert len(starts) in raised  # the whole chunk's solve raised once
+        monkeypatch.undo()
+        assert recs == self._one_by_one(fix_a, starts, cfg)
+        assert all(r.status is q.SolveStatus.ISOLATED_PQ for r in recs)
+
+    def test_basins_cross_chunk_boundaries_in_order(self, test2_case1):
+        # several limits, numbered in first-found order, over more cells
+        # than three chunks hold
+        cfg = q.SolverConfig()
+        box, res = ((-2.0, -0.2), (-0.2, 0.2)), (12, 9)
+        assert res[0] * res[1] > 3 * q.solver._NEWTON_CHUNK
+        xs, ys = _grid_axes(*box, res)
+        recs = self._one_by_one(test2_case1, [complex(x, y) for y in ys for x in xs], cfg)
+        want = np.full(len(recs), BASIN_NONCONV, dtype=np.int64)
+        limits = []
+        for cell, rec in enumerate(recs):
+            if rec.status is q.SolveStatus.CONTINUOUS_SET:
+                want[cell] = BASIN_CONTINUOUS
+            elif rec.is_isolated:
+                idx = next((k for k, z in enumerate(limits)
+                            if abs(rec.lam - z) <= cfg.dedupe_tol * max(1.0, abs(rec.lam))), None)
+                if idx is None:
+                    idx = len(limits)
+                    limits.append(rec.lam)
+                want[cell] = idx
+        labels, got = q.basins(test2_case1, *box, res, cfg)
+        assert len(limits) >= 3
+        assert np.array_equal(labels.ravel(), want)
+        assert got == limits
+
+    def test_vandermonde_chunk_with_fallback_rows(self, monkeypatch):
+        # z**2 (a(z) - 0) = (z - 0.5)**2 (z - 3): at 0.0 the two inside
+        # roots coincide, and only that row takes the G-power basis
+        a = q.qt_new([-4, 3.25, -0.75], [-4, 1])
+        cfg = q.SolverConfig(method="vandermonde")
+        starts = [0.3, 0.0, -0.2 + 0.1j, 0.1j]
+        sizes = []
+        real = q.solver._frobenius_rows
+
+        def spy(g, g_prime, rows):
+            sizes.append(g.shape[0])
+            return real(g, g_prime, rows)
+
+        monkeypatch.setattr("qteig.solver._frobenius_rows", spy)
+        recs = list(q.solver._runs(a, starts, cfg))
+        assert sizes[0] == 1
+        monkeypatch.undo()
+        assert recs == self._one_by_one(a, starts, cfg)

@@ -18,9 +18,11 @@ and runs Newton from five start sets:
 
 For each start it records (status, iterations, repr(lam)); for each set
 it also records the accepted eigenvalues (``eig_all`` records, or the
-basin limits).  The starts go through the private
+basin limits).  The starts go one at a time through the private
 ``qteig.solver._run_newton``, because ``eig_all`` keeps only the
-accepted runs.
+accepted runs; where ``_run_newton`` is a batch of one of the lockstep
+driver, a record does not depend on the batch, so these are the
+records ``eig_all`` and ``basins`` compute.
 
 It also records output bytes: the stdout of ``qteig eig-all`` on the
 seven-band fixture (defaults) and on the clustered-root fixture
@@ -48,7 +50,10 @@ number of starts whose iteration count changed, the number of final
 shifts that differ in any bit, and the largest relative difference of
 the final shifts and of the accepted eigenvalues; then one line for
 each start whose status differs.  For each recorded output it prints
-"identical" or the first differing line.  It exits 1 when a status or
+"identical" or the first differing line; when the stdout of a differing
+output is JSON with the same keys in the same order on both sides (the
+``eig-all`` and ``eig-single`` outputs), it also prints the largest
+relative difference of each numeric field.  It exits 1 when a status or
 an output differs, else 0.
 """
 
@@ -228,9 +233,47 @@ def digest(src: Path) -> dict:
     return {"sets": sets, "outputs": outputs}
 
 
-def _rel(a: str, b: str) -> float:
-    za, zb = complex(a), complex(b)
+def _rel(za: complex, zb: complex) -> float:
     return abs(za - zb) / max(abs(za), abs(zb), 1e-300) if za != zb else 0.0
+
+
+class _ShapeMismatch(Exception):
+    """Two JSON documents differ in more than their numbers."""
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _walk(a, b, path: str, worst: dict) -> None:
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            raise _ShapeMismatch
+        for key in a:
+            _walk(a[key], b[key], f"{path}.{key}" if path else key, worst)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise _ShapeMismatch
+        for x, y in zip(a, b):
+            _walk(x, y, path, worst)
+    elif _is_number(a) and _is_number(b):
+        worst[path] = max(worst.get(path, 0.0), _rel(a, b))
+    elif a != b:
+        raise _ShapeMismatch
+
+
+def _field_differences(text_a: str, text_b: str) -> dict | None:
+    """For two recorded CLI outputs whose stdout is JSON with the same keys
+    in the same order (and lists of the same lengths), the largest
+    relative difference of each numeric field, keyed by its path without
+    list indices; None when either is not JSON or their shapes differ."""
+    try:
+        docs = [json.loads(text.partition("\n")[2]) for text in (text_a, text_b)]
+        worst: dict = {}
+        _walk(*docs, "", worst)
+    except (ValueError, _ShapeMismatch):
+        return None
+    return worst
 
 
 def _histogram(starts) -> str:
@@ -262,6 +305,10 @@ def _compare_outputs(oa: dict, ob: dict) -> int:
             print(f"{key}: identical")
         else:
             print(f"{key}: differs at {_first_difference(oa[key], ob[key])}")
+            worst = _field_differences(oa[key], ob[key])
+            if worst is not None:
+                fields = ", ".join(f"{path} {rel:.2e}" for path, rel in worst.items())
+                print(f"    largest relative difference per numeric field: {fields}")
             diffs += 1
     print(f"output differences: {diffs}")
     return diffs
@@ -278,12 +325,14 @@ def _compare_sets(da: dict, db: dict) -> int:
         changed = [k for k, (ra, rb) in enumerate(zip(sa, sb)) if ra[0] != rb[0]]
         iters = sum(ra[1] != rb[1] for ra, rb in zip(sa, sb))
         bits = sum(ra[2] != rb[2] for ra, rb in zip(sa, sb))
-        worst = max((_rel(ra[2], rb[2]) for ra, rb in zip(sa, sb)), default=0.0)
+        worst = max((_rel(complex(ra[2]), complex(rb[2])) for ra, rb in zip(sa, sb)),
+                    default=0.0)
         acc_a, acc_b = da[name]["accepted"], db[name]["accepted"]
         if len(acc_a) != len(acc_b):
             acc_worst = "count differs"
         else:
-            acc_worst = f"{max((_rel(x, y) for x, y in zip(acc_a, acc_b)), default=0.0):.2e}"
+            rels = (_rel(complex(x), complex(y)) for x, y in zip(acc_a, acc_b))
+            acc_worst = f"{max(rels, default=0.0):.2e}"
         print(f"{name}: {len(sa)} starts")
         print(f"  A: {_histogram(sa)}")
         print(f"  B: {_histogram(sb)}")
