@@ -12,10 +12,10 @@ come from one resultant-style linear system.
 Every Toeplitz matrix here is one gather through a cached index
 (``_conv_matrix``), and every unit lower triangular Toeplitz system,
 the long division for the outside factor included, goes through the
-one forward substitution ``_solve_unit_lower``.  Each kernel takes a
+one forward substitution ``_solve_unit_lower``; the division's
+residual s u comes from ``poly._convolve_rows``.  Each kernel takes a
 stack with a leading batch axis, one row per shift (``_factor_rows``,
-``_g_rows``); ``wiener_hopf``, ``barnett_g`` and ``_g_pair`` are
-batches of one.
+``_g_rows``); ``wiener_hopf`` and ``barnett_g`` are batches of one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import FactorizationUnstableError, InvalidInputError
 from .linalg import _solve_rows
-from .poly import LaurentSymbol, Poly, _row_sums, char_poly, inside_roots
+from .poly import LaurentSymbol, Poly, _convolve_rows, _row_sums, char_poly, inside_roots
 
 # Relative 1-norm bound on the deconvolution residual.
 DECONV_TOL = 1e-6
@@ -78,10 +78,7 @@ def _deconv_rows(b: np.ndarray, s: np.ndarray) -> tuple:
     size = b.shape[1] - s.shape[1] + 1
     lower = _conv_matrix(s[:, ::-1], size, size)
     u = _solve_unit_lower(lower, b[:, ::-1][:, :size, None])[:, ::-1, 0]
-    recon = np.zeros_like(b)
-    for j in range(s.shape[1]):
-        recon[:, j : j + size] += s[:, j, None] * u
-    return u, _row_sums(np.abs(b - recon))
+    return u, _row_sums(np.abs(b - _convolve_rows(s, u)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -211,14 +208,3 @@ def _g_rows(s: np.ndarray, ds: np.ndarray) -> tuple:
     dl_col = np.concatenate([np.zeros((ds.shape[0], 1)), ds[:, 1:][:, ::-1]], axis=1)
     g_prime = _solve_unit_lower(lower, _lower_toeplitz(dl_col) @ linv_u - _upper_toeplitz(ds))
     return -linv_u, g_prime
-
-
-def _g_pair(s: Poly, s_prime) -> tuple:
-    """(G, G') for one monic factor s and its coefficient derivatives: a
-    batch of one of ``_g_rows``."""
-    coeffs = _check_monic(s)
-    ds = np.asarray(tuple(s_prime), dtype=complex)
-    if ds.size != s.degree:
-        raise InvalidInputError(f"expected {s.degree} coefficient derivatives, got {ds.size}")
-    g, g_prime = _g_rows(coeffs[None], ds[None])
-    return g[0], g_prime[0]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusteredRootsError, DerivativeVanishesError, InvalidInputError
-from .factor import WienerHopfFactors, _g_pair, _upper_toeplitz
+from .factor import WienerHopfFactors, _check_monic, _g_rows, _upper_toeplitz
 from .linalg import _solve_rows, qr_rank_revealing
 from .poly import LaurentSymbol, _ldexp, _row_sums, inside_roots
 from .qt import QTMatrix
@@ -132,9 +132,9 @@ def _vandermonde_rows(sym: LaurentSymbol, xi: np.ndarray, rows: int) -> tuple:
     # a'(xi) = sum of j a_j xi**(j-1) over the nonzero terms, j = -m..n,
     # accumulated in that order
     dvals = np.zeros(xi.shape, dtype=complex)
-    for j in range(-sym.m, sym.n + 1):
-        if j and sym.coeff(j):
-            dvals += (j * sym.coeff(j)) * xi ** (j - 1)
+    for j, c in sym.terms():
+        if j:
+            dvals += (j * c) * xi ** (j - 1)
     clustered |= (np.abs(dvals) < 1e-250).any(axis=1)
     xi, dvals = xi[~clustered], dvals[~clustered]
     v = np.zeros((xi.shape[0], rows, xi.shape[1]), dtype=complex)
@@ -191,8 +191,11 @@ def basis_frobenius(factors: WienerHopfFactors, rows: int) -> BasisPair:
         raise InvalidInputError("Frobenius basis requires p >= 1")
     if rows < factors.p:
         raise InvalidInputError("basis must have at least p rows")
-    g, g_prime = _g_pair(factors.s, factors.s_prime)
-    return _frobenius_rows(g[None], g_prime[None], rows)[0]
+    s = _check_monic(factors.s)
+    ds = np.asarray(factors.s_prime, dtype=complex)
+    if ds.shape != (factors.p,):
+        raise InvalidInputError(f"expected {factors.p} coefficient derivatives, got {ds.size}")
+    return _frobenius_rows(*_g_rows(s[None], ds[None]), rows)[0]
 
 
 def phi(ctx: NEPContext, basis: BasisPair, rows: int) -> tuple:

@@ -15,8 +15,11 @@ rest; the index of that coefficient is the number of roots strictly
 inside the unit circle.  The squaring runs on the rows of a
 (polynomials, degree+1) coefficient array, so that a raster counts all
 its cells at once; a row that does not settle (roots on or hugging the
-circle) goes to ``_split_rows``.  ``winding`` is a batch of one on that
-path, and ``inside_roots`` a batch of one of the split.
+circle) goes to ``_split_rows``, as does ``count_inside``'s.  ``winding``
+is a batch of one on that path, and ``inside_roots`` a batch of one of
+the split.  The products b(z)*b(-z) here and the factorization's s*u
+share one batched kernel, ``_convolve_rows``; ``convolve`` is a batch
+of one of it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .errors import (
     InvalidSymbolError,
     OnCurveError,
 )
-from .linalg import _companion_roots, roots_companion
+from .linalg import _companion_roots
 
 # Number of root squarings before giving up: coefficient dynamic range
 # grows doubly exponentially, so double precision is exhausted well
@@ -96,6 +99,11 @@ class LaurentSymbol:
         """All coefficients a_-m .. a_n in ascending power order."""
         return np.array(tuple(reversed(self.neg)) + self.pos[1:], dtype=complex)
 
+    def terms(self) -> tuple:
+        """The nonzero terms (j, a_j), j ascending from -m to n."""
+        ascending = tuple(reversed(self.neg)) + self.pos[1:]
+        return tuple((j, c) for j, c in enumerate(ascending, -self.m) if c)
+
 
 @dataclass(frozen=True)
 class Poly:
@@ -144,13 +152,23 @@ def char_poly(sym: LaurentSymbol, lam: complex) -> Poly:
     return Poly(tuple(_char_rows(sym, np.array([complex(lam)]))[0]))
 
 
+def _convolve_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The product of the polynomials in each row of x (n, a) and y (n, b),
+    ascending coefficients: (n, a+b-1).  Term j of x enters in order of j,
+    so a row's result does not depend on the other rows."""
+    out = np.zeros((x.shape[0], x.shape[1] + y.shape[1] - 1), dtype=complex)
+    for j in range(x.shape[1]):
+        out[:, j : j + y.shape[1]] += x[:, j, None] * y
+    return out
+
+
 def convolve(p: Poly, q: Poly) -> Poly:
-    """Coefficient convolution, i.e. the product polynomial."""
+    """Coefficient convolution, i.e. the product polynomial: a batch of
+    one of ``_convolve_rows``."""
     if p.is_zero or q.is_zero:
         return Poly(())
-    a = np.asarray(p.coeffs)
-    b = np.asarray(q.coeffs)
-    return Poly(tuple(np.convolve(a, b)))
+    x, y = (np.asarray(f.coeffs)[None] for f in (p, q))
+    return Poly(tuple(_convolve_rows(x, y)[0]))
 
 
 def inside_roots(sym: LaurentSymbol, lam: complex) -> tuple:
@@ -208,16 +226,12 @@ def _graeffe_rows(c: np.ndarray) -> np.ndarray:
     underflowed leading coefficient, which Poly trims) only adds exact
     zeros: the iterates equal those of the trimmed row.
     """
-    rows, width = c.shape
     _, exp = np.frexp(np.abs(c).max(axis=1, keepdims=True))
     c = _ldexp(c, -exp)
     alt = c.copy()
     alt[:, 1::2] = -alt[:, 1::2]
-    full = np.zeros((rows, 2 * width - 1), dtype=complex)
-    for j in range(width):
-        full[:, j : j + width] += c[:, j, None] * alt
-    even = full[:, 0::2]
-    pivot = even[np.arange(rows), np.argmax(np.abs(even), axis=1)]
+    even = _convolve_rows(c, alt)[:, 0::2]
+    pivot = even[np.arange(c.shape[0]), np.argmax(np.abs(even), axis=1)]
     return even / pivot[:, None]
 
 
@@ -272,16 +286,17 @@ def count_inside(b: Poly) -> RootCount:
     Runs the root-squaring iteration until one coefficient holds more
     than half of the 1-norm, which certifies the count.  If that never
     happens within GRAEFFE_MAXIT steps (roots on or hugging the circle),
-    counts the companion roots of modulus below 1 instead: a root near
-    the circle counts on the side of its computed modulus, so this never
-    raises for a shift on the curve.
+    takes the count of ``_split_rows`` instead: a root near the circle
+    counts on the side of its computed modulus, so this never raises for
+    a shift on the curve.
     """
     if b.is_zero:
         raise DomainError("root count of the zero polynomial is undefined")
-    count, used = _count_rows(np.asarray(b.coeffs)[None, :])
+    c = np.asarray(b.coeffs)[None, :]
+    count, used = _count_rows(c)
     if count[0] >= 0:
         return RootCount(count=int(count[0]), iterations_used=int(used[0]), fallback_used=False)
-    count = sum(1 for r in roots_companion(b) if abs(r) < 1.0)
+    count = int(_split_rows(c)[1][0])
     return RootCount(count=count, iterations_used=GRAEFFE_MAXIT, fallback_used=True)
 
 

@@ -5,8 +5,9 @@ a_{j-i} + e_{i,j}, acting on square-summable sequences.  The correction
 E is stored as its nonzero entries alone, never as a dense block; its
 support (k1, k2) is derived from them.  The module builds finite
 sections, applies the operator to vector prefixes, computes the exact
-row-sum norm, and samples the symbol curve.  Positions and sizes share
-one integer rule, ``_position``.
+row-sum norm, and samples the symbol curve.  The section, the prefix
+product and the curve walk the band's nonzero terms, ``LaurentSymbol.terms``.
+Positions and sizes share one integer rule, ``_position``.
 """
 
 from __future__ import annotations
@@ -122,10 +123,7 @@ def finite_section(a: QTMatrix, size: int) -> np.ndarray:
             f"section size {n} does not cover the band and correction"
         )
     out = np.zeros((n, n), dtype=complex)
-    for d in range(-sym.m, sym.n + 1):
-        c = sym.coeff(d)
-        if c == 0:
-            continue
+    for d, c in sym.terms():
         if d >= 0:
             np.fill_diagonal(out[:, d:], c)
         else:
@@ -160,10 +158,7 @@ def apply_prefix(a: QTMatrix, v, out_len: int) -> np.ndarray:
             f"correction rows require {need_cols} entries, got {L}"
         )
     out = np.zeros(out_len, dtype=complex)
-    for d in range(-sym.m, sym.n + 1):
-        c = sym.coeff(d)
-        if c == 0:
-            continue
+    for d, c in sym.terms():
         start = max(0, -d)
         if start < out_len:
             out[start:] += c * vec[start + d : out_len + d]
@@ -196,10 +191,8 @@ def symbol_curve(a: QTMatrix, nsamples: int) -> np.ndarray:
     sym = a.symbol
     z = np.exp(2j * np.pi * np.arange(nsamples) / nsamples)
     vals = np.zeros(nsamples, dtype=complex)
-    for d in range(-sym.m, sym.n + 1):
-        c = sym.coeff(d)
-        if c != 0:
-            vals += c * z**d
+    for d, c in sym.terms():
+        vals += c * z**d
     return vals
 
 
@@ -223,15 +216,13 @@ _ISOLATED = (SolveStatus.ISOLATED_PQ, SolveStatus.ISOLATED_PLTQ)
 class EigRecord:
     """Classified result of one Newton run.
 
-    For isolated outcomes ``beta`` is the combination vector in the
-    decaying-solution basis, ``vec_prefix`` the leading eigenvector
-    entries, and ``residual`` the relative residual of the defining
+    For isolated outcomes ``vec_prefix`` holds the leading eigenvector
+    entries and ``residual`` the relative residual of the defining
     equations.  Other outcomes carry the last shift and an infinite or
     irrelevant residual.
     """
 
     lam: complex
-    beta: tuple
     vec_prefix: tuple
     residual: float
     iterations: int

@@ -26,9 +26,11 @@ operator norm are stopped.  A step below STEP_TOL (relative to
 max(1, |shift|)) sends the new shift to classification from its own
 evaluation; the step is scale invariant (``nep._newton_steps``), so one
 threshold serves every fixture.  The run is accepted only if the
-relative residual of the boundary equations passes and, when p < q, the
-smallest singular value of W V certifies rank deficiency; otherwise it
-keeps stepping from that same evaluation until the budget runs out.
+relative residual of the p boundary equations Phi solves passes and,
+when p < q, the smallest singular value of W V certifies rank
+deficiency and the residual of all q equations passes too; a shift
+that fails the p-row test keeps stepping from that same evaluation
+until the budget runs out.
 Classification (``_classify``) runs per record, on the row's basis.
 
 The winding raster takes its counts from the path of ``poly.winding``,
@@ -136,7 +138,6 @@ class EigenSolveReport:
 def _failure(lam: complex, iterations: int, status: SolveStatus, residual=math.inf) -> EigRecord:
     return EigRecord(
         lam=complex(lam),
-        beta=(),
         vec_prefix=(),
         residual=float(residual),
         iterations=iterations,
@@ -206,9 +207,11 @@ def _bases_at(a, ctx, lam, p0, a_norm, method):
 
 
 def _classify(a, ctx, lam, basis, iterations, cfg):
-    """Residual test and, for p < q, the rank certificate, at a converged
-    shift with the basis its evaluation built.  Returns an EigRecord or
-    None when not accepted."""
+    """Residual test on the p rows Phi solves (all q rows when p == q)
+    and, for p < q, the rank certificate and the q-row residual, at a
+    converged shift with the basis its evaluation built.  Returns an
+    EigRecord, a no_convergence_pltq failure when only the p < q checks
+    fail, or None when the shift is not accepted."""
     sym = a.symbol
     q = ctx.q
     p = basis.p
@@ -220,23 +223,17 @@ def _classify(a, ctx, lam, basis, iterations, cfg):
     # both are leading entries of the same sequence
     full = eigvec_prefix(basis, beta, max(res_len, cfg.vec_len), sym)
     vec = full[:res_len]
-    denom_q = float(np.linalg.norm(vec[:q]))
-    if denom_q == 0.0:
+    denom_p = float(np.linalg.norm(vec[:p]))
+    if denom_p == 0.0:
         return None
-    # rows are computed each on its own: r[:p] is the p-row residual
+    # rows are computed each on its own: r[:p] is the residual of the p
+    # rows Phi solves, all of r when p == q
     r = apply_prefix(a, vec, q) - lam * vec[:q]
-    res_q = float(np.linalg.norm(r)) / denom_q
-    if p == q:
-        if res_q > cfg.residual_tol:
-            return None
-        status = SolveStatus.ISOLATED_PQ
-    else:
-        denom_p = float(np.linalg.norm(vec[:p]))
-        if denom_p == 0.0:
-            return None
-        res_p = float(np.linalg.norm(r[:p])) / denom_p
-        if res_p > cfg.residual_tol:
-            return None
+    if float(np.linalg.norm(r[:p])) / denom_p > cfg.residual_tol:
+        return None
+    res_q = float(np.linalg.norm(r)) / float(np.linalg.norm(vec[:q]))
+    status = SolveStatus.ISOLATED_PQ
+    if p < q:
         # W V is q x p: rank deficient when its smallest singular value
         # is at rounding level of ||W|| ||V||
         smin = np.linalg.svd(wv, compute_uv=False)[-1]
@@ -244,11 +241,9 @@ def _classify(a, ctx, lam, basis, iterations, cfg):
         if smin > tol or res_q > cfg.residual_tol:
             return _failure(lam, iterations, SolveStatus.NO_CONVERGENCE_PLTQ, res_q)
         status = SolveStatus.ISOLATED_PLTQ
-    prefix = full[: cfg.vec_len]
     return EigRecord(
         lam=complex(lam),
-        beta=tuple(beta),
-        vec_prefix=tuple(prefix),
+        vec_prefix=tuple(full[: cfg.vec_len]),
         residual=res_q,
         iterations=iterations,
         status=status,

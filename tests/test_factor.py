@@ -3,7 +3,7 @@ import pytest
 
 import qteig as q
 from qteig.errors import FactorizationUnstableError, OnCurveError
-from qteig.factor import _g_pair, barnett_g, wiener_hopf
+from qteig.factor import _g_rows, barnett_g, wiener_hopf
 from qteig.linalg import eig_dense, roots_companion
 from qteig.poly import char_poly, convolve, inside_roots
 
@@ -216,20 +216,26 @@ class TestBarnett:
             done += 1
 
 
+def g_prime(s, s_prime) -> np.ndarray:
+    """G' for one monic factor s and its coefficient derivatives."""
+    rows = (np.asarray(c, dtype=complex)[None] for c in (s.coeffs, s_prime))
+    return _g_rows(*rows)[1][0]
+
+
 class TestBarnettPrime:
     def test_scalar(self):
-        gp = _g_pair(q.Poly((-0.5, 1)), (-1 / 6,))[1]
+        gp = g_prime(q.Poly((-0.5, 1)), (-1 / 6,))
         assert gp[0, 0] == pytest.approx(1 / 6)
 
     def test_zero_derivative(self):
-        gp = _g_pair(q.Poly((-0.12, 0.1, 1.0)), (0.0, 0.0))[1]
+        gp = g_prime(q.Poly((-0.12, 0.1, 1.0)), (0.0, 0.0))
         assert np.abs(gp).max() == 0.0
 
     def test_matches_finite_difference(self, fix_b_symbol):
         lam = -1.0 + 0.5j
         h = 1e-6
         f = wiener_hopf(fix_b_symbol, lam)
-        gp = _g_pair(f.s, f.s_prime)[1]
+        gp = g_prime(f.s, f.s_prime)
         g_plus = barnett_g(wiener_hopf(fix_b_symbol, lam + h).s)
         g_minus = barnett_g(wiener_hopf(fix_b_symbol, lam - h).s)
         assert np.abs(gp - (g_plus - g_minus) / (2 * h)).max() <= 1e-6

@@ -175,6 +175,13 @@ class TestBasisFrobenius:
         bas = basis_frobenius(frozen, 5)
         assert np.abs(bas.v_prime).max() == 0.0
 
+    def test_rejects_malformed_factors(self, fix_a):
+        f = wiener_hopf(fix_a.symbol, 0.0)
+        for s, s_prime in ((f.s, (0.0, 0.0)), (q.Poly((-0.5, 2.0)), f.s_prime)):
+            bad = q.WienerHopfFactors(s=s, u=f.u, s_prime=s_prime, u_prime=f.u_prime)
+            with pytest.raises(InvalidInputError):
+                basis_frobenius(bad, 3)
+
     def test_block_structure(self):
         s = q.Poly((-0.12, 0.1, 1.0))
         f = q.WienerHopfFactors(s=s, u=q.Poly((1.0,)), s_prime=(0, 0), u_prime=())

@@ -6,7 +6,7 @@ import pytest
 import qteig as q
 from qteig.errors import DomainError, InconsistentConstantError, InvalidSymbolError, OnCurveError
 from qteig.linalg import roots_companion
-from qteig.poly import GRAEFFE_MAXIT
+from qteig.poly import GRAEFFE_MAXIT, _char_rows, _convolve_rows, _split_rows
 
 from conftest import poly_from_roots, random_symbol, square_roots
 
@@ -30,6 +30,12 @@ class TestSymbol:
             q.LaurentSymbol(neg=(1,), pos=(1, 2))
         with pytest.raises(InconsistentConstantError):
             q.LaurentSymbol(neg=(1, 2), pos=(3, 2))
+
+    def test_terms_skip_zeros_in_ascending_order(self, fix_b_symbol):
+        sym = fix_b_symbol
+        want = [(j, sym.coeff(j)) for j in range(-sym.m, sym.n + 1) if sym.coeff(j) != 0]
+        assert len(want) < sym.m + sym.n + 1  # the fixture has a zero term
+        assert list(sym.terms()) == want
 
 
 class TestCharPoly:
@@ -56,6 +62,25 @@ class TestConvolve:
 
     def test_difference_of_squares(self):
         assert q.convolve(q.Poly((1, 1)), q.Poly((-1, 1))).coeffs == (-1, 0, 1)
+
+    def test_rows_equal_their_batch_of_one(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        y = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        stack = _convolve_rows(x, y)
+        assert stack.shape == (3, 8)
+        for i in range(3):
+            one = _convolve_rows(x[i : i + 1], y[i : i + 1])[0]
+            assert one.tobytes() == stack[i].tobytes()
+
+    def test_matches_numpy(self):
+        rng = np.random.default_rng(4)
+        for deg_a, deg_b in ((0, 3), (4, 4), (9, 2)):
+            a = rng.standard_normal(deg_a + 1) + 1j * rng.standard_normal(deg_a + 1)
+            b = rng.standard_normal(deg_b + 1) + 1j * rng.standard_normal(deg_b + 1)
+            got = np.asarray(q.convolve(q.Poly(tuple(a)), q.Poly(tuple(b))).coeffs)
+            want = np.convolve(a, b)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestGraeffeStep:
@@ -216,3 +241,31 @@ class TestWinding:
                 except OnCurveError:
                     pass
         assert {0, 1, 2} <= seen
+
+
+class TestLimitSet:
+    """Why criterion 3's N = 1600 distance target is out of reach: its
+    eigenvalue near -0.58 lies on the limit set of the Toeplitz section
+    spectra, where the m-th and (m+1)-th smallest root moduli of
+    z**m (a(z) - lam) coincide (Schmidt & Spitzer, 1960)."""
+
+    # eig_all's eigenvalue of test2_case1 near -0.58 (m = 7)
+    LAM = -0.58146950438646
+
+    @staticmethod
+    def _moduli_7_and_8(sym, lam):
+        roots, _, on_curve = _split_rows(_char_rows(sym, np.array([complex(lam)])))
+        assert not on_curve[0]
+        mods = np.sort(np.abs(roots[0]))
+        return mods[sym.m - 1], mods[sym.m]
+
+    def test_eigenvalue_lies_on_limit_set(self, test2_case1):
+        assert test2_case1.symbol.m == 7
+        low, high = self._moduli_7_and_8(test2_case1.symbol, self.LAM)
+        assert low == pytest.approx(0.98268015389009, abs=1e-12)
+        assert high - low <= 4 * np.finfo(float).eps * high
+
+    def test_control_shift_is_off_limit_set(self, test2_case1):
+        low, high = self._moduli_7_and_8(test2_case1.symbol, -2.5)
+        assert low == pytest.approx(0.98245, abs=1e-5)
+        assert high == pytest.approx(1.07541, abs=1e-5)

@@ -18,11 +18,11 @@ and runs Newton from five start sets:
 
 For each start it records (status, iterations, repr(lam)); for each set
 it also records the accepted eigenvalues (``eig_all`` records, or the
-basin limits).  The starts go one at a time through the private
-``qteig.solver._run_newton``, because ``eig_all`` keeps only the
-accepted runs; where ``_run_newton`` is a batch of one of the lockstep
-driver, a record does not depend on the batch, so these are the
-records ``eig_all`` and ``basins`` compute.
+basin limits).  The records come from the private driver
+``qteig.solver._runs(a, starts, cfg)``, one call per set, because
+``eig_all`` keeps only the accepted runs; ``eig_all`` and ``basins`` run
+their starts through the same driver, so these are the records they
+compute.
 
 It also records output bytes: the stdout of ``qteig eig-all`` on the
 seven-band fixture (defaults) and on the clustered-root fixture
@@ -100,17 +100,10 @@ def _problems(q):
     return seven_band, cluster, cluster_cfg, fix_a
 
 
-def _runs(q, a, cfg, starts) -> list:
-    from qteig.nep import build_w
-    from qteig.solver import _run_newton
+def _records(a, cfg, starts) -> list:
+    from qteig.solver import _runs
 
-    ctx = build_w(a)
-    a_norm = q.norm_inf(a)
-    out = []
-    for start in starts:
-        rec = _run_newton(a, ctx, a_norm, complex(start), cfg)
-        out.append([rec.status.value, rec.iterations, repr(rec.lam)])
-    return out
+    return [[rec.status.value, rec.iterations, repr(rec.lam)] for rec in _runs(a, starts, cfg)]
 
 
 def _section_set(q, a, cfg) -> dict:
@@ -120,7 +113,7 @@ def _section_set(q, a, cfg) -> dict:
     starts = eig_dense(q.finite_section(a, section_size(a, cfg.gamma)))
     report = q.eig_all(a, cfg)
     return {
-        "starts": _runs(q, a, cfg, starts),
+        "starts": _records(a, cfg, starts),
         "accepted": [repr(r.lam) for r in report.records],
     }
 
@@ -218,7 +211,7 @@ def digest(src: Path) -> dict:
         ),
         "cluster_vandermonde": _section_set(q, cluster, vandermonde),
         "basins": {
-            "starts": _runs(q, fix_a, q.SolverConfig(), basin_starts),
+            "starts": _records(fix_a, q.SolverConfig(), basin_starts),
             "accepted": [repr(z) for z in limits],
         },
     }
