@@ -12,14 +12,14 @@ The winding number needs only the count, which root squaring certifies
 without computing any root: square the roots repeatedly (the even part
 of b(z)*b(-z)) until a single coefficient dominates the 1-norm of the
 rest; the index of that coefficient is the number of roots strictly
-inside the unit circle.  The squaring runs on the rows of a
-(polynomials, degree+1) coefficient array, so that a raster counts all
-its cells at once; a row that does not settle (roots on or hugging the
-circle) goes to ``_split_rows``, as does ``count_inside``'s.  ``winding``
-is a batch of one on that path, and ``inside_roots`` a batch of one of
-the split.  The products b(z)*b(-z) here and the factorization's s*u
-share one batched kernel, ``_convolve_rows``; ``convolve`` is a batch
-of one of it.
+inside the unit circle.  One kernel, ``_count_rows``, counts every row
+of a (polynomials, degree+1) coefficient array, so that a raster counts
+all its cells at once; the rows that do not settle (roots on or hugging
+the circle) take their count from ``_split_rows`` there.  ``winding``
+and ``count_inside`` are batches of one of it, and ``inside_roots`` a
+batch of one of the split.  The products b(z)*b(-z) here and the
+factorization's s*u share one batched kernel, ``_convolve_rows``;
+``convolve`` is a batch of one of it.
 """
 
 from __future__ import annotations
@@ -254,15 +254,21 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 
 
 def _count_rows(c: np.ndarray) -> tuple:
-    """The root-squaring count of ``count_inside`` on every row of a
-    (rows, degree+1) coefficient array whose last column is nonzero.
+    """The number of roots strictly inside the unit disk of every row of
+    a (rows, degree+1) coefficient array whose last column is nonzero.
 
-    Returns (count, iterations_used) integer arrays; count is -1 for the
-    rows that did not settle within GRAEFFE_MAXIT steps, which need
-    explicit roots.  Settled rows leave the iteration.
+    Root squaring settles a row when one coefficient holds more than half
+    of the 1-norm; settled rows leave the iteration.  The rows it does
+    not settle within GRAEFFE_MAXIT steps (roots on or hugging the
+    circle) take their count from ``_split_rows``, all in one call.
+
+    Returns (count, used, fallback, on_curve): the counts, the squaring
+    steps used (GRAEFFE_MAXIT on a fallback row), the rows counted by
+    ``_split_rows``, and those of them with a root within SPLIT_BAND of
+    the circle.
     """
     rows = c.shape[0]
-    count = np.full(rows, -1, dtype=np.int64)
+    count = np.zeros(rows, dtype=np.int64)
     used = np.full(rows, GRAEFFE_MAXIT, dtype=np.int64)
     live = np.arange(rows)
     ck = c
@@ -277,44 +283,28 @@ def _count_rows(c: np.ndarray) -> tuple:
             ck = ck[~done]
             if not live.size:
                 break
-    return count, used
+    fallback = np.zeros(rows, dtype=bool)
+    on_curve = np.zeros(rows, dtype=bool)
+    if live.size:
+        fallback[live] = True
+        _, count[live], on_curve[live] = _split_rows(c[live])
+    return count, used, fallback, on_curve
 
 
 def count_inside(b: Poly) -> RootCount:
-    """Number of roots of b strictly inside the unit disk.
+    """Number of roots of b strictly inside the unit disk: a batch of one
+    of ``_count_rows``.
 
-    Runs the root-squaring iteration until one coefficient holds more
-    than half of the 1-norm, which certifies the count.  If that never
-    happens within GRAEFFE_MAXIT steps (roots on or hugging the circle),
-    takes the count of ``_split_rows`` instead: a root near the circle
-    counts on the side of its computed modulus, so this never raises for
-    a shift on the curve.
+    A count that root squaring does not settle comes from ``_split_rows``:
+    a root near the circle counts on the side of its computed modulus,
+    so this never raises for a shift on the curve.
     """
     if b.is_zero:
         raise DomainError("root count of the zero polynomial is undefined")
-    c = np.asarray(b.coeffs)[None, :]
-    count, used = _count_rows(c)
-    if count[0] >= 0:
-        return RootCount(count=int(count[0]), iterations_used=int(used[0]), fallback_used=False)
-    count = int(_split_rows(c)[1][0])
-    return RootCount(count=count, iterations_used=GRAEFFE_MAXIT, fallback_used=True)
-
-
-def _windings(sym: LaurentSymbol, lam: np.ndarray) -> tuple:
-    """Winding numbers of the symbol curve around a 1-D array of shifts,
-    and the mask of the shifts on the curve, whose winding entry is
-    meaningless.
-
-    Root squaring counts the inside roots of all rows z**m (a(z) - lam)
-    at once; only the rows it does not settle go to ``_split_rows``.
-    """
-    coeffs = _char_rows(sym, lam)
-    count, _ = _count_rows(coeffs)
-    on_curve = np.zeros(lam.size, dtype=bool)
-    unsettled = np.flatnonzero(count < 0)
-    if unsettled.size:
-        _, count[unsettled], on_curve[unsettled] = _split_rows(coeffs[unsettled])
-    return count - sym.m, on_curve
+    count, used, fallback, _ = _count_rows(np.asarray(b.coeffs)[None, :])
+    return RootCount(
+        count=int(count[0]), iterations_used=int(used[0]), fallback_used=bool(fallback[0])
+    )
 
 
 def winding(sym: LaurentSymbol, lam: complex) -> int:
@@ -324,7 +314,7 @@ def winding(sym: LaurentSymbol, lam: complex) -> int:
     m.  Raises OnCurveError when root squaring does not settle the count
     and ``_split_rows`` puts the shift on the curve.
     """
-    wind, on_curve = _windings(sym, np.array([complex(lam)]))
+    count, _, _, on_curve = _count_rows(_char_rows(sym, np.array([complex(lam)])))
     if on_curve[0]:
         raise OnCurveError(f"shift {lam} lies numerically on the symbol curve")
-    return int(wind[0])
+    return int(count[0]) - sym.m

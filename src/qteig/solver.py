@@ -33,9 +33,9 @@ that fails the p-row test keeps stepping from that same evaluation
 until the budget runs out.
 Classification (``_classify``) runs per record, on the row's basis.
 
-The winding raster takes its counts from the path of ``poly.winding``,
-a few grid rows at a time: root squaring on all their cells at once,
-and ``poly._split_rows`` for the cells it does not settle.
+The winding raster counts a few grid rows at a time with
+``poly._count_rows``: root squaring on all their cells at once, and the
+explicit-root split for the cells it does not settle.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .nep import (
     equilibrate,
     phi,
 )
-from .poly import _char_rows, _ldexp, _split_rows, _windings
+from .poly import _char_rows, _count_rows, _ldexp, _split_rows
 from .qt import (
     EigRecord,
     QTMatrix,
@@ -400,16 +400,16 @@ def winding_map(a: QTMatrix, re_range, im_range, resolution) -> np.ndarray:
 
     Returns an (n_im, n_re) integer grid; row k belongs to the k-th
     imaginary coordinate, column j to the j-th real coordinate.  The
-    cells of a few grid rows at a time go through ``poly.winding``'s
-    path as one batch.
+    cells of a few grid rows at a time are counted as one batch
+    (``poly._count_rows``).
     """
     res, ims = _grid_axes(re_range, im_range, resolution)
     sym = a.symbol
     out = np.empty((ims.size, res.size), dtype=np.int64)
     for k in range(0, ims.size, _MAP_BLOCK):
         lam = (res[None, :] + 1j * ims[k : k + _MAP_BLOCK, None]).ravel()
-        wind, on_curve = _windings(sym, lam)
-        wind[on_curve] = CURVE_SENTINEL
+        count, _, _, on_curve = _count_rows(_char_rows(sym, lam))
+        wind = np.where(on_curve, CURVE_SENTINEL, count - sym.m)
         out[k : k + _MAP_BLOCK] = wind.reshape(-1, res.size)
     return out
 

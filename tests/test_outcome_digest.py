@@ -1,0 +1,80 @@
+"""tools/outcome_digest.py: its comparison on small synthetic digests, and
+the observation of the Newton driver.  No real digest is made here."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+import qteig as q
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "outcome_digest.py"
+_SPEC = importlib.util.spec_from_file_location("outcome_digest", _PATH)
+tool = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tool)
+
+
+def _digest(statuses, lam=0.25):
+    starts = [[status, 4, repr(complex(0.5, k))] for k, status in enumerate(statuses)]
+    stdout = json.dumps({"eigenvalues": [{"re": lam, "im": 0.0, "iterations": 4}]})
+    return {
+        "sets": {"fixture": {"starts": starts, "accepted": [repr(complex(lam))]}},
+        "outputs": {"eig-all fixture": f"exit 0\n{stdout}\n", "winding_map": "ab12\n"},
+    }
+
+
+def _compare(tmp_path, da, db) -> int:
+    paths = []
+    for name, doc in (("a.json", da), ("b.json", db)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(doc))
+    return tool.compare(*paths)
+
+
+def test_equal_digests(tmp_path, capsys):
+    doc = _digest(["isolated_pq", "diverged"])
+    assert _compare(tmp_path, doc, doc) == 0
+    out = capsys.readouterr().out
+    assert "status differences: 0" in out
+    assert "output differences: 0" in out
+    assert "eig-all fixture: identical" in out
+
+
+def test_status_change(tmp_path, capsys):
+    da = _digest(["isolated_pq", "diverged"])
+    db = _digest(["isolated_pq", "max_iterations"])
+    assert _compare(tmp_path, da, db) == 1
+    out = capsys.readouterr().out
+    assert "  [1]: diverged in 4 steps -> max_iterations in 4 steps" in out
+    assert "status differences: 1" in out
+
+
+def test_output_change(tmp_path, capsys):
+    da = _digest(["isolated_pq"], lam=0.25)
+    db = _digest(["isolated_pq"], lam=0.3)
+    assert _compare(tmp_path, da, db) == 1
+    out = capsys.readouterr().out
+    assert "eig-all fixture: differs at line 2" in out
+    assert (
+        "largest relative difference per numeric field: "
+        "eigenvalues.re 1.67e-01, eigenvalues.im 0.00e+00, eigenvalues.iterations 0.00e+00"
+    ) in out
+    assert "winding_map: identical" in out
+
+
+def test_observed_records_each_run(fix_a):
+    rec, runs = tool._observed(q, lambda: q.eig_single(fix_a, 0.05))
+    assert runs == [[rec.status.value, rec.iterations, repr(rec.lam)]]
+
+
+def test_observed_restores_driver(fix_a):
+    original = q.solver._runs
+
+    def failing():
+        q.eig_single(fix_a, 0.05)
+        raise RuntimeError("run failed")
+
+    with pytest.raises(RuntimeError, match="run failed"):
+        tool._observed(q, failing)
+    assert q.solver._runs is original

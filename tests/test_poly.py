@@ -1,3 +1,4 @@
+import cmath
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import qteig as q
 from qteig.errors import DomainError, InconsistentConstantError, InvalidSymbolError, OnCurveError
 from qteig.linalg import roots_companion
-from qteig.poly import GRAEFFE_MAXIT, _char_rows, _convolve_rows, _split_rows
+from qteig.poly import GRAEFFE_MAXIT, _char_rows, _convolve_rows, _count_rows, _split_rows
 
 from conftest import poly_from_roots, random_symbol, square_roots
 
@@ -199,6 +200,46 @@ class TestCountInside:
             assert (rc.count, rc.iterations_used, rc.fallback_used) == reference(b)
             fallbacks += rc.fallback_used
         assert fallbacks > 0
+
+
+class TestCountRows:
+    # one stack of cubics: two rows root squaring settles, two with a
+    # pair of roots 1e-9 off the circle that fall back with inside roots,
+    # and two with a pair of roots on it
+    ROOTS = (
+        (0.5, 2.0, -3.0),
+        (0.1, 0.2j, 5.0),
+        (0.3, 1.0 + 1e-9, -1j * (1.0 - 1e-9)),
+        (0.3j, 1.0 - 1e-9, 1j * (1.0 + 1e-9)),
+        (2.0, 1.0 + 1e-11, -1.0),
+        (0.5, cmath.exp(1j) * (1.0 - 1e-11), cmath.exp(2.5j) * (1.0 + 1e-11)),
+    )
+
+    def stack(self):
+        return np.array([poly_from_roots(r).coeffs for r in self.ROOTS])
+
+    def test_counts_every_row(self):
+        count, used, fallback, on_curve = _count_rows(self.stack())
+        assert (count >= 0).all()
+        assert fallback.tolist() == [False, False, True, True, True, True]
+        assert on_curve.tolist() == [False, False, False, False, True, True]
+        assert used.tolist() == [1, 1] + [GRAEFFE_MAXIT] * 4
+        assert count[:4].tolist() == [sum(abs(z) < 1 for z in r) for r in self.ROOTS[:4]]
+
+    def test_row_equals_its_batch_of_one(self):
+        c = self.stack()
+        whole = _count_rows(c)
+        for i in range(c.shape[0]):
+            one = _count_rows(c[i : i + 1])
+            assert all(np.array_equal(w[i : i + 1], o) for w, o in zip(whole, one))
+
+    def test_matches_count_inside(self):
+        count, used, fallback, _ = _count_rows(self.stack())
+        for i, roots in enumerate(self.ROOTS):
+            rc = q.count_inside(poly_from_roots(roots))
+            assert (rc.count, rc.iterations_used, rc.fallback_used) == (
+                count[i], used[i], fallback[i]
+            )
 
 
 class TestWinding:

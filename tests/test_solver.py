@@ -121,7 +121,7 @@ class TestEigSingle:
         def refuse(*args, **kwargs):
             raise AssertionError("Graeffe root count inside a Newton run")
 
-        monkeypatch.setattr("qteig.solver._windings", refuse)
+        monkeypatch.setattr("qteig.solver._count_rows", refuse)
         monkeypatch.setattr("qteig.poly.count_inside", refuse)
         monkeypatch.setattr("qteig.poly._graeffe_rows", refuse)
         assert q.eig_all(fix_a) == want
@@ -391,12 +391,12 @@ class TestWindingMap:
 
         def count_spy(c):
             nonlocal unsettled
-            count, used = _count_rows(c)
-            unsettled += int(np.sum(count < 0))
-            return count, used
+            count, used, fallback, on_curve = _count_rows(c)
+            unsettled += int(np.sum(fallback))
+            return count, used, fallback, on_curve
 
         monkeypatch.setattr("qteig.poly._graeffe_rows", square_spy)
-        monkeypatch.setattr("qteig.poly._count_rows", count_spy)
+        monkeypatch.setattr("qteig.solver._count_rows", count_spy)
         grid = q.winding_map(fix_a, (0.5, 9.5), (-3e-9, 3e-9), 10)
         assert passes <= GRAEFFE_MAXIT
         assert unsettled == 44

@@ -5,24 +5,24 @@ of two such files.
     python3 tools/outcome_digest.py --compare A B
 
 The first form imports qteig from ``DIR/src`` (default: this checkout)
-and runs Newton from five start sets:
+and makes five runs, one per set:
 
-- seven_band: the section starts of the seven-band fixture at default
-  settings;
-- cluster: the section starts of the clustered-root fixture with the
+- seven_band: ``eig_all`` on the seven-band fixture at default settings;
+- cluster: ``eig_all`` on the clustered-root fixture with the
   criterion-4 Frobenius configuration;
-- seven_band_vandermonde and cluster_vandermonde: the same two sets with
+- seven_band_vandermonde and cluster_vandermonde: the same two runs with
   ``method="vandermonde"``;
-- basins: the 50 x 50 cell centers of [-0.5, 0.5]^2 on the rank-one
-  fixture.
+- basins: ``basins`` on the 50 x 50 cell centers of [-0.5, 0.5]^2 of the
+  rank-one fixture.
 
-For each start it records (status, iterations, repr(lam)); for each set
-it also records the accepted eigenvalues (``eig_all`` records, or the
-basin limits).  The records come from the private driver
-``qteig.solver._runs(a, starts, cfg)``, one call per set, because
-``eig_all`` keeps only the accepted runs; ``eig_all`` and ``basins`` run
-their starts through the same driver, so these are the records they
-compute.
+For each Newton run it records (status, iterations, repr(lam)), and for
+each set the accepted eigenvalues (the ``eig_all`` records, or the basin
+limits).  ``eig_all`` keeps only the accepted runs, so the per-run
+records are observed while it executes: the private driver
+``qteig.solver._runs``, through which ``eig_all`` and ``basins`` run
+every start, is replaced for the call by a generator that records what
+it passes on.  The starts are whatever the tree's ``eig_all`` and
+``basins`` choose, and each set is run once.
 
 It also records output bytes: the stdout of ``qteig eig-all`` on the
 seven-band fixture (defaults) and on the clustered-root fixture
@@ -100,22 +100,28 @@ def _problems(q):
     return seven_band, cluster, cluster_cfg, fix_a
 
 
-def _records(a, cfg, starts) -> list:
-    from qteig.solver import _runs
+def _observed(q, run) -> tuple:
+    """run()'s result and the (status, iterations, repr(lam)) record of
+    every Newton run it makes, in order: ``qteig.solver._runs`` is
+    replaced by a generator that records each record it passes on, and
+    restored when run() returns or raises."""
+    runs, records = q.solver._runs, []
 
-    return [[rec.status.value, rec.iterations, repr(rec.lam)] for rec in _runs(a, starts, cfg)]
+    def recording(*args):
+        for rec in runs(*args):
+            records.append([rec.status.value, rec.iterations, repr(rec.lam)])
+            yield rec
+
+    q.solver._runs = recording
+    try:
+        return run(), records
+    finally:
+        q.solver._runs = runs
 
 
 def _section_set(q, a, cfg) -> dict:
-    from qteig.linalg import eig_dense
-    from qteig.solver import section_size
-
-    starts = eig_dense(q.finite_section(a, section_size(a, cfg.gamma)))
-    report = q.eig_all(a, cfg)
-    return {
-        "starts": _records(a, cfg, starts),
-        "accepted": [repr(r.lam) for r in report.records],
-    }
+    report, starts = _observed(q, lambda: q.eig_all(a, cfg))
+    return {"starts": starts, "accepted": [repr(r.lam) for r in report.records]}
 
 
 def _sha256(data: bytes) -> str:
@@ -199,9 +205,9 @@ def _reductions(q, ops) -> dict:
 def digest(src: Path) -> dict:
     q = _import_qteig(src)
     seven_band, cluster, cluster_cfg, fix_a = _problems(q)
-    centers = -0.5 + (np.arange(50) + 0.5) / 50
-    basin_starts = [complex(x, y) for y in centers for x in centers]
-    _, limits = q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 50)
+    (_, limits), basin_runs = _observed(
+        q, lambda: q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 50)
+    )
     vandermonde = dataclasses.replace(cluster_cfg, method="vandermonde")
     sets = {
         "seven_band": _section_set(q, seven_band, q.SolverConfig()),
@@ -210,10 +216,7 @@ def digest(src: Path) -> dict:
             q, seven_band, q.SolverConfig(method="vandermonde")
         ),
         "cluster_vandermonde": _section_set(q, cluster, vandermonde),
-        "basins": {
-            "starts": _records(fix_a, q.SolverConfig(), basin_starts),
-            "accepted": [repr(z) for z in limits],
-        },
+        "basins": {"starts": basin_runs, "accepted": [repr(z) for z in limits]},
     }
     scattered = q.qt_new(
         [0, -1, 1, -1],
