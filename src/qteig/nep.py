@@ -14,9 +14,10 @@ powers of two (``equilibrate``), so it does not depend on how the
 boundary equations are scaled.
 
 Each kernel takes a stack with a leading batch axis, one row per shift
-(``_vandermonde_rows``, ``_frobenius_rows``, ``_newton_steps``; ``phi``
-and ``equilibrate`` take either); ``basis_vandermonde``,
-``basis_frobenius`` and ``newton_correction`` are batches of one.
+(``_vandermonde_rows``, ``_frobenius_rows``, ``_newton_steps``,
+``_eigvec_rows``; ``phi`` and ``equilibrate`` take either);
+``basis_vandermonde``, ``basis_frobenius``, ``newton_correction`` and
+``eigvec_prefix`` are batches of one.
 """
 
 from __future__ import annotations
@@ -264,29 +265,36 @@ def newton_correction(phi_mat, phi_prime) -> complex:
     return complex(steps[0])
 
 
-def eigvec_prefix(basis: BasisPair, beta, length: int, sym: LaurentSymbol) -> np.ndarray:
+def _eigvec_rows(basis: BasisPair, beta: np.ndarray, length: int, sym: LaurentSymbol) -> np.ndarray:
     """Leading ``length`` eigenvector entries v_i = (row i + m of the
-    basis) . beta, extending past the stored rows by the interior
-    recurrence (root powers or further G powers)."""
-    bvec = np.asarray(beta, dtype=complex)
-    if bvec.ndim != 1 or bvec.size != basis.p or not np.any(bvec):
-        raise InvalidInputError("beta must be a nonzero vector of length p")
+    basis) . beta for each basis of a stack and its row of beta (n, p),
+    extending past the stored rows by the interior recurrence (root
+    powers or further G powers)."""
     m = sym.m
     if basis.xi is not None:
         # row i holds xi**(m + i), built by repeated multiplication
-        xi = np.asarray(basis.xi, dtype=complex)
-        powers = np.repeat(xi[None, :], length, axis=0)
-        powers[:1] = xi**m
-        return np.cumprod(powers, axis=0) @ bvec
+        xi = basis.xi[:, None, :]
+        powers = np.repeat(xi, length, axis=1)
+        powers[:, :1] = xi**m
+        return (np.cumprod(powers, axis=1) @ beta[:, :, None])[:, :, 0]
     # column k of cols is G**k beta; while cols has j columns, power is
     # G**j (by squaring) and power @ cols doubles it
-    g = basis.g
     p = basis.p
     total = length + m
-    cols = bvec[:, None]
-    power = g
-    while cols.shape[1] * p < total:
-        if cols.shape[1] > 1:
+    cols = beta[:, :, None]
+    power = basis.g
+    while cols.shape[-1] * p < total:
+        if cols.shape[-1] > 1:
             power = power @ power
-        cols = np.hstack([cols, power @ cols])
-    return cols.T.ravel()[m:total]
+        cols = np.concatenate([cols, power @ cols], axis=-1)
+    return cols.swapaxes(1, 2).reshape(cols.shape[0], -1)[:, m:total]
+
+
+def eigvec_prefix(basis: BasisPair, beta, length: int, sym: LaurentSymbol) -> np.ndarray:
+    """Leading ``length`` eigenvector entries of one basis and a nonzero
+    beta: a batch of one of ``_eigvec_rows`` (``basis[None]`` is a stack
+    of one)."""
+    bvec = np.asarray(beta, dtype=complex)
+    if bvec.ndim != 1 or bvec.size != basis.p or not np.any(bvec):
+        raise InvalidInputError("beta must be a nonzero vector of length p")
+    return _eigvec_rows(basis[None], bvec[None], length, sym)[0]

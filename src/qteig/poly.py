@@ -253,6 +253,15 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return total
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """2-norms of the rows of a complex (n, L) array, each equal bit for
+    bit to ``np.linalg.norm`` of the row: the squares are summed as it
+    sums them, by dot products of the strided real and imaginary views
+    (contiguous copies of the views are summed in another order)."""
+    re, im = x.real[:, None, :], x.imag[:, None, :]
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+
+
 def _count_rows(c: np.ndarray) -> tuple:
     """The number of roots strictly inside the unit disk of every row of
     a (rows, degree+1) coefficient array whose last column is nonzero.

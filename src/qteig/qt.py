@@ -7,7 +7,9 @@ support (k1, k2) is derived from them.  The module builds finite
 sections, applies the operator to vector prefixes, computes the exact
 row-sum norm, and samples the symbol curve.  The section, the prefix
 product and the curve walk the band's nonzero terms, ``LaurentSymbol.terms``.
-Positions and sizes share one integer rule, ``_position``.
+The prefix product takes a stack of prefixes (``_apply_rows``), and
+``apply_prefix`` is a batch of one.  Positions and sizes share one
+integer rule, ``_position``.
 """
 
 from __future__ import annotations
@@ -157,14 +159,25 @@ def apply_prefix(a: QTMatrix, v, out_len: int) -> np.ndarray:
         raise PrefixTooShortError(
             f"correction rows require {need_cols} entries, got {L}"
         )
-    out = np.zeros(out_len, dtype=complex)
-    for d, c in sym.terms():
+    return _apply_rows(a, vec[None], out_len)[0]
+
+
+def _apply_rows(a: QTMatrix, vec: np.ndarray, out_len: int) -> np.ndarray:
+    """First ``out_len`` entries of A v for each row v of a stack of
+    prefixes (n, L), each long enough as ``apply_prefix`` requires."""
+    out = np.zeros((vec.shape[0], out_len), dtype=complex)
+    for d, c in a.symbol.terms():
         start = max(0, -d)
         if start < out_len:
-            out[start:] += c * vec[start + d : out_len + d]
-    for i, j, v_e in corr.entries:
+            out[:, start:] += c * vec[:, start + d : out_len + d]
+    for i, j, v_e in a.correction.entries:
         if i <= out_len:
-            out[i - 1] += v_e * vec[j - 1]
+            # in real arithmetic, rounded as the product of two complex
+            # scalars is: numpy's loop over a strided column may fuse
+            # the complex product's multiply and add
+            x, row = vec[:, j - 1], out[:, i - 1]
+            row.real += v_e.real * x.real - v_e.imag * x.imag
+            row.imag += v_e.real * x.imag + v_e.imag * x.real
     return out
 
 

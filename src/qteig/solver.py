@@ -30,8 +30,10 @@ relative residual of the p boundary equations Phi solves passes and,
 when p < q, the smallest singular value of W V certifies rank
 deficiency and the residual of all q equations passes too; a shift
 that fails the p-row test keeps stepping from that same evaluation
-until the budget runs out.
-Classification (``_classify``) runs per record, on the row's basis.
+until the budget runs out.  Classification (``_classify``) takes the
+shifts of a p group that converged in the pass with one stacked call per
+stage (null vectors, eigenvector prefixes, residuals, row norms and the
+certificate) and decides each row on its own.
 
 The winding raster counts a few grid rows at a time with
 ``poly._count_rows``: root squaring on all their cells at once, and the
@@ -51,21 +53,21 @@ from .errors import InvalidInputError
 from .factor import _factor_rows, _g_rows
 from .linalg import _check_eig_dim, eig_dense
 from .nep import (
+    _eigvec_rows,
     _frobenius_rows,
     _newton_steps,
     _vandermonde_rows,
     build_w,
-    eigvec_prefix,
     equilibrate,
     phi,
 )
-from .poly import _char_rows, _count_rows, _ldexp, _split_rows
+from .poly import _char_rows, _count_rows, _ldexp, _row_norms, _split_rows
 from .qt import (
     EigRecord,
     QTMatrix,
     SolveStatus,
+    _apply_rows,
     _position,
-    apply_prefix,
     finite_section,
     norm_inf,
 )
@@ -145,15 +147,6 @@ def _failure(lam: complex, iterations: int, status: SolveStatus, residual=math.i
     )
 
 
-def _null_direction(phi_mat: np.ndarray) -> np.ndarray:
-    """Approximate null vector of a square matrix, of unit 2-norm: the
-    last right singular vector of the equilibrated matrix, scaled back
-    by the column factors."""
-    scaled, _, c = equilibrate(phi_mat)
-    y = _ldexp(np.linalg.svd(scaled)[2][-1].conj(), -c[0])
-    return y / np.linalg.norm(y)
-
-
 def _bases_at(a, ctx, lam, p0, a_norm, method):
     """Evaluate the shifts of a batch of runs: for each row, the
     SolveStatus that ends its run there, or its basis of decaying
@@ -206,58 +199,69 @@ def _bases_at(a, ctx, lam, p0, a_norm, method):
     return status, stacks
 
 
-def _classify(a, ctx, lam, basis, iterations, cfg):
+def _classify(a, ctx, lam, basis, iterations, cfg) -> list:
     """Residual test on the p rows Phi solves (all q rows when p == q)
-    and, for p < q, the rank certificate and the q-row residual, at a
-    converged shift with the basis its evaluation built.  Returns an
-    EigRecord, a no_convergence_pltq failure when only the p < q checks
-    fail, or None when the shift is not accepted."""
+    and, for p < q, the rank certificate and the q-row residual, at the
+    converged shifts of one p group with the basis stack their
+    evaluation built.  Returns, per row, an EigRecord, a
+    no_convergence_pltq failure when only the p < q checks fail, or
+    None when the shift is not accepted."""
     sym = a.symbol
     q = ctx.q
     p = basis.p
     # W V, all q rows: Phi is its first p, the certificate reads it whole
     wv = ctx.w @ basis.v
-    beta = _null_direction(wv[:p])
+    # null vectors of unit 2-norm: the last right singular vector of each
+    # equilibrated Phi, scaled back by its column factors
+    scaled, _, c = equilibrate(wv[:, :p])
+    y = _ldexp(np.linalg.svd(scaled)[2][:, -1].conj(), -c[:, 0])
+    beta = y / _row_norms(y)[:, None]
     res_len = max(q + sym.n, a.correction.k2)
     # one prefix serves the residual rows and the stored eigenvector:
     # both are leading entries of the same sequence
-    full = eigvec_prefix(basis, beta, max(res_len, cfg.vec_len), sym)
-    vec = full[:res_len]
-    denom_p = float(np.linalg.norm(vec[:p]))
-    if denom_p == 0.0:
-        return None
-    # rows are computed each on its own: r[:p] is the residual of the p
-    # rows Phi solves, all of r when p == q
-    r = apply_prefix(a, vec, q) - lam * vec[:q]
-    if float(np.linalg.norm(r[:p])) / denom_p > cfg.residual_tol:
-        return None
-    res_q = float(np.linalg.norm(r)) / float(np.linalg.norm(vec[:q]))
-    status = SolveStatus.ISOLATED_PQ
+    full = _eigvec_rows(basis, beta, max(res_len, cfg.vec_len), sym)
+    vec = full[:, :res_len]
+    # rows are computed each on their own: r[:, :p] is the residual of
+    # the p rows Phi solves, all of r when p == q
+    r = _apply_rows(a, vec, q) - lam[:, None] * vec[:, :q]
+    denom_p, res_p, res, denom_q = (_row_norms(x).tolist()
+                                    for x in (vec[:, :p], r[:, :p], r, vec[:, :q]))
     if p < q:
         # W V is q x p: rank deficient when its smallest singular value
         # is at rounding level of ||W|| ||V||
-        smin = np.linalg.svd(wv, compute_uv=False)[-1]
-        tol = 1e-12 * q * ctx.norm2 * np.linalg.norm(basis.v, 2)
-        if smin > tol or res_q > cfg.residual_tol:
-            return _failure(lam, iterations, SolveStatus.NO_CONVERGENCE_PLTQ, res_q)
-        status = SolveStatus.ISOLATED_PLTQ
-    return EigRecord(
-        lam=complex(lam),
-        vec_prefix=tuple(full[: cfg.vec_len]),
-        residual=res_q,
-        iterations=iterations,
-        status=status,
-    )
+        smin = np.linalg.svd(wv, compute_uv=False)[:, -1]
+        tol = 1e-12 * q * ctx.norm2 * np.linalg.svd(basis.v, compute_uv=False).max(axis=-1)
+    out = []
+    for k, its in enumerate(iterations.tolist()):
+        if denom_p[k] == 0.0 or res_p[k] / denom_p[k] > cfg.residual_tol:
+            out.append(None)
+            continue
+        res_q = res[k] / denom_q[k]
+        status = SolveStatus.ISOLATED_PQ
+        if p < q:
+            if smin[k] > tol[k] or res_q > cfg.residual_tol:
+                out.append(_failure(lam[k], its, SolveStatus.NO_CONVERGENCE_PLTQ, res_q))
+                continue
+            status = SolveStatus.ISOLATED_PLTQ
+        out.append(EigRecord(
+            lam=complex(lam[k]),
+            vec_prefix=tuple(full[k, : cfg.vec_len]),
+            residual=res_q,
+            iterations=its,
+            status=status,
+        ))
+    return out
 
 
 def _run_batch(a, ctx, a_norm, starts, cfg) -> list:
     """Newton runs from a batch of starts in lockstep, one record per
     start, in order.  Each pass evaluates the live shifts
-    (``_bases_at``), classifies a shift when the step that led there was
-    below STEP_TOL, checks the budget and steps, row by row in that
-    order.  A vanishing trace moves the row's shift once by a tiny
-    jitter; a second one ends its run.  Every stage is elementwise or a
-    gufunc stack, so a row's record does not depend on the other rows."""
+    (``_bases_at``), classifies the shifts whose last step was below
+    STEP_TOL (``_classify``, per p group), then checks the budget and
+    steps the rows still live.  A vanishing trace moves the row's shift
+    once by a tiny jitter; a second one ends its run.  Every stage is
+    elementwise or a gufunc stack, so a row's record does not depend on
+    the other rows."""
     lam = np.array(starts, dtype=complex)
     n = lam.size
     p0 = np.full(n, -1)
@@ -274,12 +278,15 @@ def _run_batch(a, ctx, a_norm, starts, cfg) -> list:
         for rows, basis in stacks:
             idx = live[rows]
             p0[idx] = basis.p  # the start's component; later shifts must stay in it
+            conv = np.flatnonzero(classify[idx])
+            if conv.size:
+                recs = _classify(a, ctx, lam[idx[conv]], basis[conv], iters[idx[conv]], cfg)
+                for i, rec in zip(idx[conv], recs):
+                    out[i] = rec
             steps = []
             for k, i in enumerate(idx):
-                if classify[i]:
-                    out[i] = _classify(a, ctx, complex(lam[i]), basis[k], int(iters[i]), cfg)
-                    if out[i] is not None:
-                        continue
+                if out[i] is not None:
+                    continue
                 if iters[i] >= cfg.maxit:
                     out[i] = _failure(lam[i], int(iters[i]), SolveStatus.MAX_ITERATIONS)
                 else:

@@ -1,10 +1,12 @@
 """tools/outcome_digest.py: its comparison on small synthetic digests, and
 the observation of the Newton driver.  No real digest is made here."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qteig as q
@@ -15,8 +17,10 @@ tool = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tool)
 
 
-def _digest(statuses, lam=0.25):
-    starts = [[status, 4, repr(complex(0.5, k))] for k, status in enumerate(statuses)]
+def _digest(statuses, lam=0.25, residuals=None):
+    residuals = residuals or [1e-14] * len(statuses)
+    starts = [[status, 4, repr(complex(0.5, k)), repr(res), f"{k:064x}"]
+              for k, (status, res) in enumerate(zip(statuses, residuals))]
     stdout = json.dumps({"eigenvalues": [{"re": lam, "im": 0.0, "iterations": 4}]})
     return {
         "sets": {"fixture": {"starts": starts, "accepted": [repr(complex(lam))]}},
@@ -50,6 +54,18 @@ def test_status_change(tmp_path, capsys):
     assert "status differences: 1" in out
 
 
+def test_classification_change(tmp_path, capsys):
+    # same statuses, steps and shifts; one residual and one eigenvector
+    # differ
+    da = _digest(["isolated_pq", "isolated_pq", "diverged"])
+    db = _digest(["isolated_pq", "isolated_pq", "diverged"], residuals=[1e-14, 2e-14, 1e-14])
+    db["sets"]["fixture"]["starts"][0][4] = "ff" * 32
+    assert _compare(tmp_path, da, db) == 0
+    out = capsys.readouterr().out
+    assert "0 iteration counts changed, 0 final shifts differ in some bit" in out
+    assert "1 residuals and 1 eigenvector hashes differ" in out
+
+
 def test_output_change(tmp_path, capsys):
     da = _digest(["isolated_pq"], lam=0.25)
     db = _digest(["isolated_pq"], lam=0.3)
@@ -65,7 +81,9 @@ def test_output_change(tmp_path, capsys):
 
 def test_observed_records_each_run(fix_a):
     rec, runs = tool._observed(q, lambda: q.eig_single(fix_a, 0.05))
-    assert runs == [[rec.status.value, rec.iterations, repr(rec.lam)]]
+    vec = np.array(rec.vec_prefix, dtype=np.complex128).tobytes()
+    assert runs == [[rec.status.value, rec.iterations, repr(rec.lam), repr(rec.residual),
+                     hashlib.sha256(vec).hexdigest()]]
 
 
 def test_observed_restores_driver(fix_a):

@@ -7,7 +7,14 @@ import pytest
 import qteig as q
 from qteig.errors import DomainError, InconsistentConstantError, InvalidSymbolError, OnCurveError
 from qteig.linalg import roots_companion
-from qteig.poly import GRAEFFE_MAXIT, _char_rows, _convolve_rows, _count_rows, _split_rows
+from qteig.poly import (
+    GRAEFFE_MAXIT,
+    _char_rows,
+    _convolve_rows,
+    _count_rows,
+    _row_norms,
+    _split_rows,
+)
 
 from conftest import poly_from_roots, random_symbol, square_roots
 
@@ -82,6 +89,20 @@ class TestConvolve:
             got = np.asarray(q.convolve(q.Poly(tuple(a)), q.Poly(tuple(b))).coeffs)
             want = np.convolve(a, b)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_row_norms_equal_linalg_norm_bit_for_bit():
+    # the classification divides by these norms, and a 1-ulp change moves
+    # residuals near 1e-16 by up to 10%; prefixes of wider rows are the
+    # strided views the classification passes
+    rng = np.random.default_rng(11)
+    scales = np.logspace(-8, 8, 9)[:, None]
+    for length in range(1, 301):
+        wide = rng.standard_normal((9, length + 3)) + 1j * rng.standard_normal((9, length + 3))
+        wide *= scales
+        for x in (wide[:, :length], wide[:, 3:].copy()):
+            want = np.array([np.linalg.norm(row) for row in x])
+            assert _row_norms(x).tobytes() == want.tobytes()
 
 
 class TestGraeffeStep:

@@ -10,6 +10,7 @@ from qteig.errors import (
     SectionTooSmallError,
 )
 from qteig.linalg import eig_dense
+from qteig.qt import _apply_rows
 
 
 class TestQtNew:
@@ -146,6 +147,23 @@ class TestApplyPrefix:
     def test_prefix_too_short(self, fix_a):
         with pytest.raises(PrefixTooShortError):
             q.apply_prefix(fix_a, [1.0, 2.0], 2)
+
+    def test_stack_rounds_as_scalar_products(self):
+        # complex correction entries: each row of the stack equals, bit for
+        # bit, the product of the prefix taken entry by entry in scalars
+        a = q.qt_new([2, 0.5 - 1j], [2, 0.25j, -1], [(1, 3, 0.3 - 0.7j), (1, 5, 2j), (3, 1, -1.5)])
+        rng = np.random.default_rng(9)
+        vec = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))
+        stack = _apply_rows(a, vec, 4)
+        for v, got in zip(vec, stack):
+            want = np.zeros(4, dtype=complex)
+            for d, c in a.symbol.terms():
+                start = max(0, -d)
+                want[start:] += c * v[start + d : 4 + d]
+            for i, j, v_e in a.correction.entries:
+                want[i - 1] += v_e * v[j - 1]
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == q.apply_prefix(a, v, 4).tobytes()
 
     def test_agrees_with_section(self, test1_case2):
         rng = np.random.default_rng(8)

@@ -66,7 +66,8 @@ class TestEigSingle:
         ctx = build_w(fix_a_pltq)
         lam = 1e-14
         basis = basis_frobenius(wiener_hopf(fix_a_pltq.symbol, lam), ctx.width)
-        rec = _classify(fix_a_pltq, ctx, lam, basis, 0, q.SolverConfig())
+        cfg = q.SolverConfig()
+        (rec,) = _classify(fix_a_pltq, ctx, np.array([lam]), basis[None], np.array([0]), cfg)
         assert rec.status is q.SolveStatus.ISOLATED_PLTQ
         assert rec.residual <= 1e-13
 
@@ -569,6 +570,32 @@ class TestBatch:
         assert len(limits) >= 3
         assert np.array_equal(labels.ravel(), want)
         assert got == limits
+
+    @pytest.mark.parametrize("method", ["frobenius", "vandermonde"])
+    @pytest.mark.parametrize("name", ["fix_a", "fix_a_pltq"])
+    def test_classify_rows_as_batches_of_one(self, name, method, request):
+        # accepted shifts at the eigenvalue 0, one rejected by its residual
+        # (0.3) and one 1e-8 away: with the looser residual_tol its p-row
+        # residual passes, and for fix_a_pltq its rank certificate fails
+        a = request.getfixturevalue(name)
+        ctx = build_w(a)
+        cfg = q.SolverConfig(method=method, residual_tol=1e-6)
+        lam = np.array([0.0, 1e-14, 0.3, 1e-8, -3e-15 + 2e-15j])
+        status, stacks = q.solver._bases_at(a, ctx, lam, np.full(lam.size, -1), q.norm_inf(a),
+                                            method)
+        (rows, basis), = stacks
+        assert status == [None] * lam.size and rows.tolist() == list(range(lam.size))
+        iters = np.arange(lam.size) + 3
+        recs = _classify(a, ctx, lam, basis, iters, cfg)
+        isolated = q.SolveStatus.ISOLATED_PQ if ctx.q == 1 else q.SolveStatus.ISOLATED_PLTQ
+        near = isolated if ctx.q == 1 else q.SolveStatus.NO_CONVERGENCE_PLTQ
+        assert [r and r.status for r in recs] == [isolated, isolated, None, near, isolated]
+        for k, rec in enumerate(recs):
+            (one,) = _classify(a, ctx, lam[k : k + 1], basis[k][None], iters[k : k + 1], cfg)
+            assert rec == one
+            if rec is not None:
+                assert repr(rec.residual) == repr(one.residual)
+                assert np.array(rec.vec_prefix).tobytes() == np.array(one.vec_prefix).tobytes()
 
     def test_vandermonde_chunk_with_fallback_rows(self, monkeypatch):
         # z**2 (a(z) - 0) = (z - 0.5)**2 (z - 3): at 0.0 the two inside

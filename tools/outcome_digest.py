@@ -15,14 +15,16 @@ and makes five runs, one per set:
 - basins: ``basins`` on the 50 x 50 cell centers of [-0.5, 0.5]^2 of the
   rank-one fixture.
 
-For each Newton run it records (status, iterations, repr(lam)), and for
-each set the accepted eigenvalues (the ``eig_all`` records, or the basin
-limits).  ``eig_all`` keeps only the accepted runs, so the per-run
-records are observed while it executes: the private driver
-``qteig.solver._runs``, through which ``eig_all`` and ``basins`` run
-every start, is replaced for the call by a generator that records what
-it passes on.  The starts are whatever the tree's ``eig_all`` and
-``basins`` choose, and each set is run once.
+For each Newton run it records (status, iterations, repr(lam),
+repr(residual), SHA-256 of the eigenvector prefix's complex128 bytes),
+so the classification's output is compared too, not only the shift it
+classified; and for each set the accepted eigenvalues (the ``eig_all``
+records, or the basin limits).  ``eig_all`` keeps only the accepted
+runs, so the per-run records are observed while it executes: the
+private driver ``qteig.solver._runs``, through which ``eig_all`` and
+``basins`` run every start, is replaced for the call by a generator
+that records what it passes on.  The starts are whatever the tree's
+``eig_all`` and ``basins`` choose, and each set is run once.
 
 It also records output bytes: the stdout of ``qteig eig-all`` on the
 seven-band fixture (defaults) and on the clustered-root fixture
@@ -47,7 +49,8 @@ bytes.
 
 ``--compare`` prints, per set, the status histogram of each side, the
 number of starts whose iteration count changed, the number of final
-shifts that differ in any bit, and the largest relative difference of
+shifts that differ in any bit, the number of runs whose residual and
+whose eigenvector hash differ, and the largest relative difference of
 the final shifts and of the accepted eigenvalues; then one line for
 each start whose status differs.  For each recorded output it prints
 "identical" or the first differing line; when the stdout of a differing
@@ -100,16 +103,23 @@ def _problems(q):
     return seven_band, cluster, cluster_cfg, fix_a
 
 
+def _record(rec) -> list:
+    """What the digest keeps of one Newton run's EigRecord."""
+    vec = np.array(rec.vec_prefix, dtype=np.complex128)
+    return [rec.status.value, rec.iterations, repr(rec.lam), repr(rec.residual),
+            _sha256(vec.tobytes())]
+
+
 def _observed(q, run) -> tuple:
-    """run()'s result and the (status, iterations, repr(lam)) record of
-    every Newton run it makes, in order: ``qteig.solver._runs`` is
-    replaced by a generator that records each record it passes on, and
-    restored when run() returns or raises."""
+    """run()'s result and the ``_record`` of every Newton run it makes,
+    in order: ``qteig.solver._runs`` is replaced by a generator that
+    records each record it passes on, and restored when run() returns or
+    raises."""
     runs, records = q.solver._runs, []
 
     def recording(*args):
         for rec in runs(*args):
-            records.append([rec.status.value, rec.iterations, repr(rec.lam)])
+            records.append(_record(rec))
             yield rec
 
     q.solver._runs = recording
@@ -321,6 +331,8 @@ def _compare_sets(da: dict, db: dict) -> int:
         changed = [k for k, (ra, rb) in enumerate(zip(sa, sb)) if ra[0] != rb[0]]
         iters = sum(ra[1] != rb[1] for ra, rb in zip(sa, sb))
         bits = sum(ra[2] != rb[2] for ra, rb in zip(sa, sb))
+        residuals = sum(ra[3] != rb[3] for ra, rb in zip(sa, sb))
+        vectors = sum(ra[4] != rb[4] for ra, rb in zip(sa, sb))
         worst = max((_rel(complex(ra[2]), complex(rb[2])) for ra, rb in zip(sa, sb)),
                     default=0.0)
         acc_a, acc_b = da[name]["accepted"], db[name]["accepted"]
@@ -334,6 +346,7 @@ def _compare_sets(da: dict, db: dict) -> int:
         print(f"  B: {_histogram(sb)}")
         print(f"  {iters} iteration counts changed, {bits} final shifts differ in "
               f"some bit, max relative shift difference {worst:.2e}; "
+              f"{residuals} residuals and {vectors} eigenvector hashes differ; "
               f"{len(acc_a)} -> {len(acc_b)} accepted, max relative difference {acc_worst}")
         for k in changed:
             ra, rb = sa[k], sb[k]
