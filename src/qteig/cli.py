@@ -297,15 +297,16 @@ def cmd_map(args) -> int:
 
 
 def _add_solver_flags(sub) -> None:
-    sub.add_argument("--method", choices=("frobenius", "vandermonde"),
-                     default="frobenius", help="basis driving Newton's iteration")
-    sub.add_argument("--gamma", type=float, default=3.0,
+    default = SolverConfig()
+    sub.add_argument("--method", choices=SolverConfig.METHODS,
+                     default=default.method, help="basis driving Newton's iteration")
+    sub.add_argument("--gamma", type=float, default=default.gamma,
                      help="finite-section size factor")
-    sub.add_argument("--maxit", type=int, default=20,
+    sub.add_argument("--maxit", type=int, default=default.maxit,
                      help="Newton iteration budget per start")
-    sub.add_argument("--tol", type=float, default=1e-10,
+    sub.add_argument("--tol", type=float, default=default.residual_tol,
                      help="relative residual acceptance tolerance")
-    sub.add_argument("--vec-len", type=int, default=100, dest="vec_len",
+    sub.add_argument("--vec-len", type=int, default=default.vec_len, dest="vec_len",
                      help="eigenvector prefix length")
 
 

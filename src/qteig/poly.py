@@ -11,15 +11,16 @@ sizes the reduced problem, and the same roots build the factors in
 The winding number needs only the count, which root squaring certifies
 without computing any root: square the roots repeatedly (the even part
 of b(z)*b(-z)) until a single coefficient dominates the 1-norm of the
-rest; the index of that coefficient is the number of roots strictly
-inside the unit circle.  One kernel, ``_count_rows``, counts every row
-of a (polynomials, degree+1) coefficient array, so that a raster counts
-all its cells at once; the rows that do not settle (roots on or hugging
-the circle) take their count from ``_split_rows`` there.  ``winding``
-and ``count_inside`` are batches of one of it, and ``inside_roots`` a
-batch of one of the split.  The products b(z)*b(-z) here and the
-factorization's s*u share one batched kernel, ``_convolve_rows``;
-``convolve`` is a batch of one of it.
+rest by more than rounding can make up (``_count_rows``); the index of
+that coefficient is the number of roots strictly inside the unit
+circle.  One kernel, ``_count_rows``, counts every row of a
+(polynomials, degree+1) coefficient array, so that a raster counts all
+its cells at once; the rows it does not settle (roots on or hugging the
+circle) take their count from ``_split_rows``, whose SPLIT_BAND alone
+puts a shift on the curve.  ``winding`` and ``count_inside`` are
+batches of one of it, and ``inside_roots`` a batch of one of the split.
+The products b(z)*b(-z) here and the factorization's s*u share one
+batched kernel, ``_convolve_rows``; ``convolve`` is a batch of one of it.
 """
 
 from __future__ import annotations
@@ -36,11 +37,6 @@ from .errors import (
     OnCurveError,
 )
 from .linalg import _companion_roots
-
-# Number of root squarings before giving up: coefficient dynamic range
-# grows doubly exponentially, so double precision is exhausted well
-# before 30 steps.
-GRAEFFE_MAXIT = 30
 
 # A root whose modulus is within this distance of 1 sits on the symbol
 # curve: ``_split_rows`` flags such a shift as on the curve.
@@ -208,7 +204,6 @@ class RootCount:
     """Outcome of counting roots inside the unit disk."""
 
     count: int
-    iterations_used: int
     fallback_used: bool
 
 
@@ -264,66 +259,64 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 def _count_rows(c: np.ndarray) -> tuple:
     """The number of roots strictly inside the unit disk of every row of
-    a (rows, degree+1) coefficient array whose last column is nonzero.
+    a (rows, d+1) coefficient array whose last column is nonzero.
 
-    Root squaring settles a row when one coefficient holds more than half
-    of the 1-norm; settled rows leave the iteration.  The rows it does
-    not settle within GRAEFFE_MAXIT steps (roots on or hugging the
-    circle) take their count from ``_split_rows``, all in one call.
+    At squaring step nu a row settles when the 1-norm of its
+    pivot-normalised coefficients is below 2 - d * 2**nu * sqrt(eps)
+    (d >= 1): rounding splits a multiple root on the circle by about
+    sqrt(eps), and each step doubles the split.  Once that margin
+    reaches 1 no row can settle, as the pivot alone adds 1, and the rows
+    left (roots on or hugging the circle) take their count from
+    ``_split_rows``, all in one call.
 
-    Returns (count, used, fallback, on_curve): the counts, the squaring
-    steps used (GRAEFFE_MAXIT on a fallback row), the rows counted by
+    Returns (count, fallback, on_curve): the counts, the rows counted by
     ``_split_rows``, and those of them with a root within SPLIT_BAND of
     the circle.
     """
     rows = c.shape[0]
     count = np.zeros(rows, dtype=np.int64)
-    used = np.full(rows, GRAEFFE_MAXIT, dtype=np.int64)
     live = np.arange(rows)
     ck = c
-    for nu in range(1, GRAEFFE_MAXIT + 1):
+    margin = max(c.shape[1] - 1, 1) * np.sqrt(np.finfo(float).eps)
+    while live.size and 2.0 * margin < 1.0:
+        margin *= 2.0
         ck = _graeffe_rows(ck)
         mags = np.abs(ck)
-        done = _row_sums(mags) < 2.0
+        done = _row_sums(mags) < 2.0 - margin
         if done.any():
             count[live[done]] = np.argmax(mags[done], axis=1)
-            used[live[done]] = nu
             live = live[~done]
             ck = ck[~done]
-            if not live.size:
-                break
     fallback = np.zeros(rows, dtype=bool)
     on_curve = np.zeros(rows, dtype=bool)
     if live.size:
         fallback[live] = True
         _, count[live], on_curve[live] = _split_rows(c[live])
-    return count, used, fallback, on_curve
+    return count, fallback, on_curve
 
 
 def count_inside(b: Poly) -> RootCount:
     """Number of roots of b strictly inside the unit disk: a batch of one
     of ``_count_rows``.
 
-    A count that root squaring does not settle comes from ``_split_rows``:
-    a root near the circle counts on the side of its computed modulus,
-    so this never raises for a shift on the curve.
+    A count that root squaring does not certify comes from
+    ``_split_rows``: a root near the circle counts on the side of its
+    computed modulus, so this never raises for a shift on the curve.
     """
     if b.is_zero:
         raise DomainError("root count of the zero polynomial is undefined")
-    count, used, fallback, _ = _count_rows(np.asarray(b.coeffs)[None, :])
-    return RootCount(
-        count=int(count[0]), iterations_used=int(used[0]), fallback_used=bool(fallback[0])
-    )
+    count, fallback, _ = _count_rows(np.asarray(b.coeffs)[None, :])
+    return RootCount(count=int(count[0]), fallback_used=bool(fallback[0]))
 
 
 def winding(sym: LaurentSymbol, lam: complex) -> int:
     """Winding number of the symbol curve around ``lam``.
 
     Equals the number of roots of a(z) - lam inside the unit disk minus
-    m.  Raises OnCurveError when root squaring does not settle the count
+    m.  Raises OnCurveError when root squaring does not certify the count
     and ``_split_rows`` puts the shift on the curve.
     """
-    count, _, _, on_curve = _count_rows(_char_rows(sym, np.array([complex(lam)])))
+    count, _, on_curve = _count_rows(_char_rows(sym, np.array([complex(lam)])))
     if on_curve[0]:
         raise OnCurveError(f"shift {lam} lies numerically on the symbol curve")
     return int(count[0]) - sym.m

@@ -46,6 +46,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -98,8 +99,10 @@ class SolverConfig:
     """Knobs for a Newton run.
 
     ``maxit`` counts Newton steps; the stop rule itself is the module
-    constant STEP_TOL.
+    constant STEP_TOL.  ``METHODS`` names the bases ``method`` may take.
     """
+
+    METHODS: ClassVar[tuple] = ("frobenius", "vandermonde")
 
     maxit: int = 20
     method: str = "frobenius"
@@ -120,7 +123,7 @@ class SolverConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise InvalidInputError(f"{name} must be an integer of at least 1")
-        if self.method not in ("frobenius", "vandermonde"):
+        if self.method not in self.METHODS:
             raise InvalidInputError(f"unknown method {self.method!r}")
 
 
@@ -415,7 +418,7 @@ def winding_map(a: QTMatrix, re_range, im_range, resolution) -> np.ndarray:
     out = np.empty((ims.size, res.size), dtype=np.int64)
     for k in range(0, ims.size, _MAP_BLOCK):
         lam = (res[None, :] + 1j * ims[k : k + _MAP_BLOCK, None]).ravel()
-        count, _, _, on_curve = _count_rows(_char_rows(sym, lam))
+        count, _, on_curve = _count_rows(_char_rows(sym, lam))
         wind = np.where(on_curve, CURVE_SENTINEL, count - sym.m)
         out[k : k + _MAP_BLOCK] = wind.reshape(-1, res.size)
     return out

@@ -77,6 +77,17 @@ def square_roots(b: q.Poly) -> q.Poly:
     return q.Poly(tuple(_graeffe_rows(np.asarray(b.coeffs)[None, :])[0]))
 
 
+def squarings(b: q.Poly):
+    """The root-squaring iterates of b, one step at a time, each with the
+    margin by which its 1-norm must fall below 2 to settle the count:
+    d * 2**nu * sqrt(eps) at step nu, until that margin reaches 1."""
+    margin = b.degree * np.sqrt(np.finfo(float).eps)
+    while 2 * margin < 1:
+        margin *= 2
+        b = square_roots(b)
+        yield b, margin
+
+
 def random_symbol(rng, max_m=5, max_n=5) -> q.LaurentSymbol:
     m = int(rng.integers(1, max_m + 1))
     n = int(rng.integers(1, max_n + 1))

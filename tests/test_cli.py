@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from qteig.cli import main, parse_problem, serialize_problem
+import qteig as q
+from qteig.cli import _build_parser, _config, main, parse_problem, serialize_problem
 
 
 @pytest.fixture
@@ -44,6 +45,11 @@ class TestEigAllCommand:
         assert abs(complex(entry["re"], entry["im"])) <= 1e-10
         assert entry["status"] == "isolated_pq"
         assert entry["residual"] <= 1e-12
+
+    def test_no_flags_build_default_config(self, fix_a_file):
+        # the flags take their defaults from SolverConfig itself
+        args = _build_parser().parse_args(["eig-all", fix_a_file])
+        assert _config(args) == q.SolverConfig()
 
     def test_byte_identical_reruns(self, fix_a_file, capsys):
         main(["eig-all", fix_a_file])

@@ -8,7 +8,7 @@ from qteig.errors import InvalidInputError, OnCurveError
 from qteig.factor import wiener_hopf
 from qteig.linalg import eig_dense
 from qteig.nep import basis_frobenius, basis_vandermonde, build_w, newton_correction, phi
-from qteig.poly import GRAEFFE_MAXIT, _count_rows, _graeffe_rows
+from qteig.poly import _count_rows, _graeffe_rows
 from qteig.solver import (
     BASIN_CONTINUOUS,
     BASIN_NONCONV,
@@ -20,7 +20,7 @@ from qteig.solver import (
     section_size,
 )
 
-from conftest import random_symbol, square_roots
+from conftest import random_symbol, squarings
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +323,14 @@ class TestWindingMap:
         grid = q.winding_map(fix_a, (-1, 10), (-1, 1), (12, 6))
         assert set(grid.ravel().tolist()) == {0}
 
+    def test_unit_roots_beside_inside_root_are_on_curve(self):
+        # z a(z) = (z - 0.5)(z - 1)(z + 1): the centre cell is the
+        # on-curve shift 0
+        sym = q.LaurentSymbol(neg=(-1, 0.5), pos=(-1, -0.5, 1))
+        a = q.QTMatrix(symbol=sym, correction=q.Correction.zero())
+        grid = q.winding_map(a, (-0.5, 0.5), (-0.5, 0.5), 3)
+        assert grid[1, 1] == CURVE_SENTINEL
+
     def test_far_outside_is_zero(self, fix_a, test1_case2):
         for a in (fix_a, test1_case2):
             z = 2 * q.norm_inf(a) + 0.1j
@@ -346,12 +354,10 @@ class TestWindingMap:
 
         def trims(b):
             # the leading coefficient underflows before the count settles
-            bk = b
-            for _ in range(GRAEFFE_MAXIT):
-                bk = square_roots(bk)
+            for bk, margin in squarings(b):
                 if bk.degree < b.degree:
                     return True
-                if np.abs(np.asarray(bk.coeffs)).sum() < 2.0:
+                if np.abs(np.asarray(bk.coeffs)).sum() < 2.0 - margin:
                     return False
             return False
 
@@ -380,9 +386,11 @@ class TestWindingMap:
         assert sentinels > 0 and fallbacks > 0 and trimmed > 0
 
     def test_unsettled_cell_squared_once(self, fix_a, monkeypatch):
-        # 44 cells of this one-block box sit within 3e-9 of fix_a's curve
-        # [1, 9]: root squaring settles none of them, and the explicit
-        # roots put 12 on the curve.  None may be squared again on its own.
+        # all 80 cells of this one-block box that sit within 3e-9 of
+        # fix_a's curve [1, 9] are left to the explicit roots, which put
+        # 12 on the curve.  None may be squared again on its own: the
+        # block takes one pass per step, and the settle margin of a
+        # quadratic, 2 * 2**nu * sqrt(eps), reaches 1 after 24 steps.
         passes = unsettled = 0
 
         def square_spy(c):
@@ -392,15 +400,15 @@ class TestWindingMap:
 
         def count_spy(c):
             nonlocal unsettled
-            count, used, fallback, on_curve = _count_rows(c)
+            count, fallback, on_curve = _count_rows(c)
             unsettled += int(np.sum(fallback))
-            return count, used, fallback, on_curve
+            return count, fallback, on_curve
 
         monkeypatch.setattr("qteig.poly._graeffe_rows", square_spy)
         monkeypatch.setattr("qteig.solver._count_rows", count_spy)
         grid = q.winding_map(fix_a, (0.5, 9.5), (-3e-9, 3e-9), 10)
-        assert passes <= GRAEFFE_MAXIT
-        assert unsettled == 44
+        assert passes <= 24
+        assert unsettled == 80
         assert int(np.sum(grid == CURVE_SENTINEL)) == 12
 
     def test_resolution_guard(self, fix_a):

@@ -33,7 +33,7 @@ seven-band fixture (defaults) and on the clustered-root fixture
 --vec-len 20`` (Frobenius) and from ``--lambda0 0.3,0.1 --method
 vandermonde``; SHA-256s of two ``winding_map`` grids, the fig-2 200 x 200
 grid over [-10, 10]^2 and the rank-one fixture's 10 x 10 grid over
-[0.5, 9.5] x [-3e-9, 3e-9], where root squaring cannot settle the 44
+[0.5, 9.5] x [-3e-9, 3e-9], where root squaring cannot certify the 80
 cells next to the curve, so the explicit-root split decides them; and
 SHA-256s of the files ``qteig map`` writes for
 that winding map and for the 50 x 50 basins of the rank-one fixture
