@@ -1,20 +1,34 @@
 """Newton's iteration on the determinant of the reduced pencil, its
 drivers and the winding raster.  ``eig_single`` (one start), ``eig_all``
 (the finite-section eigenvalues) and ``basins`` (the raster cells) run
-their starts through one generator, ``_runs``, which builds W and the
-row-sum norm once; ``_limit_index`` is the one "same limit" rule, for
+their starts through one generator, ``_runs``, which builds W, the
+row-sum norm and the realness test once; ``_limit_index`` is the one "same limit" rule, for
 deduplication and basin labels alike.
 
-The starts run in lockstep, in consecutive chunks of _NEWTON_CHUNK
-(``_run_batch``): each pass evaluates every live start of the chunk
-with one stacked call per stage, and ``_run_newton`` (one start, as
-``eig_single`` runs it) is a batch of one through the same code.  Every
-stage is elementwise or a gufunc stack (``matmul``, ``solve``,
-``eigvals``) on C-ordered arrays, so a start's record does not depend
-on what else is in its chunk; a stacked solve that raises is redone row
-by row.  The chunk size bounds the working memory of the stacked bases:
-in a prototype, one batch of all 300 section starts of a fixture raised
-the peak RSS by 11-16 MB, chunks of 32 by 0.7-1.5 MB.
+The starts run in lockstep, in consecutive chunks (``_run_batch``):
+each pass evaluates every live start of the chunk with one stacked call
+per stage, and ``_run_newton`` (one start, as ``eig_single`` runs it)
+is a batch of one through the same code.  Every stage is elementwise or
+a gufunc stack (``matmul``, ``solve``, ``eigvals``) on C-ordered arrays,
+so a start's record does not depend on what else is in its chunk; a
+stacked solve that raises is redone row by row.  The chunk size bounds
+the working memory of a pass, so ``_chunk_rows`` derives it from a
+row's cost: the stacked bases grow with the width of W, and an accepted
+row also holds its eigenvector prefix as a record.  That gives 34 rows
+at width 107 (the seven-band fixture), 90 at width 34 (the clustered
+roots) and 333 at width 2 (the rank-one fixture's basins).  Those
+50 x 50 basins take 0.36-0.42 s in chunks of 32 rows and 0.13-0.16 s
+in chunks of 333, which raise the peak RSS by 2.3 MB more (512 rows:
+4.5 MB, 1024 rows: 7.5 MB, for at most 0.03 s less).  One batch of all
+300 section starts of a fixture raised it by 11-16 MB.
+
+On a real operator (real band and correction) the run from conj(lam)
+is the mirror image of the run from lam, so ``eig_all`` runs only the
+section starts with Im >= 0 and mirrors each isolated record of a start with Im > 0; the
+section's non-real eigenvalues come in exact conjugate pairs.  On such
+an operator a shift that is exactly real steps by the real part of its
+step, and its jitter stays on the axis, so real eigenvalues come out
+exactly real.
 
 The shifts of a pass are evaluated in one place, ``_bases_at``: it
 splits the companion roots of z**m (a(z) - lam) at the unit circle once
@@ -42,6 +56,7 @@ explicit-root split for the cells it does not settle.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import numbers
@@ -88,10 +103,6 @@ CURVE_SENTINEL = -128
 
 # Grid rows per batch of the winding raster: bounds its working memory.
 _MAP_BLOCK = 10
-
-# Newton starts stepped in lockstep: bounds the working memory of the
-# stacked bases (see the module docstring).
-_NEWTON_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -256,15 +267,30 @@ def _classify(a, ctx, lam, basis, iterations, cfg) -> list:
     return out
 
 
-def _run_batch(a, ctx, a_norm, starts, cfg) -> list:
+def _is_real(a: QTMatrix) -> bool:
+    """Whether every band coefficient and correction value is real."""
+    values = [c for _, c in a.symbol.terms()] + [v for _, _, v in a.correction.entries]
+    return not any(v.imag for v in values)
+
+
+def _mirror(rec: EigRecord) -> EigRecord:
+    """The record of the run from the conjugate start on a real operator."""
+    return dataclasses.replace(
+        rec, lam=rec.lam.conjugate(), vec_prefix=tuple(v.conjugate() for v in rec.vec_prefix)
+    )
+
+
+def _run_batch(a, ctx, a_norm, starts, cfg, real) -> list:
     """Newton runs from a batch of starts in lockstep, one record per
     start, in order.  Each pass evaluates the live shifts
     (``_bases_at``), classifies the shifts whose last step was below
     STEP_TOL (``_classify``, per p group), then checks the budget and
     steps the rows still live.  A vanishing trace moves the row's shift
-    once by a tiny jitter; a second one ends its run.  Every stage is
-    elementwise or a gufunc stack, so a row's record does not depend on
-    the other rows."""
+    once by a tiny jitter; a second one ends its run.  When ``real`` (a
+    real operator), a shift that is exactly real steps by the real part
+    of its step and jitters along the axis.  Every stage is elementwise
+    or a gufunc stack, so a row's record does not depend on the other
+    rows."""
     lam = np.array(starts, dtype=complex)
     n = lam.size
     p0 = np.full(n, -1)
@@ -302,8 +328,11 @@ def _run_batch(a, ctx, a_norm, starts, cfg) -> list:
                 out[i] = _failure(lam[i], int(iters[i]), SolveStatus.MAX_ITERATIONS)
             moved = idx[vanished & ~jittered[idx]]
             jittered[moved], classify[moved] = True, False
-            lam[moved] = lam[moved] * (1 + 1e-8) + 1e-8j
+            on_axis = real & (lam[moved].imag == 0)
+            lam[moved] = lam[moved] * (1 + 1e-8) + np.where(on_axis, 1e-8, 1e-8j)
             idx, step = idx[~vanished], step[~vanished]
+            if real:
+                step = np.where(lam[idx].imag == 0, step.real, step)
             iters[idx] += 1
             classify[idx] = np.abs(step) < STEP_TOL * np.maximum(1.0, np.abs(lam[idx]))
             lam[idx] -= step
@@ -313,17 +342,31 @@ def _run_batch(a, ctx, a_norm, starts, cfg) -> list:
 
 def _run_newton(a, ctx, a_norm, lam0, cfg) -> EigRecord:
     """One Newton run: a batch of one of ``_run_batch``."""
-    return _run_batch(a, ctx, a_norm, [complex(lam0)], cfg)[0]
+    return _run_batch(a, ctx, a_norm, [complex(lam0)], cfg, _is_real(a))[0]
+
+
+def _chunk_rows(width: int, vec_len: int) -> int:
+    """Starts per lockstep chunk: as many rows as fit in 2.8 MB of
+    working memory, and at least 32, so that a wide W still steps
+    enough rows per stacked call to amortise its overhead.  A row costs
+    about 1000 bytes whatever the sizes (companion stack, masks, its
+    record), 700 per column of W for its stacked bases (290 at the
+    seven-band fixture's width 107, 1090 at the clustered roots' 34, by
+    tracemalloc) and 60 per entry of its eigenvector prefix: 16 in the
+    array ``_classify`` builds and about 40 kept in the record's tuple
+    of numpy scalars."""
+    return max(32, 2_800_000 // (1000 + 700 * width + 60 * vec_len))
 
 
 def _runs(a: QTMatrix, starts, cfg: SolverConfig):
-    """Generator of the Newton record of each start, in order, on one W
-    and one row-sum norm, both built before the first run; the starts
-    run in lockstep, _NEWTON_CHUNK at a time."""
-    ctx, a_norm = build_w(a), norm_inf(a)
+    """Generator of the Newton record of each start, in order, on one W,
+    one row-sum norm and one realness test, all made before the first
+    run; the starts run in lockstep, ``_chunk_rows`` at a time."""
+    ctx, a_norm, real = build_w(a), norm_inf(a), _is_real(a)
+    size = _chunk_rows(ctx.width, cfg.vec_len)
     it = iter(starts)
-    chunks = iter(lambda: list(itertools.islice(it, _NEWTON_CHUNK)), [])
-    return (rec for chunk in chunks for rec in _run_batch(a, ctx, a_norm, chunk, cfg))
+    chunks = iter(lambda: list(itertools.islice(it, size)), [])
+    return (rec for chunk in chunks for rec in _run_batch(a, ctx, a_norm, chunk, cfg, real))
 
 
 def _limit_index(lam: complex, limits, tol: float):
@@ -368,6 +411,13 @@ def eig_all(a: QTMatrix, cfg: SolverConfig | None = None) -> EigenSolveReport:
     """Find isolated eigenvalues by running Newton from every eigenvalue
     of a finite section, then deduplicating the converged limits.
 
+    On a real operator the section's non-real eigenvalues come in exact
+    conjugate pairs and the run from conj(lam) mirrors the run from lam,
+    so only the starts with Im >= 0 run, and each isolated record of a
+    start with Im > 0 is joined by its mirror image: the conjugate
+    shift and eigenvector prefix, with the same residual, iteration
+    count and status.
+
     Seeding from a finite truncation is a heuristic: eigenvalues whose
     basins the section misses are not found.
     """
@@ -375,13 +425,21 @@ def eig_all(a: QTMatrix, cfg: SolverConfig | None = None) -> EigenSolveReport:
     size = section_size(a, cfg.gamma)
     _check_eig_dim(size)  # before the section is built
     starts = eig_dense(finite_section(a, size))
+    mirrored = _is_real(a)
+    if mirrored:
+        starts = [z for z in starts if z.imag >= 0]
     isolated, continuous = [], False
-    for rec in _runs(a, starts, cfg):
+    for start, rec in zip(starts, _runs(a, starts, cfg)):
         continuous |= rec.status is SolveStatus.CONTINUOUS_SET
         if rec.is_isolated:
-            isolated.append(rec)
+            isolated.append((start, rec))
+            if mirrored and start.imag > 0:
+                isolated.append((start.conjugate(), _mirror(rec)))
+    # the section's order, as if every start had run: it decides which
+    # of two records with the same shift and residual _dedupe keeps
+    isolated.sort(key=lambda sr: (sr[0].real, sr[0].imag))
     return EigenSolveReport(
-        records=tuple(_dedupe(isolated, cfg.dedupe_tol)),
+        records=tuple(_dedupe([rec for _, rec in isolated], cfg.dedupe_tol)),
         section_size=size,
         continuous_detected=continuous,
     )

@@ -19,7 +19,7 @@ _SPEC.loader.exec_module(tool)
 
 def _digest(statuses, lam=0.25, residuals=None):
     residuals = residuals or [1e-14] * len(statuses)
-    starts = [[status, 4, repr(complex(0.5, k)), repr(res), f"{k:064x}"]
+    starts = [[status, 4, repr(complex(0.5, k)), repr(res), f"{k:064x}", repr(complex(0.4, k))]
               for k, (status, res) in enumerate(zip(statuses, residuals))]
     stdout = json.dumps({"eigenvalues": [{"re": lam, "im": 0.0, "iterations": 4}]})
     return {
@@ -79,11 +79,49 @@ def test_output_change(tmp_path, capsys):
     assert "winding_map: identical" in out
 
 
+def test_runs_paired_by_start(tmp_path, capsys):
+    # B runs a subset of A's starts, in another order, and one start of
+    # its own: the pairs compare equal, and the unpaired starts are
+    # counted on their own, not as status differences
+    da = _digest(["isolated_pq", "diverged", "isolated_pq", "out_of_component"])
+    db = _digest(["isolated_pq", "diverged", "isolated_pq", "out_of_component", "diverged"])
+    runs = db["sets"]["fixture"]["starts"]
+    runs[4][5] = repr(complex(9.0, 9.0))
+    db["sets"]["fixture"]["starts"] = [runs[2], runs[4], runs[0]]
+    assert _compare(tmp_path, da, db) == 0
+    out = capsys.readouterr().out
+    assert "fixture: 2 starts paired, 2 run on A only, 1 on B only" in out
+    assert "0 iteration counts changed, 0 final shifts differ in some bit" in out
+    assert "status differences: 0" in out
+
+
+def test_repeated_starts_pair_in_order(tmp_path, capsys):
+    # two runs from one start pair first with first, second with second
+    da = _digest(["isolated_pq", "diverged"])
+    db = _digest(["isolated_pq", "max_iterations"])
+    for doc in (da, db):
+        doc["sets"]["fixture"]["starts"][1][5] = doc["sets"]["fixture"]["starts"][0][5]
+    assert _compare(tmp_path, da, db) == 1
+    out = capsys.readouterr().out
+    assert "fixture: 2 starts paired, 0 run on A only, 0 on B only" in out
+    assert "  [1]: diverged in 4 steps -> max_iterations in 4 steps" in out
+
+
 def test_observed_records_each_run(fix_a):
     rec, runs = tool._observed(q, lambda: q.eig_single(fix_a, 0.05))
     vec = np.array(rec.vec_prefix, dtype=np.complex128).tobytes()
     assert runs == [[rec.status.value, rec.iterations, repr(rec.lam), repr(rec.residual),
-                     hashlib.sha256(vec).hexdigest()]]
+                     hashlib.sha256(vec).hexdigest(), repr(0.05 + 0j)]]
+
+
+def test_observed_records_generator_starts(fix_a):
+    # basins hands the driver a generator of its cells: each run is
+    # recorded with its own cell, in order
+    (labels, _), runs = tool._observed(q, lambda: q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 3))
+    xs, ys = q.solver._grid_axes((-0.5, 0.5), (-0.5, 0.5), 3)
+    cells = [complex(x, y) for y in ys for x in xs]
+    assert [complex(run[5]) for run in runs] == cells
+    assert labels.size == len(runs)
 
 
 def test_observed_restores_driver(fix_a):

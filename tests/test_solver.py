@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from qteig.solver import (
     _classify,
     _dedupe,
     _grid_axes,
+    _chunk_rows,
     _run_newton,
     section_size,
 )
@@ -159,10 +161,22 @@ class TestRunExits:
         assert (rec.status, rec.iterations) == (q.SolveStatus.ISOLATED_PQ, 4)
 
     def test_vanishing_trace_after_jitter(self, fix_a, monkeypatch):
+        # fix_a is real and 0.05 is on the real axis: the jitter stays on it
         self._fail_on(monkeypatch, "_newton_steps", {1, 2})
         rec = q.eig_single(fix_a, 0.05)
         assert (rec.status, rec.iterations) == (q.SolveStatus.MAX_ITERATIONS, 0)
-        assert rec.lam == 0.05 * (1 + 1e-8) + 1e-8j
+        assert rec.lam == 0.05 * (1 + 1e-8) + 1e-8
+        assert rec.lam.imag == 0
+
+    @pytest.mark.parametrize("start, real", [(0.05 + 0.01j, True), (0.05, False)])
+    def test_jitter_off_the_axis(self, fix_a, monkeypatch, start, real):
+        # a non-real shift, or a real one of a complex operator, jitters
+        # along the imaginary axis too
+        a = fix_a if real else q.qt_new([5, -2], [5, -2], [(1, 1, -4 + 1e-3j)])
+        self._fail_on(monkeypatch, "_newton_steps", {1, 2})
+        rec = q.eig_single(a, start)
+        assert (rec.status, rec.iterations) == (q.SolveStatus.MAX_ITERATIONS, 0)
+        assert rec.lam == start * (1 + 1e-8) + 1e-8j
 
     def test_factorization_breakdown(self, fix_a, monkeypatch):
         self._fail_on(monkeypatch, "_factor_rows", {1})
@@ -455,6 +469,69 @@ class TestBasins:
         assert int(np.sum(labels == BASIN_CONTINUOUS)) > 0
 
 
+def _conjugate(rec):
+    """The mirror image of an isolated record: conjugate shift and
+    eigenvector prefix, the rest unchanged."""
+    return dataclasses.replace(
+        rec, lam=rec.lam.conjugate(), vec_prefix=tuple(np.conj(rec.vec_prefix).tolist())
+    )
+
+
+class TestRealOperators:
+    """On a real operator eig_all runs one start per conjugate pair and
+    mirrors its records; real shifts step along the real axis."""
+
+    # fix_b's band with one correction entry: a 15 x 15 section with
+    # non-real eigenvalues
+    BAND = ([0, -1, 1, -1], [0, -1, -1])
+
+    @staticmethod
+    def _run_starts(a, cfg, monkeypatch):
+        seen = []
+        runs = q.solver._runs
+
+        def spy(a, starts, cfg):
+            starts = list(starts)
+            seen.extend(starts)
+            return runs(a, starts, cfg)
+
+        monkeypatch.setattr(q.solver, "_runs", spy)
+        q.eig_all(a, cfg)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["real", "complex_band", "complex_correction"])
+    def test_starts_run(self, kind, monkeypatch):
+        neg, pos = self.BAND
+        value = 0.5
+        if kind == "complex_band":
+            pos = [0, -1, -1 + 1e-3j]
+        elif kind == "complex_correction":
+            value = 0.5 + 1e-3j
+        a = q.qt_new(neg, pos, [(1, 3, value)])
+        cfg = q.SolverConfig()
+        starts = eig_dense(q.finite_section(a, section_size(a, cfg.gamma)))
+        assert any(z.imag < 0 for z in starts)
+        seen = self._run_starts(a, cfg, monkeypatch)
+        assert seen == (starts if kind != "real" else [z for z in starts if z.imag >= 0])
+
+    @pytest.mark.parametrize("method", ["frobenius", "vandermonde"])
+    @pytest.mark.parametrize("name", ["test2_case1", "test3"])
+    def test_exact_conjugate_pairs(self, name, method, request):
+        a = request.getfixturevalue(name)
+        cfg = q.SolverConfig(method=method)
+        if name == "test3":  # criterion 4's configuration
+            cfg = dataclasses.replace(cfg, gamma=12.5, residual_tol=1e-8, dedupe_tol=1e-4)
+        recs = q.eig_all(a, cfg).records
+        by_lam = {rec.lam: rec for rec in recs}
+        assert len(by_lam) == len(recs)
+        nonreal = [rec for rec in recs if rec.lam.imag != 0]
+        assert nonreal and len(nonreal) < len(recs)
+        for rec in nonreal:
+            assert by_lam[rec.lam.conjugate()] == _conjugate(rec)
+        # the rest are exactly real: their runs stepped along the axis
+        assert all(rec.lam.imag == 0 for rec in recs if rec not in nonreal)
+
+
 class TestOneDriver:
     """eig_single, eig_all and basins give what one Newton run per start,
     on one W and one row-sum norm, gives."""
@@ -472,13 +549,18 @@ class TestOneDriver:
 
     @pytest.mark.parametrize("name", ["fix_a", "test2_case1", "continuous"])
     def test_eig_all_dedupes_the_section_runs(self, name, request):
+        # the three operators are real: a start with Im < 0 does not run,
+        # and its record is the mirror image of its conjugate's
         if name == "continuous":
             a = q.qt_new([0, 1], [0, 2])  # criterion 6's operator
         else:
             a = request.getfixturevalue(name)
         cfg = q.SolverConfig()
         size = section_size(a, cfg.gamma)
-        recs = self._records(a, eig_dense(q.finite_section(a, size)), cfg)
+        starts = eig_dense(q.finite_section(a, size))
+        upper = [z for z in starts if z.imag >= 0]
+        ran = dict(zip(upper, self._records(a, upper, cfg)))
+        recs = [ran[z] if z.imag >= 0 else _conjugate(ran[z.conjugate()]) for z in starts]
         report = q.eig_all(a, cfg)
         assert report.records == tuple(
             _dedupe([r for r in recs if r.is_isolated], cfg.dedupe_tol)
@@ -559,7 +641,7 @@ class TestBatch:
         # than three chunks hold
         cfg = q.SolverConfig()
         box, res = ((-2.0, -0.2), (-0.2, 0.2)), (12, 9)
-        assert res[0] * res[1] > 3 * q.solver._NEWTON_CHUNK
+        assert res[0] * res[1] > 3 * _chunk_rows(build_w(test2_case1).width, cfg.vec_len)
         xs, ys = _grid_axes(*box, res)
         recs = self._one_by_one(test2_case1, [complex(x, y) for y in ys for x in xs], cfg)
         want = np.full(len(recs), BASIN_NONCONV, dtype=np.int64)
@@ -578,6 +660,32 @@ class TestBatch:
         assert len(limits) >= 3
         assert np.array_equal(labels.ravel(), want)
         assert got == limits
+
+    @pytest.mark.parametrize("name", ["fix_a", "test2_case1"])
+    def test_records_do_not_depend_on_the_chunk(self, name, request, monkeypatch):
+        # the derived chunk (333 rows for fix_a's basins grid of 576
+        # cells, 34 for the seven-band section's 300 starts) against
+        # chunks of 1 and 32 rows
+        a = request.getfixturevalue(name)
+        cfg = q.SolverConfig()
+        if name == "fix_a":
+            axis = np.linspace(-0.49, 0.49, 24)
+            starts = [complex(x, y) for y in axis for x in axis]
+        else:
+            starts = eig_dense(q.finite_section(a, section_size(a, cfg.gamma)))
+        derived = _chunk_rows(build_w(a).width, cfg.vec_len)
+        assert 32 < derived < len(starts)
+        want = list(q.solver._runs(a, starts, cfg))
+        for rows in (1, 32):
+            monkeypatch.setattr(q.solver, "_chunk_rows", lambda width, vec_len: rows)
+            assert list(q.solver._runs(a, starts, cfg)) == want
+
+    def test_chunk_rows_follow_the_row_cost(self):
+        # the fixtures' widths at the default prefix length; a longer
+        # prefix costs rows, and a wide W keeps the floor of 32
+        assert [_chunk_rows(w, 100) for w in (107, 34, 2)] == [34, 90, 333]
+        assert _chunk_rows(34, 1000) < _chunk_rows(34, 100)
+        assert _chunk_rows(5000, 1) == 32
 
     @pytest.mark.parametrize("method", ["frobenius", "vandermonde"])
     @pytest.mark.parametrize("name", ["fix_a", "fix_a_pltq"])

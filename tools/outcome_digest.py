@@ -16,15 +16,18 @@ and makes five runs, one per set:
   rank-one fixture.
 
 For each Newton run it records (status, iterations, repr(lam),
-repr(residual), SHA-256 of the eigenvector prefix's complex128 bytes),
-so the classification's output is compared too, not only the shift it
-classified; and for each set the accepted eigenvalues (the ``eig_all``
-records, or the basin limits).  ``eig_all`` keeps only the accepted
-runs, so the per-run records are observed while it executes: the
-private driver ``qteig.solver._runs``, through which ``eig_all`` and
-``basins`` run every start, is replaced for the call by a generator
-that records what it passes on.  The starts are whatever the tree's
-``eig_all`` and ``basins`` choose, and each set is run once.
+repr(residual), SHA-256 of the eigenvector prefix's complex128 bytes,
+repr(start)), so the classification's output is compared too, not only
+the shift it classified; and for each set the accepted eigenvalues (the
+``eig_all`` records, or the basin limits).  ``eig_all`` keeps only the
+accepted runs, so the per-run records are observed while it executes:
+the private driver ``qteig.solver._runs``, through which ``eig_all``
+and ``basins`` run every start, is replaced for the call by a generator
+that records what it passes on, each record with the start it came
+from (the starts may be a generator, so they are teed).  The starts are
+whatever the tree's ``eig_all`` and ``basins`` choose, and each set is
+run once: on a real operator ``eig_all`` runs only the section starts
+with Im >= 0.
 
 It also records output bytes: the stdout of ``qteig eig-all`` on the
 seven-band fixture (defaults) and on the clustered-root fixture
@@ -47,17 +50,22 @@ repeated (rank-deficient) row, it records the reduction: repr of
 ``norm_inf``, the row count q of ``build_w`` and the SHA-256 of W's
 bytes.
 
-``--compare`` prints, per set, the status histogram of each side, the
-number of starts whose iteration count changed, the number of final
-shifts that differ in any bit, the number of runs whose residual and
-whose eigenvector hash differ, and the largest relative difference of
-the final shifts and of the accepted eigenvalues; then one line for
-each start whose status differs.  For each recorded output it prints
-"identical" or the first differing line; when the stdout of a differing
-output is JSON with the same keys in the same order on both sides (the
-``eig-all`` and ``eig-single`` outputs), it also prints the largest
-relative difference of each numeric field.  It exits 1 when a status or
-an output differs, else 0.
+``--compare`` pairs the runs of a set by their start: the k-th run from
+a start on one side with the k-th run from the same start (the same
+repr) on the other.  It prints, per set, the number of paired starts and
+of the starts only one side ran, the status histogram of each side, then
+over the pairs the number of starts whose iteration count changed, the
+number of final shifts that differ in any bit, the number of runs whose
+residual and whose eigenvector hash differ, and the largest relative
+difference of the final shifts; then that of the accepted eigenvalues,
+and one line for each paired start whose status differs, numbered by its
+position on side A.  A start only one side ran is counted, not taken for
+a status difference.  For each recorded output it prints "identical" or
+the first differing line; when the stdout of a differing output is JSON
+with the same keys in the same order on both sides (the ``eig-all`` and
+``eig-single`` outputs), it also prints the largest relative difference
+of each numeric field.  It exits 1 when a status or an output differs,
+else 0.
 """
 
 from __future__ import annotations
@@ -67,6 +75,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -103,23 +112,24 @@ def _problems(q):
     return seven_band, cluster, cluster_cfg, fix_a
 
 
-def _record(rec) -> list:
-    """What the digest keeps of one Newton run's EigRecord."""
+def _record(rec, start) -> list:
+    """What the digest keeps of one Newton run's EigRecord and its start."""
     vec = np.array(rec.vec_prefix, dtype=np.complex128)
     return [rec.status.value, rec.iterations, repr(rec.lam), repr(rec.residual),
-            _sha256(vec.tobytes())]
+            _sha256(vec.tobytes()), repr(complex(start))]
 
 
 def _observed(q, run) -> tuple:
     """run()'s result and the ``_record`` of every Newton run it makes,
     in order: ``qteig.solver._runs`` is replaced by a generator that
-    records each record it passes on, and restored when run() returns or
-    raises."""
+    records each record it passes on, with its start, and restored when
+    run() returns or raises."""
     runs, records = q.solver._runs, []
 
-    def recording(*args):
-        for rec in runs(*args):
-            records.append(_record(rec))
+    def recording(a, starts, cfg):
+        ours, theirs = itertools.tee(starts)
+        for start, rec in zip(ours, runs(a, theirs, cfg)):
+            records.append(_record(rec, start))
             yield rec
 
     q.solver._runs = recording
@@ -320,20 +330,30 @@ def _compare_outputs(oa: dict, ob: dict) -> int:
     return diffs
 
 
+def _by_start(runs) -> dict:
+    """Each run's index, keyed by (repr of its start, how many runs from
+    that start came before it)."""
+    seen: Counter = Counter()
+    keyed = {}
+    for k, run in enumerate(runs):
+        keyed[run[5], seen[run[5]]] = k
+        seen[run[5]] += 1
+    return keyed
+
+
 def _compare_sets(da: dict, db: dict) -> int:
     status_diffs = 0
     for name in da:
         sa, sb = da[name]["starts"], db[name]["starts"]
-        if len(sa) != len(sb):
-            print(f"{name}: {len(sa)} starts against {len(sb)}")
-            status_diffs += 1
-            continue
-        changed = [k for k, (ra, rb) in enumerate(zip(sa, sb)) if ra[0] != rb[0]]
-        iters = sum(ra[1] != rb[1] for ra, rb in zip(sa, sb))
-        bits = sum(ra[2] != rb[2] for ra, rb in zip(sa, sb))
-        residuals = sum(ra[3] != rb[3] for ra, rb in zip(sa, sb))
-        vectors = sum(ra[4] != rb[4] for ra, rb in zip(sa, sb))
-        worst = max((_rel(complex(ra[2]), complex(rb[2])) for ra, rb in zip(sa, sb)),
+        ka, kb = _by_start(sa), _by_start(sb)
+        paired = [(k, sa[k], sb[kb[key]]) for key, k in ka.items() if key in kb]
+        only_a, only_b = len(ka.keys() - kb.keys()), len(kb.keys() - ka.keys())
+        changed = [(k, ra, rb) for k, ra, rb in paired if ra[0] != rb[0]]
+        iters = sum(ra[1] != rb[1] for _, ra, rb in paired)
+        bits = sum(ra[2] != rb[2] for _, ra, rb in paired)
+        residuals = sum(ra[3] != rb[3] for _, ra, rb in paired)
+        vectors = sum(ra[4] != rb[4] for _, ra, rb in paired)
+        worst = max((_rel(complex(ra[2]), complex(rb[2])) for _, ra, rb in paired),
                     default=0.0)
         acc_a, acc_b = da[name]["accepted"], db[name]["accepted"]
         if len(acc_a) != len(acc_b):
@@ -341,15 +361,15 @@ def _compare_sets(da: dict, db: dict) -> int:
         else:
             rels = (_rel(complex(x), complex(y)) for x, y in zip(acc_a, acc_b))
             acc_worst = f"{max(rels, default=0.0):.2e}"
-        print(f"{name}: {len(sa)} starts")
+        print(f"{name}: {len(paired)} starts paired, {only_a} run on A only, "
+              f"{only_b} on B only")
         print(f"  A: {_histogram(sa)}")
         print(f"  B: {_histogram(sb)}")
         print(f"  {iters} iteration counts changed, {bits} final shifts differ in "
               f"some bit, max relative shift difference {worst:.2e}; "
               f"{residuals} residuals and {vectors} eigenvector hashes differ; "
               f"{len(acc_a)} -> {len(acc_b)} accepted, max relative difference {acc_worst}")
-        for k in changed:
-            ra, rb = sa[k], sb[k]
+        for k, ra, rb in changed:
             print(f"  [{k}]: {ra[0]} in {ra[1]} steps -> {rb[0]} in {rb[1]} steps")
         status_diffs += len(changed)
     print(f"status differences: {status_diffs}")
