@@ -9,6 +9,8 @@ pairs.  Dimensions above ``EIG_MAX_DIM`` are rejected.  The solve, the
 eigenvalues and the roots take a stack of problems with a leading batch
 axis (``_solve_rows``, ``_eigvals_rows``, ``_companion_roots``);
 ``lu_solve``, ``eig_dense`` and ``roots_companion`` are batches of one.
+The Newton driver's root split takes ``_companion_roots`` only for the
+rows that ``poly._split_rows`` cannot polish from warm roots.
 """
 
 from __future__ import annotations

@@ -17,13 +17,16 @@ tool = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tool)
 
 
-def _digest(statuses, lam=0.25, residuals=None):
+def _digest(statuses, lam=0.25, residuals=None, split=None):
     residuals = residuals or [1e-14] * len(statuses)
     starts = [[status, 4, repr(complex(0.5, k)), repr(res), f"{k:064x}", repr(complex(0.4, k))]
               for k, (status, res) in enumerate(zip(statuses, residuals))]
     stdout = json.dumps({"eigenvalues": [{"re": lam, "im": 0.0, "iterations": 4}]})
+    fixture = {"starts": starts, "accepted": [repr(complex(lam))]}
+    if split is not None:
+        fixture["split"] = split
     return {
-        "sets": {"fixture": {"starts": starts, "accepted": [repr(complex(lam))]}},
+        "sets": {"fixture": fixture},
         "outputs": {"eig-all fixture": f"exit 0\n{stdout}\n", "winding_map": "ab12\n"},
     }
 
@@ -134,3 +137,34 @@ def test_observed_restores_driver(fix_a):
     with pytest.raises(RuntimeError, match="run failed"):
         tool._observed(q, failing)
     assert q.solver._runs is original
+
+
+def test_fallback_ratio(tmp_path, capsys):
+    # a digest without split counts (an older tree's) reads "not recorded"
+    da = _digest(["isolated_pq"])
+    db = _digest(["isolated_pq"], split={"warm": 87, "eigvals": 29})
+    assert _compare(tmp_path, da, db) == 0
+    out = capsys.readouterr().out
+    assert "  sent to eigvals: A not recorded, B 29 of 116 rows (25.0%)" in out
+
+
+def test_split_counts_observe_warm_rows(test3):
+    # the clustered roots' start 5.45+4.79i: its first pass is
+    # eigensolved, its 8 later passes are polished from warm roots
+    cfg = q.SolverConfig(gamma=12.5, residual_tol=1e-8, dedupe_tol=1e-4)
+    original = q.solver._split_rows
+    with tool._split_counts(q) as counts:
+        rec = q.eig_single(test3, 5.451698039869334 + 4.789268474737197j, cfg)
+    assert rec.iterations == 8
+    assert counts == {"warm": 8, "eigvals": 1}
+    assert q.solver._split_rows is original
+
+
+def test_split_counts_restore_on_error(fix_a):
+    split, eigensolve = q.solver._split_rows, q.poly._companion_roots
+    with pytest.raises(RuntimeError, match="run failed"):
+        with tool._split_counts(q) as counts:
+            q.eig_single(fix_a, 0.05)  # degree 2: every pass is eigensolved
+            raise RuntimeError("run failed")
+    assert counts == {"warm": 0, "eigvals": 5}
+    assert q.solver._split_rows is split and q.poly._companion_roots is eigensolve

@@ -8,6 +8,9 @@ import qteig as q
 from qteig.errors import DomainError, InconsistentConstantError, InvalidSymbolError, OnCurveError
 from qteig.linalg import roots_companion
 from qteig.poly import (
+    ABERTH_MIN_DEGREE,
+    WARM_BAND,
+    _aberth_rows,
     _char_rows,
     _convolve_rows,
     _count_rows,
@@ -344,3 +347,114 @@ class TestLimitSet:
         low, high = self._moduli_7_and_8(test2_case1.symbol, -2.5)
         assert low == pytest.approx(0.98245, abs=1e-5)
         assert high == pytest.approx(1.07541, abs=1e-5)
+
+
+class TestWarmSplit:
+    """``_split_rows`` polishes a row from the previous pass's roots, and
+    sends it to the companion eigensolve on each guard."""
+
+    # degree 6, complex coefficients, three roots inside the unit disk
+    ROOTS = (0.3 + 0.2j, -0.5j, 0.7, 1.6 + 0.4j, -2.2 + 1j, 3j)
+
+    @staticmethod
+    def _row(roots):
+        return np.array(poly_from_roots(roots).coeffs)
+
+    @staticmethod
+    def _eigensolved(monkeypatch) -> list:
+        """Row counts of the eigensolves ``_split_rows`` makes."""
+        calls = []
+        real = q.poly._companion_roots
+
+        def spy(c):
+            calls.append(c.shape[0])
+            return real(c)
+
+        monkeypatch.setattr(q.poly, "_companion_roots", spy)
+        return calls
+
+    def _case(self, guard, monkeypatch):
+        """(row, warm roots, p0) for a guard, or for the control row."""
+        roots = np.array(self.ROOTS)
+        warm, p0 = roots * (1 + 1e-5), 3
+        if guard == "first_pass":
+            p0 = -1
+        elif guard == "low_degree":
+            roots, warm, p0 = roots[[0, 1, 3]], warm[[0, 1, 3]], 2
+        elif guard == "real_row":
+            roots = np.array([0.3, -0.5, 0.7, 1.6, -2.2, 3.0], dtype=complex)
+            warm = roots * (1 + 1e-5)
+        elif guard == "count_change":
+            p0 = 4
+        elif guard == "near_circle":
+            roots[2] = (1 + 1e-8) * np.exp(0.3j)
+            warm, p0 = roots * (1 + 1e-5), 2
+        elif guard == "non_finite":
+            warm[4] = np.nan
+        elif guard == "unsettled":
+            monkeypatch.setattr(q.poly, "ABERTH_MAXIT", 1)
+        elif guard == "far_start":  # settles, but takes more passes than allowed for
+            warm = roots * 1.5 * np.exp(0.4j)
+        return self._row(roots), warm, p0
+
+    def test_warm_row_skips_the_eigensolve(self, monkeypatch):
+        c, warm, p0 = self._case("control", monkeypatch)
+        want = _split_rows(c[None])
+        calls = self._eigensolved(monkeypatch)
+        roots, p, on_curve = _split_rows(c[None], warm[None], np.array([p0]))
+        assert calls == []
+        assert p.tolist() == want[1].tolist() == [3] and not on_curve[0]
+        assert np.abs(roots - want[0]).max() <= 1e-14 * 3
+
+    @pytest.mark.parametrize("guard", ["first_pass", "low_degree", "real_row", "count_change",
+                                       "near_circle", "non_finite", "unsettled",
+                                       "far_start"])
+    def test_guard_takes_the_eigensolve(self, guard, monkeypatch):
+        c, warm, p0 = self._case(guard, monkeypatch)
+        assert (c.size - 1 >= ABERTH_MIN_DEGREE) == (guard != "low_degree")
+        assert c.imag.any() == (guard != "real_row")
+        want = _split_rows(c[None])
+        calls = self._eigensolved(monkeypatch)
+        got = _split_rows(c[None], warm[None], np.array([p0]))
+        assert calls == [1]
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+        if guard == "count_change":
+            assert got[1][0] == 3
+        if guard == "near_circle":
+            mod = np.abs(got[0][0])
+            assert not got[2][0] and np.abs(mod - 1).min() <= WARM_BAND
+        if guard == "far_start":
+            monkeypatch.setattr(q.poly, "ABERTH_START_TOL", np.inf)
+            assert _aberth_rows(c[None], warm[None])[1][0]
+
+    def test_mixed_batch(self, monkeypatch):
+        # one call, the control row among guard rows of the same degree:
+        # only the guard rows are eigensolved, and each row's split is
+        # that of its batch of one
+        guards = ["control", "first_pass", "real_row", "count_change", "near_circle",
+                  "non_finite", "far_start"]
+        cases = [self._case(g, monkeypatch) for g in guards]
+        c, warm, p0 = (np.array(x) for x in zip(*cases))
+        calls = self._eigensolved(monkeypatch)
+        got = _split_rows(c, warm, p0)
+        assert calls == [len(guards) - 1]
+        for k in range(len(guards)):
+            one = _split_rows(c[k : k + 1], warm[k : k + 1], p0[k : k + 1])
+            for x, y in zip(got, one):
+                assert np.array_equal(x[k], y[0])
+
+    def test_aberth_rows_equal_their_batch_of_one(self):
+        rng = np.random.default_rng(5)
+        c = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
+        exact = np.array([roots_companion(q.Poly(tuple(row))) for row in c])
+        warm = exact * (1 + 1e-3 * rng.standard_normal(exact.shape))
+        warm[3] = exact[3]  # already converged: the row still takes its last step
+        z, settled = _aberth_rows(c, warm)
+        assert settled.all()
+        for k in range(c.shape[0]):
+            one, ok = _aberth_rows(c[k : k + 1], warm[k : k + 1])
+            assert ok[0] and z[k].tobytes() == one[0].tobytes()
+            # each polished root is next to its companion root
+            err = np.abs(np.sort_complex(z[k]) - np.sort_complex(exact[k]))
+            assert err.max() <= 1e-12 * max(1.0, np.abs(exact[k]).max())

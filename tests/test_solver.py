@@ -288,6 +288,18 @@ def test_cluster_small_eigenvalues_to_reference_digits(test3, method):
         assert err <= 1e-10, (ref, err)
 
 
+@pytest.mark.parametrize("method", ["frobenius", "vandermonde"])
+def test_cluster_start_through_the_triple_root(test3, method):
+    # a start whose run needs the roots near -0.1 polished past their
+    # backward-error test: freezing them at the test ends it at the budget
+    cfg = q.SolverConfig(method=method, gamma=12.5, residual_tol=1e-8, dedupe_tol=1e-4)
+    starts = eig_dense(q.finite_section(test3, section_size(test3, cfg.gamma)))
+    start = min(starts, key=lambda z: abs(z - (5.4517 + 4.7893j)))
+    assert abs(start - (5.4517 + 4.7893j)) < 1e-4
+    rec = q.eig_single(test3, start, cfg)
+    assert (rec.status, rec.iterations) == (q.SolveStatus.ISOLATED_PQ, 8)
+
+
 class TestConvergenceRate:
     def _steps(self, a, lam0, rows=None):
         ctx = build_w(a)
@@ -532,6 +544,47 @@ class TestRealOperators:
         assert all(rec.lam.imag == 0 for rec in recs if rec not in nonreal)
 
 
+def _record(lam, residual, iterations=4):
+    return q.EigRecord(lam=complex(lam), vec_prefix=(1.0 + 0j,), residual=residual,
+                       iterations=iterations, status=q.SolveStatus.ISOLATED_PQ)
+
+
+class TestDedupe:
+    X = -1.9220915082832417
+
+    def test_smallest_residual(self):
+        recs = [_record(self.X, 3e-13, 4), _record(self.X + 1e-12, 1e-14, 7),
+                _record(self.X + 2e-12, 1e-14, 9), _record(0.5, 1e-12)]
+        assert _dedupe(recs, 1e-8) == [recs[1], recs[3]]
+
+    def test_record_and_its_mirror_keep_the_real_record(self):
+        # a run from a start with Im > 0 and its mirror image land next to
+        # the axis with a smaller residual than the real start's run
+        near = _record(complex(self.X, 1.7e-16), 6.9e-14, 6)
+        real = _record(self.X + 4e-16, 3.4e-13, 4)
+        recs = [near, q.solver._mirror(near), real]
+        assert _dedupe(recs, 1e-8) == [real]
+        # without an exactly real record the residual decides
+        assert _dedupe(recs[:2], 1e-8) == [q.solver._mirror(near)]
+
+    def test_no_mirror_keeps_the_smallest_residual(self):
+        # a complex operator's records: no record's mirror is in the cluster
+        near = _record(complex(self.X, 1.7e-16), 6.9e-14)
+        real = _record(self.X + 4e-16, 3.4e-13)
+        assert _dedupe([near, real], 1e-8) == [near]
+
+
+def test_mirror_conjugates_the_prefix_bit_for_bit(test2_case1):
+    rec = q.eig_single(test2_case1, -0.33 + 0.08j)
+    assert rec.is_isolated and rec.lam.imag
+    mirror = q.solver._mirror(rec)
+    assert mirror.lam == rec.lam.conjugate()
+    want = tuple(v.conjugate() for v in rec.vec_prefix)
+    assert [type(v) for v in mirror.vec_prefix] == [type(v) for v in want]
+    assert np.array(mirror.vec_prefix).tobytes() == np.array(want).tobytes()
+    assert dataclasses.replace(mirror, lam=rec.lam, vec_prefix=rec.vec_prefix) == rec
+
+
 class TestOneDriver:
     """eig_single, eig_all and basins give what one Newton run per start,
     on one W and one row-sum norm, gives."""
@@ -661,13 +714,16 @@ class TestBatch:
         assert np.array_equal(labels.ravel(), want)
         assert got == limits
 
-    @pytest.mark.parametrize("name", ["fix_a", "test2_case1"])
+    @pytest.mark.parametrize("name", ["fix_a", "test2_case1", "test3"])
     def test_records_do_not_depend_on_the_chunk(self, name, request, monkeypatch):
         # the derived chunk (333 rows for fix_a's basins grid of 576
-        # cells, 34 for the seven-band section's 300 starts) against
-        # chunks of 1 and 32 rows
+        # cells, 34 for the seven-band section's 300 starts, 90 for the
+        # clustered roots' 300, whose degree-12 rows are polished from
+        # warm roots) against chunks of 1 and 32 rows
         a = request.getfixturevalue(name)
         cfg = q.SolverConfig()
+        if name == "test3":  # criterion 4's configuration
+            cfg = q.SolverConfig(gamma=12.5, residual_tol=1e-8, dedupe_tol=1e-4)
         if name == "fix_a":
             axis = np.linspace(-0.49, 0.49, 24)
             starts = [complex(x, y) for y in axis for x in axis]
@@ -697,8 +753,8 @@ class TestBatch:
         ctx = build_w(a)
         cfg = q.SolverConfig(method=method, residual_tol=1e-6)
         lam = np.array([0.0, 1e-14, 0.3, 1e-8, -3e-15 + 2e-15j])
-        status, stacks = q.solver._bases_at(a, ctx, lam, np.full(lam.size, -1), q.norm_inf(a),
-                                            method)
+        status, stacks, _ = q.solver._bases_at(a, ctx, lam, np.full(lam.size, -1),
+                                               q.norm_inf(a), method)
         (rows, basis), = stacks
         assert status == [None] * lam.size and rows.tolist() == list(range(lam.size))
         iters = np.arange(lam.size) + 3

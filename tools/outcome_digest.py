@@ -18,16 +18,19 @@ and makes five runs, one per set:
 For each Newton run it records (status, iterations, repr(lam),
 repr(residual), SHA-256 of the eigenvector prefix's complex128 bytes,
 repr(start)), so the classification's output is compared too, not only
-the shift it classified; and for each set the accepted eigenvalues (the
-``eig_all`` records, or the basin limits).  ``eig_all`` keeps only the
-accepted runs, so the per-run records are observed while it executes:
-the private driver ``qteig.solver._runs``, through which ``eig_all``
-and ``basins`` run every start, is replaced for the call by a generator
-that records what it passes on, each record with the start it came
-from (the starts may be a generator, so they are teed).  The starts are
-whatever the tree's ``eig_all`` and ``basins`` choose, and each set is
-run once: on a real operator ``eig_all`` runs only the section starts
-with Im >= 0.
+the shift it classified; for each set the accepted eigenvalues (the
+``eig_all`` records, or the basin limits); and for each set the rows of
+the Newton driver's root splits that the previous pass's roots settled
+and the rows sent to the companion eigensolve (``_split_counts`` wraps
+the private ``qteig.solver._split_rows`` for the call).  ``eig_all``
+keeps only the accepted runs, so the per-run records are observed while
+it executes: the private driver ``qteig.solver._runs``, through which
+``eig_all`` and ``basins`` run every start, is replaced for the call by
+a generator that records what it passes on, each record with the start
+it came from (the starts may be a generator, so they are teed).  The
+starts are whatever the tree's ``eig_all`` and ``basins`` choose, and
+each set is run once: on a real operator ``eig_all`` runs only the
+section starts with Im >= 0.
 
 It also records output bytes: the stdout of ``qteig eig-all`` on the
 seven-band fixture (defaults) and on the clustered-root fixture
@@ -53,7 +56,9 @@ bytes.
 ``--compare`` pairs the runs of a set by their start: the k-th run from
 a start on one side with the k-th run from the same start (the same
 repr) on the other.  It prints, per set, the number of paired starts and
-of the starts only one side ran, the status histogram of each side, then
+of the starts only one side ran, the status histogram of each side, the
+share of each side's split rows sent to the eigensolve (the fallback
+ratio; "not recorded" for a digest without it), then
 over the pairs the number of starts whose iteration count changed, the
 number of final shifts that differ in any bit, the number of runs whose
 residual and whose eigenvector hash differ, and the largest relative
@@ -139,9 +144,43 @@ def _observed(q, run) -> tuple:
         q.solver._runs = runs
 
 
+@contextlib.contextmanager
+def _split_counts(q):
+    """Counts of the rows the solver's root splits take while the block
+    runs: {"warm": rows settled from the previous pass's roots,
+    "eigvals": rows sent to the companion eigensolve}.
+    ``qteig.solver._split_rows`` is replaced by a wrapper that, for each
+    call, replaces ``qteig.poly._companion_roots`` by one that counts its
+    rows; both are restored on exit, also when the block raises."""
+    split, eigensolve = q.solver._split_rows, q.poly._companion_roots
+    counts = {"warm": 0, "eigvals": 0}
+
+    def counting_eigensolve(c):
+        counts["eigvals"] += c.shape[0]
+        return eigensolve(c)
+
+    def counting_split(c, *args):
+        before = counts["eigvals"]
+        q.poly._companion_roots = counting_eigensolve
+        try:
+            out = split(c, *args)
+        finally:
+            q.poly._companion_roots = eigensolve
+        counts["warm"] += c.shape[0] - (counts["eigvals"] - before)
+        return out
+
+    q.solver._split_rows = counting_split
+    try:
+        yield counts
+    finally:
+        q.solver._split_rows = split
+
+
 def _section_set(q, a, cfg) -> dict:
-    report, starts = _observed(q, lambda: q.eig_all(a, cfg))
-    return {"starts": starts, "accepted": [repr(r.lam) for r in report.records]}
+    with _split_counts(q) as split:
+        report, starts = _observed(q, lambda: q.eig_all(a, cfg))
+    return {"starts": starts, "accepted": [repr(r.lam) for r in report.records],
+            "split": split}
 
 
 def _sha256(data: bytes) -> str:
@@ -225,9 +264,10 @@ def _reductions(q, ops) -> dict:
 def digest(src: Path) -> dict:
     q = _import_qteig(src)
     seven_band, cluster, cluster_cfg, fix_a = _problems(q)
-    (_, limits), basin_runs = _observed(
-        q, lambda: q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 50)
-    )
+    with _split_counts(q) as basin_split:
+        (_, limits), basin_runs = _observed(
+            q, lambda: q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 50)
+        )
     vandermonde = dataclasses.replace(cluster_cfg, method="vandermonde")
     sets = {
         "seven_band": _section_set(q, seven_band, q.SolverConfig()),
@@ -236,7 +276,8 @@ def digest(src: Path) -> dict:
             q, seven_band, q.SolverConfig(method="vandermonde")
         ),
         "cluster_vandermonde": _section_set(q, cluster, vandermonde),
-        "basins": {"starts": basin_runs, "accepted": [repr(z) for z in limits]},
+        "basins": {"starts": basin_runs, "accepted": [repr(z) for z in limits],
+                   "split": basin_split},
     }
     scattered = q.qt_new(
         [0, -1, 1, -1],
@@ -290,6 +331,16 @@ def _field_differences(text_a: str, text_b: str) -> dict | None:
     except (ValueError, _ShapeMismatch):
         return None
     return worst
+
+
+def _fallback(entry: dict) -> str:
+    """The share of a set's split rows sent to the companion eigensolve."""
+    split = entry.get("split")
+    if split is None:
+        return "not recorded"
+    rows = split["warm"] + split["eigvals"]
+    share = f" ({split['eigvals'] / rows:.1%})" if rows else ""
+    return f"{split['eigvals']} of {rows} rows{share}"
 
 
 def _histogram(starts) -> str:
@@ -365,6 +416,7 @@ def _compare_sets(da: dict, db: dict) -> int:
               f"{only_b} on B only")
         print(f"  A: {_histogram(sa)}")
         print(f"  B: {_histogram(sb)}")
+        print(f"  sent to eigvals: A {_fallback(da[name])}, B {_fallback(db[name])}")
         print(f"  {iters} iteration counts changed, {bits} final shifts differ in "
               f"some bit, max relative shift difference {worst:.2e}; "
               f"{residuals} residuals and {vectors} eigenvector hashes differ; "
