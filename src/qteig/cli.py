@@ -285,14 +285,17 @@ def cmd_map(args) -> int:
         }
 
     res, ims = _grid_axes((re0, re1), (im0, im1), args.res)
-    with out_path.open("w") as fh:
-        fh.write("re,im,value\n")
-        for k, y in enumerate(ims):
-            for j, x in enumerate(res):
-                fh.write(f"{_fmt(x)},{_fmt(y)},{int(grid[k, j])}\n")
-    if labels is not None:
-        _beside(out_path, ".labels.json").write_text(_emit(labels) + "\n")
-    _write_curve(_beside(out_path, ".curve.csv"), a, args.curve_samples)
+    try:
+        with out_path.open("w") as fh:
+            fh.write("re,im,value\n")
+            for k, y in enumerate(ims):
+                for j, x in enumerate(res):
+                    fh.write(f"{_fmt(x)},{_fmt(y)},{int(grid[k, j])}\n")
+        if labels is not None:
+            _beside(out_path, ".labels.json").write_text(_emit(labels) + "\n")
+        _write_curve(_beside(out_path, ".curve.csv"), a, args.curve_samples)
+    except OSError as exc:
+        raise ProblemError(f"--out: {exc}") from exc
     return EXIT_OK
 
 

@@ -6,12 +6,13 @@ stack of polynomials z**m (a(z) - lam), the roots that lie inside the
 unit disk, and whether a root is within SPLIT_BAND of the circle (on
 the curve).  Their count p = m + winding sizes the reduced problem, and
 the same roots build the factors in ``factor`` and the root-power basis
-in ``nep``.  The roots come from the companion eigensolve, or, for a
-Newton pass after the first, from the previous pass's roots polished by
-one batched Aberth kernel (``_aberth_rows``), with each root freezing on
-its own; ``_split_rows`` alone decides which, and sends every row that
-could change component, sit near the circle, or lose the exact
-conjugate pairs of a real row to the eigensolve.
+in ``nep``.  For a Newton pass after the first, the roots are the
+previous pass's roots polished by one batched Aberth kernel
+(``_aberth_rows``), with each root freezing on its own; the companion
+eigensolve takes a run's first pass, the low-degree rows and the rows
+the polish does not settle.  ``_split_rows`` alone makes that choice,
+and it decides nothing else: whether the count changed along a run is
+the Newton driver's question.
 
 The winding number needs only the count, which root squaring certifies
 without computing any root: square the roots repeatedly (the even part
@@ -48,19 +49,13 @@ from .linalg import _companion_roots
 SPLIT_BAND = 1e-10
 
 # ``_split_rows`` polishes a row from the previous pass's roots only at
-# degree ABERTH_MIN_DEGREE and above, within ABERTH_MAXIT passes, from
-# warm roots whose backward error is at most ABERTH_START_TOL, and only
-# when no polished root lies within WARM_BAND of the circle.  Over the
-# row counts of the clustered-root fixture's 40 passes, random rows
-# polished from roots 1e-4 away take 16 / 15 / 30 ms at degree 3 / 4 / 9
-# against the eigensolve's 13 / 20 / 86 ms.  Warm roots within the start
-# tolerance settle in 2-6 passes; beyond it the seven-band fixture's
-# rows took 6 on average and up to 18, while only 10 of the clustered
-# roots' 1152 warm rows start there.
+# degree ABERTH_MIN_DEGREE and above, and keeps the polish only when it
+# settles within ABERTH_MAXIT passes.  Over the row counts of the
+# clustered-root fixture's 40 passes, random rows polished from roots
+# 1e-4 away take 16 / 15 / 30 ms at degree 3 / 4 / 9 against the
+# eigensolve's 13 / 20 / 86 ms.
 ABERTH_MIN_DEGREE = 4
 ABERTH_MAXIT = 30
-ABERTH_START_TOL = 0.1
-WARM_BAND = 1e3 * SPLIT_BAND
 
 
 def _complex_tuple(values) -> tuple:
@@ -212,13 +207,12 @@ def _aberth_rows(c: np.ndarray, z: np.ndarray) -> tuple:
     4 d eps; it takes that step too and then freezes, while the others
     go on.  Freezing at the test itself leaves the clustered-root
     fixture's triple near -0.1 too rough: its start 5.45+4.79i then ends
-    max_iterations instead of isolated_pq in 8 steps.  A row whose warm
-    roots start with a backward error above ABERTH_START_TOL gives up at
-    once.  p(z), on which the roots' accuracy rests, is evaluated by
-    Horner's rule; p'(z) and the bound, which only shape the step and
-    the test, are stacked ``matmul`` products of the powers z**0 .. z**d
-    with the coefficients, fewer numpy calls on the small batches of a
-    run's last steps.  Every operation is elementwise or a stacked
+    max_iterations instead of isolated_pq in 8 steps.  p(z), on which
+    the roots' accuracy rests, is evaluated by Horner's rule; p'(z) and
+    the bound, which only shape the step and the test, are stacked
+    ``matmul`` products of the powers z**0 .. z**d with the
+    coefficients, fewer numpy calls on the small batches of a run's
+    last steps.  Every operation is elementwise or a stacked
     ``matmul``, and a row leaves the iteration once all its roots froze,
     so a row's roots do not depend on the other rows.
 
@@ -233,7 +227,7 @@ def _aberth_rows(c: np.ndarray, z: np.ndarray) -> tuple:
     roots, active = z.copy(), np.ones(z.shape, dtype=bool)
     live, cl, zl, act = np.arange(n), c, roots.copy(), active.copy()
     with np.errstate(all="ignore"):  # coincident or wild roots end non-finite
-        for it in range(ABERTH_MAXIT):
+        for _ in range(ABERTH_MAXIT):
             pw = np.empty(zl.shape + (d + 1,), dtype=complex)
             pw[:, :, 0] = 1.0
             pw[:, :, 1:] = zl[:, :, None]
@@ -250,8 +244,6 @@ def _aberth_rows(c: np.ndarray, z: np.ndarray) -> tuple:
             step = ratio / (1.0 - ratio * ((1.0 / diff) @ ones)[:, :, 0])
             zl = np.where(act, zl - step, zl)
             act &= ~(np.abs(val) <= tol * bound)
-            if not it:  # from this far, the eigensolve costs less
-                zl[~(np.abs(val) <= ABERTH_START_TOL * bound).all(axis=1)] = np.nan
             keep = act.any(axis=1) & np.isfinite(zl).all(axis=1)
             if not keep.all():  # rows leave with their last roots
                 roots[live[~keep]], active[live[~keep]] = zl[~keep], act[~keep]
@@ -262,19 +254,18 @@ def _aberth_rows(c: np.ndarray, z: np.ndarray) -> tuple:
     return roots, ~active.any(axis=1) & np.isfinite(roots).all(axis=1)
 
 
-def _split_rows(c: np.ndarray, warm=None, p0=None) -> tuple:
+def _split_rows(c: np.ndarray, warm=None) -> tuple:
     """The split at the unit circle of the roots of each row of a
     (n, d+1) coefficient array (``_char_rows``).
 
-    With the previous pass's roots ``warm`` (n, d) and the component
-    counts ``p0`` (n,), a row's roots are polished from its warm roots
-    (``_aberth_rows``); the row takes the companion eigensolve instead on
-    its first pass (p0 < 0), below degree ABERTH_MIN_DEGREE, when its
-    coefficients are real (a real shift of a real operator, whose roots
-    the real driver pairs exactly), or when the polish gives up or does
-    not settle, counts other than p0 inside roots, or leaves a root
-    within WARM_BAND of the circle.  So every split that can end a run (a
-    change of component, a shift on the curve) is the eigensolve's.
+    With the previous pass's roots ``warm`` (n, d), a row's roots are
+    polished from its warm roots (``_aberth_rows``).  The companion
+    eigensolve takes the rows without warm roots (a run's first pass),
+    the rows below degree ABERTH_MIN_DEGREE, and the rows the polish
+    leaves unsettled or non-finite.  Nothing else sends a row back: on
+    every warm row of ``eig_all`` on the seven-band and clustered-root
+    fixtures (both bases, 4196 rows), the settled polish gave the
+    eigensolve's inside count and on-curve flag.
 
     Returns (roots, p, on_curve): row i of ``roots`` holds its p[i]
     inside roots first, sorted by modulus then argument, and then the
@@ -285,14 +276,8 @@ def _split_rows(c: np.ndarray, warm=None, p0=None) -> tuple:
     roots = np.empty((c.shape[0], d), dtype=complex)
     cold = np.ones(c.shape[0], dtype=bool)
     if warm is not None and d >= ABERTH_MIN_DEGREE:
-        hot = np.flatnonzero((p0 >= 0) & c.imag.any(axis=1))
-        if hot.size:
-            z, settled = _aberth_rows(c[hot], warm[hot])
-            mod = np.abs(z)
-            ok = (settled & ((mod < 1.0).sum(axis=1) == p0[hot])
-                  & (np.abs(mod - 1.0) > WARM_BAND).all(axis=1))
-            roots[hot[ok]] = z[ok]
-            cold[hot[ok]] = False
+        roots, settled = _aberth_rows(c, warm)
+        cold = ~settled
     if cold.any():
         roots[cold] = _companion_roots(c[cold])
     mod = np.abs(roots)

@@ -261,6 +261,16 @@ class TestMapCommand:
         assert not out.exists()
         assert not (tmp_path / "m.csv.curve.csv").exists()
 
+    def test_out_into_missing_directory(self, fix_a_file, tmp_path, capsys):
+        # an unwritable --out is an input error, not a traceback
+        out = tmp_path / "nodir" / "x.csv"
+        for kind in ("winding", "basins"):
+            argv = ["map", fix_a_file, "--box=-1,1,-1,1", "--res", "3", "--kind", kind,
+                    "--out", str(out)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: --out: ") and "nodir" in err
+
 
 class TestProblemRoundTrip:
     def test_fixture_files(self, fix_a_file, shift2_file, fig2_file):

@@ -22,9 +22,8 @@ def _digest(statuses, lam=0.25, residuals=None, split=None):
     starts = [[status, 4, repr(complex(0.5, k)), repr(res), f"{k:064x}", repr(complex(0.4, k))]
               for k, (status, res) in enumerate(zip(statuses, residuals))]
     stdout = json.dumps({"eigenvalues": [{"re": lam, "im": 0.0, "iterations": 4}]})
-    fixture = {"starts": starts, "accepted": [repr(complex(lam))]}
-    if split is not None:
-        fixture["split"] = split
+    fixture = {"starts": starts, "accepted": [repr(complex(lam))],
+               "split": split or {"warm": 3, "eigvals": 1}}
     return {
         "sets": {"fixture": fixture},
         "outputs": {"eig-all fixture": f"exit 0\n{stdout}\n", "winding_map": "ab12\n"},
@@ -67,6 +66,9 @@ def test_classification_change(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "0 iteration counts changed, 0 final shifts differ in some bit" in out
     assert "1 residuals and 1 eigenvector hashes differ" in out
+    # the diverged run's residual is not an accepted run's
+    assert ("  accepted residuals: A median 1.00e-14, largest 1.00e-14; "
+            "B median 1.50e-14, largest 2.00e-14") in out
 
 
 def test_output_change(tmp_path, capsys):
@@ -140,12 +142,11 @@ def test_observed_restores_driver(fix_a):
 
 
 def test_fallback_ratio(tmp_path, capsys):
-    # a digest without split counts (an older tree's) reads "not recorded"
-    da = _digest(["isolated_pq"])
+    da = _digest(["isolated_pq"], split={"warm": 0, "eigvals": 0})
     db = _digest(["isolated_pq"], split={"warm": 87, "eigvals": 29})
     assert _compare(tmp_path, da, db) == 0
     out = capsys.readouterr().out
-    assert "  sent to eigvals: A not recorded, B 29 of 116 rows (25.0%)" in out
+    assert "  sent to eigvals: A 0 of 0 rows, B 29 of 116 rows (25.0%)" in out
 
 
 def test_split_counts_observe_warm_rows(test3):

@@ -9,7 +9,6 @@ from qteig.errors import DomainError, InconsistentConstantError, InvalidSymbolEr
 from qteig.linalg import roots_companion
 from qteig.poly import (
     ABERTH_MIN_DEGREE,
-    WARM_BAND,
     _aberth_rows,
     _char_rows,
     _convolve_rows,
@@ -350,8 +349,10 @@ class TestLimitSet:
 
 
 class TestWarmSplit:
-    """``_split_rows`` polishes a row from the previous pass's roots, and
-    sends it to the companion eigensolve on each guard."""
+    """``_split_rows`` polishes every row of a warm pass from the
+    previous pass's roots, and sends a row to the companion eigensolve
+    only on its first pass, below ABERTH_MIN_DEGREE, or when the polish
+    leaves it unsettled or non-finite."""
 
     # degree 6, complex coefficients, three roots inside the unit disk
     ROOTS = (0.3 + 0.2j, -0.5j, 0.7, 1.6 + 0.4j, -2.2 + 1j, 3j)
@@ -373,74 +374,83 @@ class TestWarmSplit:
         monkeypatch.setattr(q.poly, "_companion_roots", spy)
         return calls
 
-    def _case(self, guard, monkeypatch):
-        """(row, warm roots, p0) for a guard, or for the control row."""
+    def _case(self, name, monkeypatch):
+        """(row, warm roots) for a guard, for a row the polish answers, or
+        for the control row; the warm roots are None on a first pass."""
         roots = np.array(self.ROOTS)
-        warm, p0 = roots * (1 + 1e-5), 3
-        if guard == "first_pass":
-            p0 = -1
-        elif guard == "low_degree":
-            roots, warm, p0 = roots[[0, 1, 3]], warm[[0, 1, 3]], 2
-        elif guard == "real_row":
+        warm = roots * (1 + 1e-5)
+        if name == "first_pass":
+            warm = None
+        elif name == "low_degree":
+            roots, warm = roots[[0, 1, 3]], warm[[0, 1, 3]]
+        elif name == "non_finite":
+            warm[4] = np.nan
+        elif name == "unsettled":
+            monkeypatch.setattr(q.poly, "ABERTH_MAXIT", 1)
+        elif name == "real_row":  # the eigensolve pairs its roots exactly; the polish need not
             roots = np.array([0.3, -0.5, 0.7, 1.6, -2.2, 3.0], dtype=complex)
             warm = roots * (1 + 1e-5)
-        elif guard == "count_change":
-            p0 = 4
-        elif guard == "near_circle":
-            roots[2] = (1 + 1e-8) * np.exp(0.3j)
-            warm, p0 = roots * (1 + 1e-5), 2
-        elif guard == "non_finite":
-            warm[4] = np.nan
-        elif guard == "unsettled":
-            monkeypatch.setattr(q.poly, "ABERTH_MAXIT", 1)
-        elif guard == "far_start":  # settles, but takes more passes than allowed for
+        elif name == "count_change":  # one warm root on the other side of the circle
+            roots[2] = 0.999
+            warm = roots * (1 + 1e-5)
+            warm[2] = 1.001
+        elif name.startswith("near_circle"):  # a root just outside the circle
+            roots[2] = (1 + float(name.split("_")[-1])) * np.exp(0.3j)
+            warm = roots * (1 + 1e-5)
+        elif name == "far_start":  # settles from well off the roots
             warm = roots * 1.5 * np.exp(0.4j)
-        return self._row(roots), warm, p0
+        return self._row(roots), warm
 
     def test_warm_row_skips_the_eigensolve(self, monkeypatch):
-        c, warm, p0 = self._case("control", monkeypatch)
+        c, warm = self._case("control", monkeypatch)
         want = _split_rows(c[None])
         calls = self._eigensolved(monkeypatch)
-        roots, p, on_curve = _split_rows(c[None], warm[None], np.array([p0]))
+        roots, p, on_curve = _split_rows(c[None], warm[None])
         assert calls == []
         assert p.tolist() == want[1].tolist() == [3] and not on_curve[0]
         assert np.abs(roots - want[0]).max() <= 1e-14 * 3
 
-    @pytest.mark.parametrize("guard", ["first_pass", "low_degree", "real_row", "count_change",
-                                       "near_circle", "non_finite", "unsettled",
-                                       "far_start"])
-    def test_guard_takes_the_eigensolve(self, guard, monkeypatch):
-        c, warm, p0 = self._case(guard, monkeypatch)
-        assert (c.size - 1 >= ABERTH_MIN_DEGREE) == (guard != "low_degree")
-        assert c.imag.any() == (guard != "real_row")
+    @pytest.mark.parametrize("name", ["real_row", "count_change", "near_circle_1e-8",
+                                      "near_circle_1e-10", "near_circle_3e-11", "far_start"])
+    def test_polish_answers(self, name, monkeypatch):
+        # the polish gives the eigensolve's count and on-curve flag, with
+        # no eigensolve
+        c, warm = self._case(name, monkeypatch)
         want = _split_rows(c[None])
         calls = self._eigensolved(monkeypatch)
-        got = _split_rows(c[None], warm[None], np.array([p0]))
+        roots, p, on_curve = _split_rows(c[None], warm[None])
+        assert calls == []
+        assert p[0] == want[1][0] and on_curve[0] == want[2][0]
+        assert np.abs(roots - want[0]).max() <= 1e-14 * 3
+        if name == "count_change":
+            assert p[0] == 3 and (np.abs(warm) < 1).sum() == 2
+        if name.startswith("near_circle"):
+            assert p[0] == 2
+            assert on_curve[0] == (name == "near_circle_3e-11")
+
+    @pytest.mark.parametrize("guard", ["first_pass", "low_degree", "non_finite", "unsettled"])
+    def test_guard_takes_the_eigensolve(self, guard, monkeypatch):
+        c, warm = self._case(guard, monkeypatch)
+        assert (c.size - 1 >= ABERTH_MIN_DEGREE) == (guard != "low_degree")
+        want = _split_rows(c[None])
+        calls = self._eigensolved(monkeypatch)
+        got = _split_rows(c[None], None if warm is None else warm[None])
         assert calls == [1]
         for x, y in zip(got, want):
             assert np.array_equal(x, y)
-        if guard == "count_change":
-            assert got[1][0] == 3
-        if guard == "near_circle":
-            mod = np.abs(got[0][0])
-            assert not got[2][0] and np.abs(mod - 1).min() <= WARM_BAND
-        if guard == "far_start":
-            monkeypatch.setattr(q.poly, "ABERTH_START_TOL", np.inf)
-            assert _aberth_rows(c[None], warm[None])[1][0]
 
     def test_mixed_batch(self, monkeypatch):
-        # one call, the control row among guard rows of the same degree:
-        # only the guard rows are eigensolved, and each row's split is
-        # that of its batch of one
-        guards = ["control", "first_pass", "real_row", "count_change", "near_circle",
-                  "non_finite", "far_start"]
-        cases = [self._case(g, monkeypatch) for g in guards]
-        c, warm, p0 = (np.array(x) for x in zip(*cases))
+        # one call, the control row among rows of the same degree: only
+        # the non-finite row is eigensolved, and each row's split is that
+        # of its batch of one
+        names = ["control", "real_row", "count_change", "near_circle_1e-8", "non_finite",
+                 "far_start"]
+        c, warm = (np.array(x) for x in zip(*(self._case(n, monkeypatch) for n in names)))
         calls = self._eigensolved(monkeypatch)
-        got = _split_rows(c, warm, p0)
-        assert calls == [len(guards) - 1]
-        for k in range(len(guards)):
-            one = _split_rows(c[k : k + 1], warm[k : k + 1], p0[k : k + 1])
+        got = _split_rows(c, warm)
+        assert calls == [1]
+        for k in range(len(names)):
+            one = _split_rows(c[k : k + 1], warm[k : k + 1])
             for x, y in zip(got, one):
                 assert np.array_equal(x[k], y[0])
 

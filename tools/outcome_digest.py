@@ -41,11 +41,9 @@ vandermonde``; SHA-256s of two ``winding_map`` grids, the fig-2 200 x 200
 grid over [-10, 10]^2 and the rank-one fixture's 10 x 10 grid over
 [0.5, 9.5] x [-3e-9, 3e-9], where root squaring cannot certify the 80
 cells next to the curve, so the explicit-root split decides them; and
-SHA-256s of the files ``qteig map`` writes for
-that winding map and for the 50 x 50 basins of the rank-one fixture
-over [-0.5, 0.5]^2.  The curve file is recorded under the label
-``curve``, whether the tree names it ``<out>.curve.csv`` or
-``curve.csv``, so trees that differ only in that name compare equal.
+SHA-256s of the files ``qteig map`` writes (the grid, the labels
+sidecar and the curve) for that winding map and for the 50 x 50 basins
+of the rank-one fixture over [-0.5, 0.5]^2.
 
 For the seven-band, clustered-root and rank-one fixtures, and for one
 operator whose rows below m hold entries on scattered columns with a
@@ -58,19 +56,19 @@ a start on one side with the k-th run from the same start (the same
 repr) on the other.  It prints, per set, the number of paired starts and
 of the starts only one side ran, the status histogram of each side, the
 share of each side's split rows sent to the eigensolve (the fallback
-ratio; "not recorded" for a digest without it), then
-over the pairs the number of starts whose iteration count changed, the
-number of final shifts that differ in any bit, the number of runs whose
-residual and whose eigenvector hash differ, and the largest relative
-difference of the final shifts; then that of the accepted eigenvalues,
-and one line for each paired start whose status differs, numbered by its
-position on side A.  A start only one side ran is counted, not taken for
-a status difference.  For each recorded output it prints "identical" or
-the first differing line; when the stdout of a differing output is JSON
-with the same keys in the same order on both sides (the ``eig-all`` and
-``eig-single`` outputs), it also prints the largest relative difference
-of each numeric field.  It exits 1 when a status or an output differs,
-else 0.
+ratio), the median and the largest residual of each side's accepted
+runs, then over the pairs the number of starts whose iteration count
+changed, the number of final shifts that differ in any bit, the number
+of runs whose residual and whose eigenvector hash differ, and the
+largest relative difference of the final shifts; then that of the
+accepted eigenvalues, and one line for each paired start whose status
+differs, numbered by its position on side A.  A start only one side ran
+is counted, not taken for a status difference.  For each recorded output
+it prints "identical" or the first differing line; when the stdout of a
+differing output is JSON with the same keys in the same order on both
+sides (the ``eig-all`` and ``eig-single`` outputs), it also prints the
+largest relative difference of each numeric field.  It exits 1 when a
+status or an output differs, else 0.
 """
 
 from __future__ import annotations
@@ -233,17 +231,10 @@ def _outputs(q, seven_band, cluster, fix_a) -> dict:
             grid_csv = tmp / f"{name}_{kind}.csv"
             text = run(["map", str(files[name]), f"--box={box}", "--res", res,
                         "--kind", kind, "--out", str(grid_csv)])
-            sidecar = grid_csv.with_suffix(".csv.labels.json")
-            for path in (grid_csv, sidecar):
+            for ext in ("", ".labels.json", ".curve.csv"):
+                path = grid_csv.with_suffix(".csv" + ext)
                 if path.exists():
                     text += f"{path.name} {_sha256(path.read_bytes())}\n"
-            # the curve file is <out>.curve.csv, or curve.csv next to the
-            # grid in older trees: one label for both, and each file is
-            # removed once read, so the next map cannot reuse it
-            for path in (grid_csv.with_suffix(".csv.curve.csv"), tmp / "curve.csv"):
-                if path.exists():
-                    text += f"curve {_sha256(path.read_bytes())}\n"
-                    path.unlink()
             out[key] = text
     return out
 
@@ -333,14 +324,19 @@ def _field_differences(text_a: str, text_b: str) -> dict | None:
     return worst
 
 
-def _fallback(entry: dict) -> str:
+def _fallback(split: dict) -> str:
     """The share of a set's split rows sent to the companion eigensolve."""
-    split = entry.get("split")
-    if split is None:
-        return "not recorded"
     rows = split["warm"] + split["eigvals"]
     share = f" ({split['eigvals'] / rows:.1%})" if rows else ""
     return f"{split['eigvals']} of {rows} rows{share}"
+
+
+def _residuals(starts) -> str:
+    """The median and the largest residual of a set's accepted runs."""
+    res = [float(r[3]) for r in starts if r[0] in ("isolated_pq", "isolated_pltq")]
+    if not res:
+        return "no accepted runs"
+    return f"median {np.median(res):.2e}, largest {max(res):.2e}"
 
 
 def _histogram(starts) -> str:
@@ -416,7 +412,9 @@ def _compare_sets(da: dict, db: dict) -> int:
               f"{only_b} on B only")
         print(f"  A: {_histogram(sa)}")
         print(f"  B: {_histogram(sb)}")
-        print(f"  sent to eigvals: A {_fallback(da[name])}, B {_fallback(db[name])}")
+        print(f"  sent to eigvals: A {_fallback(da[name]['split'])}, "
+              f"B {_fallback(db[name]['split'])}")
+        print(f"  accepted residuals: A {_residuals(sa)}; B {_residuals(sb)}")
         print(f"  {iters} iteration counts changed, {bits} final shifts differ in "
               f"some bit, max relative shift difference {worst:.2e}; "
               f"{residuals} residuals and {vectors} eigenvector hashes differ; "
