@@ -270,6 +270,8 @@ def cmd_map(args) -> int:
         raise ProblemError("--curve-samples: must be at least 2")
     cfg = _config(args)  # checks the solver flags for every kind, before any write
     out_path = Path(args.out)
+    if not out_path.parent.is_dir():  # before the raster is computed
+        raise ProblemError(f"--out: no such directory: {out_path.parent}")
 
     if args.kind == "winding":
         grid = winding_map(a, (re0, re1), (im0, im1), args.res)

@@ -4,20 +4,25 @@ The boundary rows of the shifted operator, applied to any decaying
 solution of the interior recurrence, yield W V(lam) beta = 0 with a
 constant full-rank matrix W and a shift-dependent basis V.  W is built
 from the correction's entries alone; its width m + k2 comes from their
-support, and its row count is the reduced equation count q.  Two bases
-are supported: columns of powers of the inside roots (Vandermonde) and
-block rows I, G, G**2, ... of powers of G = F**p (Frobenius), each with
-its exact shift derivative.  W's Toeplitz block comes from the same
-index gather as the factorization's.  The Newton step
-1 / trace(Phi^{-1} Phi') is taken on Phi and Phi' scaled once each by
-powers of two (``equilibrate``), so it does not depend on how the
-boundary equations are scaled.
+support, and its row count is the reduced equation count q.  Only its
+first m columns and one column per distinct correction column can be
+nonzero, so W is stored on those columns (``NEPContext.cols``) and the
+Newton driver builds V only at those rows: W V is the product of the
+two narrow matrices.  Two bases are supported: columns of powers of the
+inside roots (Vandermonde) and block rows I, G, G**2, ... of powers of
+G = F**p (Frobenius), each with its exact shift derivative.  W's
+Toeplitz block comes from the same index gather as the factorization's.
+The Newton step 1 / trace(Phi^{-1} Phi') is taken on Phi and Phi'
+scaled once each by powers of two (``equilibrate``), so it does not
+depend on how the boundary equations are scaled.
 
 Each kernel takes a stack with a leading batch axis, one row per shift
 (``_vandermonde_rows``, ``_frobenius_rows``, ``_newton_steps``,
-``_eigvec_rows``; ``phi`` and ``equilibrate`` take either);
+``_eigvec_rows``; ``phi`` and ``equilibrate`` take either), and the two
+basis kernels take the ascending basis rows to build;
 ``basis_vandermonde``, ``basis_frobenius``, ``newton_correction`` and
-``eigvec_prefix`` are batches of one.
+``eigvec_prefix`` are batches of one, and the two bases are full-width:
+all rows up to a count.
 """
 
 from __future__ import annotations
@@ -42,11 +47,15 @@ ROOT_SEP_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class NEPContext:
-    """The constant boundary matrix W restricted to its m + k2 possibly
-    nonzero columns.  Its row count is the reduced equation count
-    q = m + rank of the below-band correction rows."""
+    """The constant boundary matrix W, stored on its structurally nonzero
+    columns ``cols`` (ascending): 0..m-1 and m - 1 + j for each distinct
+    correction column j.  ``w[:, k]`` is column ``cols[k]`` of W; every
+    other column of its m + k2 (``width``) is zero.  Its row count is
+    the reduced equation count q = m + rank of the below-band correction
+    rows."""
 
     w: np.ndarray
+    cols: tuple
 
     @property
     def q(self) -> int:
@@ -54,26 +63,32 @@ class NEPContext:
 
     @property
     def width(self) -> int:
-        return self.w.shape[1]
+        return self.cols[-1] + 1
 
     @functools.cached_property
     def norm2(self) -> float:
+        # W's zero columns add no singular value
         return np.linalg.norm(self.w, 2)
 
 
 def build_w(a: QTMatrix) -> NEPContext:
-    """Assemble W = [-B, E1; 0, R] from the symbol and the correction.
+    """Assemble W = [-B, E1; 0, R] from the symbol and the correction, on
+    its nonzero columns.
 
     B is the m x m upper triangular Toeplitz of (a_-m, ..., a_-1); the
     entries in rows up to m (E1) enter shifted right by m columns.  The
     entries below are gathered on the rows and columns that hold them
     and compressed to their rank R by column-pivoted QR, whose rows
-    land back on those columns; so q = m when k1 <= m.
+    land back on those columns; so q = m when k1 <= m.  Correction
+    column j is column m - 1 + j of W, so the stored width is m plus the
+    number of distinct correction columns, however far they reach.
     """
     sym = a.symbol
     m = sym.m
     top = [e for e in a.correction.entries if e[0] <= m]
     below = [e for e in a.correction.entries if e[0] > m]
+    extra = sorted({j for _, j, _ in a.correction.entries})
+    at = {j: m + k for k, j in enumerate(extra)}  # correction column -> stored column
 
     r2 = 0
     if below:
@@ -85,20 +100,22 @@ def build_w(a: QTMatrix) -> NEPContext:
         fac = qr_rank_revealing(block)
         r2 = fac.rank
 
-    w = np.zeros((m + r2, m + a.correction.k2), dtype=complex)
+    w = np.zeros((m + r2, m + len(extra)), dtype=complex)
     # negated before building, so the zeros below the diagonal stay +0
     w[:m, :m] = _upper_toeplitz(-sym.coeffs()[None, :m])[0]
     for i, j, v in top:
-        w[i - 1, m + j - 1] = v
+        w[i - 1, at[j]] = v
     if r2 > 0:
-        w[m:, m - 1 + ucols[list(fac.permutation)]] = fac.r[:r2, :]
-    return NEPContext(w=w)
+        w[m:, [at[j] for j in ucols[list(fac.permutation)].tolist()]] = fac.r[:r2, :]
+    return NEPContext(w=w, cols=tuple(range(m)) + tuple(m - 1 + j for j in extra))
 
 
 @dataclass(frozen=True, eq=False)
 class BasisPair:
     """K x p basis of decaying interior solutions and its shift derivative,
-    or a stack of n such bases with a leading batch axis.
+    or a stack of n such bases with a leading batch axis.  The K rows
+    are the basis rows its kernel was asked for: all of them up to a
+    count, or W's nonzero columns.
 
     ``xi`` carries the inside roots of a Vandermonde basis, ``g`` the
     matrix G of a Frobenius basis; the other is None.  Indexing a stack
@@ -119,10 +136,36 @@ class BasisPair:
         return BasisPair(v=self.v[k], v_prime=self.v_prime[k], xi=pick(self.xi), g=pick(self.g))
 
 
-def _vandermonde_rows(sym: LaurentSymbol, xi: np.ndarray, rows: int) -> tuple:
-    """Root-power bases for each row of inside roots xi (n, p): column j
-    holds xi_j**0, xi_j**1, ..., and the derivative uses
-    d xi / d lam = 1 / a'(xi).
+def _root_power_rows(xi: np.ndarray, rows, dvals=None) -> tuple:
+    """Rows ``rows`` (ascending) of the root-power bases of a stack of
+    inside roots xi (n, p): row i holds xi**i, from the running product
+    xi**i = xi**(i-1) * xi.  Given dvals = a'(xi), also the rows of V',
+    i xi**(i-1) / a'(xi).  Returns (v, v_prime); v_prime is None without
+    dvals."""
+    rows = np.asarray(rows, dtype=np.int64)
+    at = {i: k for k, i in enumerate(rows.tolist())}
+    v = np.empty((xi.shape[0], rows.size, xi.shape[1]), dtype=complex)
+    before = np.zeros_like(v)  # row i - 1 of the basis, for each row i > 0
+    power = np.ones(xi.shape, dtype=complex)
+    for i in range(rows[-1] + 1 if rows.size else 0):
+        if i:
+            previous, power = power, power * xi
+        k = at.get(i)
+        if k is not None:
+            v[:, k] = power
+            if i:
+                before[:, k] = previous
+    if dvals is None:
+        return v, None
+    v_prime = rows[:, None] * before / dvals[:, None, :]
+    v_prime[:, rows == 0] = 0.0
+    return v, v_prime
+
+
+def _vandermonde_rows(sym: LaurentSymbol, xi: np.ndarray, rows) -> tuple:
+    """Root-power bases for each row of inside roots xi (n, p), at the
+    basis rows ``rows`` (ascending): column j holds xi_j**0, xi_j**1,
+    ..., and the derivative uses d xi / d lam = 1 / a'(xi).
 
     Returns (clustered, stack): the mask of the rows where two inside
     roots are closer than ROOT_SEP_TOL or a'(xi) vanishes (a numerically
@@ -138,12 +181,7 @@ def _vandermonde_rows(sym: LaurentSymbol, xi: np.ndarray, rows: int) -> tuple:
             dvals += (j * c) * xi ** (j - 1)
     clustered |= (np.abs(dvals) < 1e-250).any(axis=1)
     xi, dvals = xi[~clustered], dvals[~clustered]
-    v = np.zeros((xi.shape[0], rows, xi.shape[1]), dtype=complex)
-    v[:, 0] = 1.0
-    for i in range(1, rows):
-        v[:, i] = v[:, i - 1] * xi
-    v_prime = np.zeros_like(v)
-    v_prime[:, 1:] = np.arange(1, rows)[:, None] * v[:, :-1] / dvals[:, None, :]
+    v, v_prime = _root_power_rows(xi, rows, dvals)
     return clustered, BasisPair(v=v, v_prime=v_prime, xi=xi)
 
 
@@ -156,7 +194,7 @@ def basis_vandermonde(sym: LaurentSymbol, lam: complex, rows: int) -> BasisPair:
     root is (numerically) multiple; the G-power basis is the remedy.
     """
     xi = np.array(inside_roots(sym, lam), dtype=complex).reshape(1, -1)
-    clustered, stack = _vandermonde_rows(sym, xi, rows)
+    clustered, stack = _vandermonde_rows(sym, xi, range(rows))
     if clustered[0]:
         raise ClusteredRootsError(
             f"inside roots at shift {lam} closer than {ROOT_SEP_TOL:g} or numerically multiple"
@@ -164,24 +202,52 @@ def basis_vandermonde(sym: LaurentSymbol, lam: complex, rows: int) -> BasisPair:
     return stack[0]
 
 
-def _frobenius_rows(g: np.ndarray, g_prime: np.ndarray, rows: int) -> BasisPair:
-    """G-power bases for a stack of (G, G'), (n, p, p) each: block rows
-    I, G, G**2, ... truncated to ``rows``, with derivative block rows
-    0, G', (G**2)', ... built from the product rule
-    (G**j)' = (G**(j-1))' G + G**(j-1) G'."""
+def _frobenius_rows(g: np.ndarray, g_prime, rows) -> BasisPair:
+    """G-power bases for a stack of (G, G'), (n, p, p) each, at the basis
+    rows ``rows`` (ascending): row i is row i mod p of G**(i // p), so
+    the block rows are I, G, G**2, ...  G**e is the product of the
+    squares G**(2**h) over the bits h of e, the highest on the left, and
+    each square and partial product is made once.  The derivative rows
+    follow by the product rule (XY)' = X'Y + XY'; up to G**3 the products
+    are those of the running product G**j = G**(j-1) G.  With g_prime
+    None, V alone is built and ``v_prime`` is None."""
     n, p = g.shape[:2]
-    v = np.zeros((n, rows, p), dtype=complex)
-    v_prime = np.zeros_like(v)
-    power = np.repeat(np.eye(p, dtype=complex)[None], n, axis=0)
-    d_power = np.zeros_like(power)
-    row = 0
-    while row < rows:
-        take = min(p, rows - row)
-        v[:, row : row + take] = power[:, :take]
-        v_prime[:, row : row + take] = d_power[:, :take]
-        d_power = d_power @ g + power @ g_prime
-        power = power @ g
-        row += take
+    v = np.zeros((n, len(rows), p), dtype=complex)
+    v_prime = None if g_prime is None else np.zeros_like(v)
+
+    def times(x, y):
+        xy = x[0] @ y[0]
+        return xy, None if g_prime is None else x[1] @ y[0] + x[0] @ y[1]
+
+    squares = [(g, g_prime)]  # G**(2**h) and its derivative
+    powers = {}  # G**e and its derivative, for the partial exponents e
+
+    def power(e):
+        low = 0  # the bits of e below h
+        for h in range(e.bit_length()):
+            if e >> h & 1:
+                while len(squares) <= h:
+                    squares.append(times(squares[-1], squares[-1]))
+                part = low + (1 << h)
+                if part not in powers:
+                    powers[part] = times(squares[h], powers[low]) if low else squares[h]
+                low = part
+        return powers[e]
+
+    blocks: dict = {}  # exponent -> (positions in rows, rows of G**e)
+    for k, i in enumerate(rows):
+        e, r = divmod(int(i), p)
+        ks, rs = blocks.setdefault(e, ([], []))
+        ks.append(k)
+        rs.append(r)
+    for e, (ks, rs) in blocks.items():
+        if e == 0:
+            v[:, ks, rs] = 1.0
+            continue
+        pw, d_pw = power(e)
+        v[:, ks] = pw[:, rs]
+        if v_prime is not None:
+            v_prime[:, ks] = d_pw[:, rs]
     return BasisPair(v=v, v_prime=v_prime, g=g)
 
 
@@ -196,23 +262,37 @@ def basis_frobenius(factors: WienerHopfFactors, rows: int) -> BasisPair:
     ds = np.asarray(factors.s_prime, dtype=complex)
     if ds.shape != (factors.p,):
         raise InvalidInputError(f"expected {factors.p} coefficient derivatives, got {ds.size}")
-    return _frobenius_rows(*_g_rows(s[None], ds[None]), rows)[0]
+    return _frobenius_rows(*_g_rows(s[None], ds[None]), range(rows))[0]
+
+
+def _basis_values(basis: BasisPair, rows) -> np.ndarray:
+    """Rows ``rows`` (ascending) of V alone, without V', for a stack of
+    bases, from the roots or the G it was built from."""
+    if basis.xi is not None:
+        return _root_power_rows(basis.xi, rows)[0]
+    return _frobenius_rows(basis.g, None, rows).v
 
 
 def phi(ctx: NEPContext, basis: BasisPair, rows: int) -> tuple:
     """The leading ``rows`` rows of W V and of W V', as a pair, for one
-    basis or a stack of them.
+    basis or a stack of them, built either at W's nonzero columns
+    (``ctx.cols``) or full-width, whose rows at those columns it takes.
 
     Square exactly when rows equals the basis width p; with q > p only
     the first p equations are kept.
     """
-    if basis.v.shape[-2] != ctx.width:
-        raise InvalidInputError(
-            f"basis has {basis.v.shape[-2]} rows, context width is {ctx.width}"
-        )
+    v, v_prime = basis.v, basis.v_prime
+    if v.shape[-2] != len(ctx.cols):
+        if v.shape[-2] != ctx.width:
+            raise InvalidInputError(
+                f"basis has {v.shape[-2]} rows, context width is {ctx.width} "
+                f"with {len(ctx.cols)} nonzero columns"
+            )
+        cols = np.array(ctx.cols)
+        v, v_prime = v[..., cols, :], v_prime[..., cols, :]
     if rows > ctx.q:
         raise InvalidInputError("cannot take more rows than equations")
-    return (ctx.w @ basis.v)[..., :rows, :], (ctx.w @ basis.v_prime)[..., :rows, :]
+    return (ctx.w @ v)[..., :rows, :], (ctx.w @ v_prime)[..., :rows, :]
 
 
 def equilibrate(mat: np.ndarray) -> tuple:

@@ -14,14 +14,17 @@ polish of warm roots included, is elementwise or a gufunc stack
 record does not depend on what else is in its chunk; a stacked solve
 that raises is redone row by row.  The chunk size bounds
 the working memory of a pass, so ``_chunk_rows`` derives it from a
-row's cost: the stacked bases grow with the width of W, and an accepted
-row also holds its eigenvector prefix as a record.  That gives 34 rows
-at width 107 (the seven-band fixture), 90 at width 34 (the clustered
-roots) and 333 at width 2 (the rank-one fixture's basins).  Those
-50 x 50 basins take 0.36-0.42 s in chunks of 32 rows and 0.13-0.16 s
-in chunks of 333, which raise the peak RSS by 2.3 MB more (512 rows:
-4.5 MB, 1024 rows: 7.5 MB, for at most 0.03 s less).  One batch of all
-300 section starts of a fixture raised it by 11-16 MB.
+row's cost: the stacked bases grow with the number of W's nonzero
+columns, the only basis rows a pass builds, and an accepted row also
+holds its eigenvector prefix as a record.  That gives 222 rows at 8
+columns (the seven-band fixture, whose 167 starts run as one chunk),
+125 at 22 (the clustered roots) and 333 at 2 (the rank-one fixture's
+basins).  By tracemalloc, a chunk's passes peak at 1.6, 3.7 and 2.2 MB
+there.  Those 50 x 50 basins take 0.36-0.42 s in chunks of 32 rows
+and 0.13-0.16 s in chunks of 333, which raise the peak RSS by 2.3 MB
+more (512 rows: 4.5 MB, 1024 rows: 7.5 MB, for at most 0.03 s less).
+One batch of all 300 section starts of a fixture, at W's full width,
+raised it by 11-16 MB.
 
 On a real operator (real band and correction) the run from conj(lam)
 is the mirror image of the run from lam, so ``eig_all`` runs only the
@@ -75,6 +78,7 @@ from .errors import InvalidInputError
 from .factor import _factor_rows, _g_rows
 from .linalg import _check_eig_dim, eig_dense
 from .nep import (
+    _basis_values,
     _eigvec_rows,
     _frobenius_rows,
     _newton_steps,
@@ -177,7 +181,8 @@ def _bases_at(a, ctx, lam, p0, a_norm, method, warm=None):
     ``poly._split_rows`` settles them.  Their count p is checked against
     the row's component ``p0`` (-1 on the first evaluation, whose own
     count defines it), the row count q, the operator norm and p = 0, in
-    that order, and the same roots build the bases, one stack per p.
+    that order, and the same roots build the bases, one stack per p, at
+    the basis rows W reads (``ctx.cols``).
     The Vandermonde kind falls back to the G-power kind on the rows with
     clustered roots; a breakdown of the factorization ends the row's run
     as max_iterations.
@@ -207,7 +212,7 @@ def _bases_at(a, ctx, lam, p0, a_norm, method, warm=None):
         rows = np.flatnonzero(undecided & (p == size))
         inside = roots[rows, :size]
         if method == "vandermonde":
-            clustered, stack = _vandermonde_rows(sym, inside, ctx.width)
+            clustered, stack = _vandermonde_rows(sym, inside, ctx.cols)
             stacks.append((rows[~clustered], stack))
             rows, inside = rows[clustered], inside[clustered]
             if not rows.size:
@@ -218,7 +223,7 @@ def _bases_at(a, ctx, lam, p0, a_norm, method, warm=None):
             # classified as a failed run rather than escaping the driver
             status[i] = SolveStatus.MAX_ITERATIONS
         ok = ~broken
-        stacks.append((rows[ok], _frobenius_rows(*_g_rows(s[ok], ds[ok]), ctx.width)))
+        stacks.append((rows[ok], _frobenius_rows(*_g_rows(s[ok], ds[ok]), ctx.cols)))
     return status, stacks, roots
 
 
@@ -228,11 +233,14 @@ def _classify(a, ctx, lam, basis, iterations, cfg) -> list:
     converged shifts of one p group with the basis stack their
     evaluation built.  Returns, per row, an EigRecord, a
     no_convergence_pltq failure when only the p < q checks fail, or
-    None when the shift is not accepted."""
+    None when the shift is not accepted.  Raises InvalidInputError when
+    the residual's eigenvector prefix cannot reach the last correction
+    column."""
     sym = a.symbol
     q = ctx.q
     p = basis.p
-    # W V, all q rows: Phi is its first p, the certificate reads it whole
+    # W V, all q rows, from the basis rows at W's nonzero columns: Phi is
+    # its first p, the certificate reads it whole
     wv = ctx.w @ basis.v
     # null vectors of unit 2-norm: the last right singular vector of each
     # equilibrated Phi, scaled back by its column factors
@@ -240,6 +248,12 @@ def _classify(a, ctx, lam, basis, iterations, cfg) -> list:
     y = _ldexp(np.linalg.svd(scaled)[2][:, -1].conj(), -c[:, 0])
     beta = y / _row_norms(y)[:, None]
     res_len = max(q + sym.n, a.correction.k2)
+    if res_len > np.iinfo(np.intp).max:
+        # the residual reads the eigenvector up to the last correction
+        # column; past numpy's largest dimension no prefix can hold it
+        raise InvalidInputError(
+            f"correction column {a.correction.k2} is too far for the residual prefix"
+        )
     # one prefix serves the residual rows and the stored eigenvector:
     # both are leading entries of the same sequence
     full = _eigvec_rows(basis, beta, max(res_len, cfg.vec_len), sym)
@@ -251,9 +265,11 @@ def _classify(a, ctx, lam, basis, iterations, cfg) -> list:
                                     for x in (vec[:, :p], r[:, :p], r, vec[:, :q]))
     if p < q:
         # W V is q x p: rank deficient when its smallest singular value
-        # is at rounding level of ||W|| ||V||
+        # is at rounding level of ||W|| ||V||, with V full-width (its
+        # values alone, built for these rows only)
         smin = np.linalg.svd(wv, compute_uv=False)[:, -1]
-        tol = 1e-12 * q * ctx.norm2 * np.linalg.svd(basis.v, compute_uv=False).max(axis=-1)
+        v = _basis_values(basis, range(ctx.width))
+        tol = 1e-12 * q * ctx.norm2 * np.linalg.svd(v, compute_uv=False).max(axis=-1)
     out = []
     for k, its in enumerate(iterations.tolist()):
         if denom_p[k] == 0.0 or res_p[k] / denom_p[k] > cfg.residual_tol:
@@ -358,25 +374,29 @@ def _run_newton(a, ctx, a_norm, lam0, cfg) -> EigRecord:
     return _run_batch(a, ctx, a_norm, [complex(lam0)], cfg, _is_real(a))[0]
 
 
-def _chunk_rows(width: int, vec_len: int) -> int:
+def _chunk_rows(columns: int, vec_len: int) -> int:
     """Starts per lockstep chunk: as many rows as fit in 2.8 MB of
     working memory, and at least 32, so that a wide W still steps
     enough rows per stacked call to amortise its overhead.  A row costs
     about 1000 bytes whatever the sizes (companion stack, masks, its
-    record), 700 per column of W for its stacked bases (290 at the
-    seven-band fixture's width 107, 1090 at the clustered roots' 34, by
-    tracemalloc) and 60 per entry of its eigenvector prefix: 16 in the
-    array ``_classify`` builds and about 40 kept in the record's tuple
-    of numpy scalars."""
-    return max(32, 2_800_000 // (1000 + 700 * width + 60 * vec_len))
+    record), 700 per nonzero column of W, the rows of its stacked bases,
+    and 60 per entry of its eigenvector prefix: 16 in the array
+    ``_classify`` builds and about 40 kept in the record's tuple of numpy
+    scalars.  By tracemalloc a row of a pass peaks at about 9.7 kB on
+    the seven-band fixture (8 columns, 12.6 kB by this count), 29 kB on
+    the clustered roots (22 columns, 22.4 kB; their degree-12 splits
+    and p < q certificates cost more) and 6.7 kB on the rank-one basins
+    (2 columns, 8.4 kB)."""
+    return max(32, 2_800_000 // (1000 + 700 * columns + 60 * vec_len))
 
 
 def _runs(a: QTMatrix, starts, cfg: SolverConfig):
     """Generator of the Newton record of each start, in order, on one W,
     one row-sum norm and one realness test, all made before the first
-    run; the starts run in lockstep, ``_chunk_rows`` at a time."""
+    run; the starts run in lockstep, ``_chunk_rows`` at a time, sized
+    from W's nonzero columns."""
     ctx, a_norm, real = build_w(a), norm_inf(a), _is_real(a)
-    size = _chunk_rows(ctx.width, cfg.vec_len)
+    size = _chunk_rows(len(ctx.cols), cfg.vec_len)
     it = iter(starts)
     chunks = iter(lambda: list(itertools.islice(it, size)), [])
     return (rec for chunk in chunks for rec in _run_batch(a, ctx, a_norm, chunk, cfg, real))

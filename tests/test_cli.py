@@ -261,8 +261,14 @@ class TestMapCommand:
         assert not out.exists()
         assert not (tmp_path / "m.csv.curve.csv").exists()
 
-    def test_out_into_missing_directory(self, fix_a_file, tmp_path, capsys):
-        # an unwritable --out is an input error, not a traceback
+    def test_out_into_missing_directory(self, fix_a_file, tmp_path, capsys, monkeypatch):
+        # an unwritable --out is an input error, not a traceback, and is
+        # found before the raster is computed
+        def never(*args, **kwargs):
+            raise AssertionError("raster computed before --out was checked")
+
+        monkeypatch.setattr("qteig.cli.winding_map", never)
+        monkeypatch.setattr("qteig.cli.basins", never)
         out = tmp_path / "nodir" / "x.csv"
         for kind in ("winding", "basins"):
             argv = ["map", fix_a_file, "--box=-1,1,-1,1", "--res", "3", "--kind", kind,

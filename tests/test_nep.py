@@ -9,10 +9,12 @@ from qteig.errors import (
     DerivativeVanishesError,
     InvalidInputError,
 )
-from qteig.factor import wiener_hopf
-from qteig.linalg import lu_solve, qr_rank_revealing
+from qteig.factor import _check_monic, _g_rows, wiener_hopf
+from qteig.linalg import eig_dense, lu_solve, qr_rank_revealing
 from qteig.nep import (
     NEPContext,
+    _frobenius_rows,
+    _vandermonde_rows,
     basis_frobenius,
     basis_vandermonde,
     build_w,
@@ -48,33 +50,57 @@ def det_phi(a, ctx, lam, rows, method="vandermonde"):
     return det_lu(p_mat)
 
 
+def full_w(ctx):
+    """W at its full width: the stored columns at ``ctx.cols``, zeros
+    elsewhere."""
+    w = np.zeros((ctx.q, ctx.width), dtype=complex)
+    w[:, list(ctx.cols)] = ctx.w
+    return w
+
+
 class TestBuildW:
     def test_fix_a(self, fix_a):
         ctx = build_w(fix_a)
-        assert (ctx.q, ctx.width) == (1, 2)
-        assert np.allclose(ctx.w, [[2.0, -4.0]])
+        assert (ctx.q, ctx.width, ctx.cols) == (1, 2, (0, 1))
+        assert np.allclose(full_w(ctx), [[2.0, -4.0]])
 
     def test_wide_correction(self, test1_case2):
         ctx = build_w(test1_case2)
         assert (ctx.q, ctx.width) == (3, 103)
+        # the first m columns and the correction's column 100
+        assert ctx.cols == (0, 1, 2, 102) and ctx.w.shape == (3, 4)
+        w = full_w(ctx)
         # top-left block is minus the upper triangular Toeplitz of
         # (a_-3, a_-2, a_-1), diagonal -a_-3
-        assert np.allclose(ctx.w[:3, :3], [[1, -1, 1], [0, 1, -1], [0, 0, 1]])
-        assert ctx.w[0, 102] == 8
-        assert ctx.w[2, 102] == 24
+        assert np.allclose(w[:3, :3], [[1, -1, 1], [0, 1, -1], [0, 0, 1]])
+        assert w[0, 102] == 8
+        assert w[2, 102] == 24
 
     def test_rank_compressed_rows(self, test1_case1):
         ctx = build_w(test1_case1)
         assert (ctx.q, ctx.width) == (4, 103)
+        w = full_w(ctx)
         # the compressed row carries the norm of the tail column
         tail = np.linalg.norm(np.arange(4, 21))
-        assert np.abs(ctx.w[3, :102]).max() == 0
-        assert abs(ctx.w[3, 102]) == pytest.approx(tail)
+        assert np.abs(w[3, :102]).max() == 0
+        assert abs(w[3, 102]) == pytest.approx(tail)
 
     def test_no_correction(self):
         ctx = build_w(q.qt_new([0, 1], [0, 2]))
-        assert (ctx.q, ctx.width) == (1, 1)
+        assert (ctx.q, ctx.width, ctx.cols) == (1, 1, (0,))
         assert np.allclose(ctx.w, [[-1.0]])
+
+    def test_far_column_is_stored_narrow(self, fix_a):
+        # an entry in column 10**300 adds one stored column to fix_a's m
+        # and its correction column 1; an array of the full width
+        # m + 10**300 could not even be allocated
+        far = 10**300
+        a = q.QTMatrix(fix_a.symbol, q.Correction(fix_a.correction.entries + ((1, far, 0.5),)))
+        ctx = build_w(a)
+        m = fix_a.symbol.m
+        assert len(ctx.cols) == ctx.w.shape[1] == m + 2
+        assert ctx.width == m + far and ctx.cols == (0, 1, m - 1 + far)
+        assert ctx.w.tolist() == [[2.0, -4.0, 0.5]]
 
     def test_scattered_rank_deficient_rows(self, monkeypatch):
         # below-m rows on scattered columns, some of them repeated up to a
@@ -119,10 +145,11 @@ class TestBuildW:
             shapes.clear()
             ctx = build_w(a)
             assert ctx.q == m + np.linalg.matrix_rank(dense)
-            r = ctx.w[m:, m:]
+            w = full_w(ctx)
+            r = w[m:, m:]
             assert np.abs(projector(r) - projector(dense)).max() <= 1e-12
             assert shapes == [(len(rows), len({j for _, j, _ in below}))]
-            assert ctx.w[top[0][0] - 1, m + top[0][1] - 1] == 3.0
+            assert w[top[0][0] - 1, m + top[0][1] - 1] == 3.0
 
 
 class TestBasisVandermonde:
@@ -203,6 +230,109 @@ class TestBasisFrobenius:
                 assert abs(resid) <= 1e-8 * np.linalg.norm(col)
 
 
+def _g_stack(sym, lam):
+    """G and G' of one shift, as stacks of one."""
+    f = wiener_hopf(sym, lam)
+    return _g_rows(_check_monic(f.s)[None], np.asarray(f.s_prime, dtype=complex)[None])
+
+
+def _running_powers(g, g_prime, rows):
+    """Reference full-width G-power basis, by the running product
+    G**j = G**(j-1) G and (G**j)' = (G**(j-1))' G + G**(j-1) G'."""
+    p = g.shape[-1]
+    power = np.repeat(np.eye(p, dtype=complex)[None], g.shape[0], axis=0)
+    d_power = np.zeros_like(power)
+    blocks, d_blocks = [], []
+    for _ in range(-(-rows // p)):
+        blocks.append(power)
+        d_blocks.append(d_power)
+        d_power = d_power @ g + power @ g_prime
+        power = power @ g
+    return np.concatenate(blocks, axis=1)[:, :rows], np.concatenate(d_blocks, axis=1)[:, :rows]
+
+
+class TestNarrowBasis:
+    """The basis kernels at an ascending set of rows, W's nonzero columns
+    among them, against the same rows of a full-width basis."""
+
+    @staticmethod
+    def _shifts(a):
+        starts = eig_dense(q.finite_section(a, q.section_size(a, 3.0)))
+        return [lam for lam in starts[::10] if q.inside_roots(a.symbol, lam)]
+
+    def test_frobenius_at_w_columns(self, test2_case1):
+        # W reads rows 0-6 and 106 of V: block rows of G**0 and G**13,
+        # the latter by binary powering
+        a = test2_case1
+        ctx = build_w(a)
+        cols = list(ctx.cols)
+        assert cols[-1] // 8 == 13
+        for lam in self._shifts(a):
+            g, g_prime = _g_stack(a.symbol, lam)
+            narrow = _frobenius_rows(g, g_prime, ctx.cols)
+            v, v_prime = _running_powers(g, g_prime, ctx.width)
+            for got, want in ((narrow.v, v[:, cols]), (narrow.v_prime, v_prime[:, cols])):
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_frobenius_up_to_g_squared_is_exact(self, test2_case1):
+        # G**0, G, G**2 (and G**3) come from the running product's own
+        # products
+        a = test2_case1
+        for lam in self._shifts(a):
+            g, g_prime = _g_stack(a.symbol, lam)
+            p = g.shape[-1]
+            rows = [0, p - 1, p, p + 2, 2 * p + 1, 3 * p - 1, 4 * p - 1]
+            narrow = _frobenius_rows(g, g_prime, rows)
+            v, v_prime = _running_powers(g, g_prime, 4 * p)
+            assert np.array_equal(narrow.v, v[:, rows])
+            assert np.array_equal(narrow.v_prime, v_prime[:, rows])
+
+    def test_vandermonde_rows_bit_for_bit(self, test2_case1):
+        a = test2_case1
+        ctx = build_w(a)
+        cols = list(ctx.cols)
+        for lam in self._shifts(a):
+            xi = np.array(q.inside_roots(a.symbol, lam), dtype=complex)[None]
+            clustered, full = _vandermonde_rows(a.symbol, xi, range(ctx.width))
+            _, narrow = _vandermonde_rows(a.symbol, xi, ctx.cols)
+            if clustered[0]:
+                continue
+            # the running product xi**i = xi**(i-1) * xi
+            power = np.ones(xi.shape, dtype=complex)
+            for i in range(ctx.width):
+                assert full.v[:, i].tobytes() == power.tobytes()
+                power = power * xi
+            assert narrow.v.tobytes() == full.v[:, cols].tobytes()
+            assert narrow.v_prime.tobytes() == full.v_prime[:, cols].tobytes()
+            # (xi**0)' is +0, not the -0 that 0 / a'(xi) can give
+            assert full.v_prime[:, 0].tobytes() == bytes(full.v_prime[:, 0].nbytes)
+
+    @pytest.mark.parametrize("method", ["frobenius", "vandermonde"])
+    def test_phi_narrow_equals_full_width(self, test2_case1, method):
+        a = test2_case1
+        ctx = build_w(a)
+        for lam in self._shifts(a):
+            if method == "frobenius":
+                g, g_prime = _g_stack(a.symbol, lam)
+                full = basis_frobenius(wiener_hopf(a.symbol, lam), ctx.width)
+                narrow = _frobenius_rows(g, g_prime, ctx.cols)[0]
+            else:
+                xi = np.array(q.inside_roots(a.symbol, lam), dtype=complex)[None]
+                clustered, stack = _vandermonde_rows(a.symbol, xi, ctx.cols)
+                if clustered[0]:
+                    continue
+                full, narrow = basis_vandermonde(a.symbol, lam, ctx.width), stack[0]
+            rows = min(full.p, ctx.q)
+            for got, want in zip(phi(ctx, narrow, rows), phi(ctx, full, rows)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_phi_rejects_other_row_counts(self, test2_case1):
+        ctx = build_w(test2_case1)
+        bas = basis_vandermonde(test2_case1.symbol, -1.0 + 0.5j, ctx.width - 1)
+        with pytest.raises(InvalidInputError):
+            phi(ctx, bas, 1)
+
+
 class TestPhi:
     def test_fix_a_certificate(self, fix_a):
         ctx = build_w(fix_a)
@@ -229,7 +359,7 @@ class TestPhi:
 
     def test_row_scaling_leaves_correction_invariant(self, fix_a):
         ctx = build_w(fix_a)
-        scaled = NEPContext(w=10.0 * ctx.w)
+        scaled = NEPContext(w=10.0 * ctx.w, cols=ctx.cols)
         lam = 0.1
         bas = basis_vandermonde(fix_a.symbol, lam, ctx.width)
         c1 = newton_correction(*phi(ctx, bas, 1))

@@ -79,9 +79,22 @@ def test_output_change(tmp_path, capsys):
     assert "eig-all fixture: differs at line 2" in out
     assert (
         "largest relative difference per numeric field: "
-        "eigenvalues.re 1.67e-01, eigenvalues.im 0.00e+00, eigenvalues.iterations 0.00e+00"
+        "eigenvalues.lam 1.67e-01, eigenvalues.iterations 0.00e+00"
     ) in out
     assert "winding_map: identical" in out
+
+
+def test_output_change_of_an_eigenvalue_is_complex(tmp_path, capsys):
+    # -0.0085 + 0.0495i moved by 1e-12 in its real part: relative to the
+    # real part alone that is 1.2e-10, relative to the eigenvalue 2.0e-11
+    da, db = _digest(["isolated_pq"]), _digest(["isolated_pq"])
+    for doc, re in ((da, -0.0085), (db, -0.0085 + 1e-12)):
+        stdout = json.dumps({"eigenvalues": [{"re": re, "im": 0.0495, "iterations": 4}]})
+        doc["outputs"]["eig-all fixture"] = f"exit 0\n{stdout}\n"
+    assert _compare(tmp_path, da, db) == 1
+    out = capsys.readouterr().out
+    assert "per numeric field: eigenvalues.lam 1.99e-11, eigenvalues.iterations 0.00e+00" in out
+    assert "eigenvalues.re" not in out
 
 
 def test_runs_paired_by_start(tmp_path, capsys):

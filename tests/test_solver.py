@@ -194,6 +194,15 @@ class TestRunExits:
         rec = q.eig_single(fix_a, 0.05, q.SolverConfig(maxit=4))
         assert (rec.status, rec.iterations) == (q.SolveStatus.ISOLATED_PQ, 4)
 
+    def test_far_correction_column(self, fix_a):
+        # W and the basis take column 10**300 in their stride, but the
+        # residual prefix cannot reach it: the converged run fails at
+        # once, the others are unaffected
+        a = q.QTMatrix(fix_a.symbol, q.Correction(fix_a.correction.entries + ((1, 10**300, 0.5),)))
+        with pytest.raises(InvalidInputError, match="too far for the residual prefix"):
+            q.eig_single(a, 0.05)
+        assert q.eig_single(a, 3 + 2j).status is q.SolveStatus.DIVERGED
+
     def test_no_inside_roots(self):
         # z (a(z) - 0) = 1 + 0.1 z**2 has both roots outside: p = 0
         rec = q.eig_single(q.qt_new([0, 1], [0, 0.1]), 0.0)
@@ -693,8 +702,8 @@ class TestBatch:
         # several limits, numbered in first-found order, over more cells
         # than three chunks hold
         cfg = q.SolverConfig()
-        box, res = ((-2.0, -0.2), (-0.2, 0.2)), (12, 9)
-        assert res[0] * res[1] > 3 * _chunk_rows(build_w(test2_case1).width, cfg.vec_len)
+        box, res = ((-2.0, -0.2), (-0.2, 0.2)), (28, 24)
+        assert res[0] * res[1] > 3 * _chunk_rows(len(build_w(test2_case1).cols), cfg.vec_len)
         xs, ys = _grid_axes(*box, res)
         recs = self._one_by_one(test2_case1, [complex(x, y) for y in ys for x in xs], cfg)
         want = np.full(len(recs), BASIN_NONCONV, dtype=np.int64)
@@ -717,7 +726,7 @@ class TestBatch:
     @pytest.mark.parametrize("name", ["fix_a", "test2_case1", "test3"])
     def test_records_do_not_depend_on_the_chunk(self, name, request, monkeypatch):
         # the derived chunk (333 rows for fix_a's basins grid of 576
-        # cells, 34 for the seven-band section's 300 starts, 90 for the
+        # cells, 222 for the seven-band section's 300 starts, 125 for the
         # clustered roots' 300, whose degree-12 rows are polished from
         # warm roots) against chunks of 1 and 32 rows
         a = request.getfixturevalue(name)
@@ -729,7 +738,7 @@ class TestBatch:
             starts = [complex(x, y) for y in axis for x in axis]
         else:
             starts = eig_dense(q.finite_section(a, section_size(a, cfg.gamma)))
-        derived = _chunk_rows(build_w(a).width, cfg.vec_len)
+        derived = _chunk_rows(len(build_w(a).cols), cfg.vec_len)
         assert 32 < derived < len(starts)
         want = list(q.solver._runs(a, starts, cfg))
         for rows in (1, 32):
@@ -737,9 +746,10 @@ class TestBatch:
             assert list(q.solver._runs(a, starts, cfg)) == want
 
     def test_chunk_rows_follow_the_row_cost(self):
-        # the fixtures' widths at the default prefix length; a longer
-        # prefix costs rows, and a wide W keeps the floor of 32
-        assert [_chunk_rows(w, 100) for w in (107, 34, 2)] == [34, 90, 333]
+        # the fixtures' nonzero columns of W (seven-band, clustered roots,
+        # rank-one) at the default prefix length; a longer prefix costs
+        # rows, and a wide W keeps the floor of 32
+        assert [_chunk_rows(w, 100) for w in (8, 22, 2)] == [222, 125, 333]
         assert _chunk_rows(34, 1000) < _chunk_rows(34, 100)
         assert _chunk_rows(5000, 1) == 32
 

@@ -48,8 +48,10 @@ of the rank-one fixture over [-0.5, 0.5]^2.
 For the seven-band, clustered-root and rank-one fixtures, and for one
 operator whose rows below m hold entries on scattered columns with a
 repeated (rank-deficient) row, it records the reduction: repr of
-``norm_inf``, the row count q of ``build_w`` and the SHA-256 of W's
-bytes.
+``norm_inf``, the row count q of ``build_w``, and the SHA-256s of W's
+nonzero columns (``NEPContext.cols``, as int64) and of W's bytes on
+them.  A tree that stores W at its full width is read on the same
+columns: 0..m-1 and m - 1 + j for each correction column j.
 
 ``--compare`` pairs the runs of a set by their start: the k-th run from
 a start on one side with the k-th run from the same start (the same
@@ -67,8 +69,9 @@ is counted, not taken for a status difference.  For each recorded output
 it prints "identical" or the first differing line; when the stdout of a
 differing output is JSON with the same keys in the same order on both
 sides (the ``eig-all`` and ``eig-single`` outputs), it also prints the
-largest relative difference of each numeric field.  It exits 1 when a
-status or an output differs, else 0.
+largest relative difference of each numeric field, an eigenvalue's
+"re" and "im" taken together as one complex number ("lam").  It exits 1
+when a status or an output differs, else 0.
 """
 
 from __future__ import annotations
@@ -240,14 +243,22 @@ def _outputs(q, seven_band, cluster, fix_a) -> dict:
 
 
 def _reductions(q, ops) -> dict:
-    """norm_inf, q and the W bytes of each named operator, as text."""
+    """norm_inf, q, W's nonzero columns and W's bytes on them, of each
+    named operator, as text."""
     from qteig.nep import build_w
 
     out = {}
     for name, a in ops.items():
         ctx = build_w(a)
+        cols, w = getattr(ctx, "cols", None), ctx.w
+        if cols is None:  # W stored at its full width
+            m = a.symbol.m
+            cols = tuple(range(m)) + tuple(sorted({m - 1 + j for _, j, _ in a.correction.entries}))
+            w = np.ascontiguousarray(w[:, list(cols)])
         out[f"reduction {name}"] = (
-            f"norm_inf {q.norm_inf(a)!r}\nq {ctx.q}\nW {_sha256(ctx.w.tobytes())}\n"
+            f"norm_inf {q.norm_inf(a)!r}\nq {ctx.q}\n"
+            f"cols {_sha256(np.array(cols, dtype=np.int64).tobytes())}\n"
+            f"W {_sha256(w.tobytes())}\n"
         )
     return out
 
@@ -297,8 +308,16 @@ def _walk(a, b, path: str, worst: dict) -> None:
     if isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
             raise _ShapeMismatch
+        pair = ("re", "im")
+        joined = all(_is_number(d.get(key)) for d in (a, b) for key in pair)
+        if joined:
+            # one complex number: a small real part must not inflate "re"
+            lam = f"{path}.lam" if path else "lam"
+            rel = _rel(complex(a["re"], a["im"]), complex(b["re"], b["im"]))
+            worst[lam] = max(worst.get(lam, 0.0), rel)
         for key in a:
-            _walk(a[key], b[key], f"{path}.{key}" if path else key, worst)
+            if not (joined and key in pair):
+                _walk(a[key], b[key], f"{path}.{key}" if path else key, worst)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             raise _ShapeMismatch
