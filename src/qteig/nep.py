@@ -10,15 +10,19 @@ nonzero, so W is stored on those columns (``NEPContext.cols``) and the
 Newton driver builds V only at those rows: W V is the product of the
 two narrow matrices.  Two bases are supported: columns of powers of the
 inside roots (Vandermonde) and block rows I, G, G**2, ... of powers of
-G = F**p (Frobenius), each with its exact shift derivative.  W's
-Toeplitz block comes from the same index gather as the factorization's.
+G = F**p (Frobenius), each with its exact shift derivative.  Every row
+of either basis is a row of powers, and one kernel builds them all
+(``_power_rows``): binary powering of the roots elementwise or of G by
+matmul, the derivative by the product rule, so a row far down costs
+log of its index.  W's Toeplitz block comes from the same index gather
+as the factorization's.
 The Newton step 1 / trace(Phi^{-1} Phi') is taken on Phi and Phi'
 scaled once each by powers of two (``equilibrate``), so it does not
 depend on how the boundary equations are scaled.
 
 Each kernel takes a stack with a leading batch axis, one row per shift
-(``_vandermonde_rows``, ``_frobenius_rows``, ``_newton_steps``,
-``_eigvec_rows``; ``phi`` and ``equilibrate`` take either), and the two
+(``_vandermonde_rows``, ``_frobenius_rows``, ``_basis_values``,
+``_newton_steps``; ``phi`` and ``equilibrate`` take either), and the
 basis kernels take the ascending basis rows to build;
 ``basis_vandermonde``, ``basis_frobenius``, ``newton_correction`` and
 ``eigvec_prefix`` are batches of one, and the two bases are full-width:
@@ -136,36 +140,74 @@ class BasisPair:
         return BasisPair(v=self.v[k], v_prime=self.v_prime[k], xi=pick(self.xi), g=pick(self.g))
 
 
-def _root_power_rows(xi: np.ndarray, rows, dvals=None) -> tuple:
-    """Rows ``rows`` (ascending) of the root-power bases of a stack of
-    inside roots xi (n, p): row i holds xi**i, from the running product
-    xi**i = xi**(i-1) * xi.  Given dvals = a'(xi), also the rows of V',
-    i xi**(i-1) / a'(xi).  Returns (v, v_prime); v_prime is None without
-    dvals."""
-    rows = np.asarray(rows, dtype=np.int64)
-    at = {i: k for k, i in enumerate(rows.tolist())}
-    v = np.empty((xi.shape[0], rows.size, xi.shape[1]), dtype=complex)
-    before = np.zeros_like(v)  # row i - 1 of the basis, for each row i > 0
-    power = np.ones(xi.shape, dtype=complex)
-    for i in range(rows[-1] + 1 if rows.size else 0):
-        if i:
-            previous, power = power, power * xi
-        k = at.get(i)
-        if k is not None:
-            v[:, k] = power
-            if i:
-                before[:, k] = previous
-    if dvals is None:
+def _power_rows(x: np.ndarray, dx, rows, mul) -> tuple:
+    """Rows ``rows`` (ascending) of the power bases of a stack x (n, b, p):
+    row i is row i mod b of x**(i // b), with x**0 the identity.  ``mul``
+    is np.matmul for x = G (b = p) and np.multiply for the inside roots
+    as (n, 1, p) (b = 1).  x**e is the product of the squares x**(2**h)
+    over the bits h of e, the highest on the left; each square and
+    partial product is made once, and the partial products of one bit
+    level in one stacked product.  Given dx, the shift derivative of x,
+    the derivative rows follow by the product rule (XY)' = X'Y + XY'.
+    Returns (v, v_prime); v_prime is None without dx."""
+    n, b, p = x.shape
+    pairs = [divmod(int(i), b) for i in rows]
+    es, rs = [e for e, _ in pairs], [r for _, r in pairs]
+    # the partial exponents: each e and, recursively, e less its highest
+    # bit, and the squares 2**h below the largest; in ascending order
+    # they run level by level, each level's square first
+    top = max(es, default=0).bit_length()
+    parts = {1 << h for h in range(top)}
+    for e in set(es):
+        while e and e not in parts:
+            parts.add(e)
+            e &= ~(1 << (e.bit_length() - 1))
+    order = sorted(parts)
+    slot = {e: k for k, e in enumerate(order)}
+    # power[k] = x**order[k]: on the leading axis each partial is one
+    # block, so products are written in place without overlapping inputs
+    power = np.empty((len(order), n, b, p), dtype=complex)
+    d_power = None if dx is None else np.empty_like(power)
+    for h in range(top):
+        k, end = slot[1 << h], slot.get(2 << h, len(order))
+        if h == 0:
+            power[k] = x
+            if dx is not None:
+                d_power[k] = dx
+        else:
+            s = slot[1 << (h - 1)]
+            if dx is not None:
+                np.add(mul(d_power[s], power[s]), mul(power[s], d_power[s]), out=d_power[k])
+            mul(power[s], power[s], out=power[k])
+        if end > k + 1:
+            # the level's products: x**(2**h) times a lower partial each
+            lows = [slot[e & ~(1 << h)] for e in order[k + 1 : end]]
+            if lows == list(range(lows[0], lows[-1] + 1)):
+                lows = slice(lows[0], lows[-1] + 1)  # consecutive: a view
+            y = power[lows]
+            if dx is not None:
+                np.add(mul(d_power[k], y), mul(power[k], d_power[lows]), out=d_power[k + 1 : end])
+            mul(power[k], y, out=power[k + 1 : end])
+    # rows ascend, so the rows of x**0 come first: the identity's, with
+    # derivative +0
+    z = es.count(0)
+    v = np.empty((n, len(es), p), dtype=complex)
+    v[:, :z] = (np.eye(p) if b > 1 else np.ones((1, p)))[rs[:z]]
+    at, picked = [slot[e] for e in es[z:]], rs[z:]
+    v[:, z:] = power.swapaxes(0, 1)[:, at, picked]
+    if dx is None:
         return v, None
-    v_prime = rows[:, None] * before / dvals[:, None, :]
-    v_prime[:, rows == 0] = 0.0
+    v_prime = np.empty_like(v)
+    v_prime[:, :z] = 0.0
+    v_prime[:, z:] = d_power.swapaxes(0, 1)[:, at, picked]
     return v, v_prime
 
 
 def _vandermonde_rows(sym: LaurentSymbol, xi: np.ndarray, rows) -> tuple:
     """Root-power bases for each row of inside roots xi (n, p), at the
     basis rows ``rows`` (ascending): column j holds xi_j**0, xi_j**1,
-    ..., and the derivative uses d xi / d lam = 1 / a'(xi).
+    ... (``_power_rows``), and the derivative uses d xi / d lam =
+    1 / a'(xi).
 
     Returns (clustered, stack): the mask of the rows where two inside
     roots are closer than ROOT_SEP_TOL or a'(xi) vanishes (a numerically
@@ -181,7 +223,7 @@ def _vandermonde_rows(sym: LaurentSymbol, xi: np.ndarray, rows) -> tuple:
             dvals += (j * c) * xi ** (j - 1)
     clustered |= (np.abs(dvals) < 1e-250).any(axis=1)
     xi, dvals = xi[~clustered], dvals[~clustered]
-    v, v_prime = _root_power_rows(xi, rows, dvals)
+    v, v_prime = _power_rows(xi[:, None, :], 1.0 / dvals[:, None, :], rows, np.multiply)
     return clustered, BasisPair(v=v, v_prime=v_prime, xi=xi)
 
 
@@ -205,49 +247,9 @@ def basis_vandermonde(sym: LaurentSymbol, lam: complex, rows: int) -> BasisPair:
 def _frobenius_rows(g: np.ndarray, g_prime, rows) -> BasisPair:
     """G-power bases for a stack of (G, G'), (n, p, p) each, at the basis
     rows ``rows`` (ascending): row i is row i mod p of G**(i // p), so
-    the block rows are I, G, G**2, ...  G**e is the product of the
-    squares G**(2**h) over the bits h of e, the highest on the left, and
-    each square and partial product is made once.  The derivative rows
-    follow by the product rule (XY)' = X'Y + XY'; up to G**3 the products
-    are those of the running product G**j = G**(j-1) G.  With g_prime
-    None, V alone is built and ``v_prime`` is None."""
-    n, p = g.shape[:2]
-    v = np.zeros((n, len(rows), p), dtype=complex)
-    v_prime = None if g_prime is None else np.zeros_like(v)
-
-    def times(x, y):
-        xy = x[0] @ y[0]
-        return xy, None if g_prime is None else x[1] @ y[0] + x[0] @ y[1]
-
-    squares = [(g, g_prime)]  # G**(2**h) and its derivative
-    powers = {}  # G**e and its derivative, for the partial exponents e
-
-    def power(e):
-        low = 0  # the bits of e below h
-        for h in range(e.bit_length()):
-            if e >> h & 1:
-                while len(squares) <= h:
-                    squares.append(times(squares[-1], squares[-1]))
-                part = low + (1 << h)
-                if part not in powers:
-                    powers[part] = times(squares[h], powers[low]) if low else squares[h]
-                low = part
-        return powers[e]
-
-    blocks: dict = {}  # exponent -> (positions in rows, rows of G**e)
-    for k, i in enumerate(rows):
-        e, r = divmod(int(i), p)
-        ks, rs = blocks.setdefault(e, ([], []))
-        ks.append(k)
-        rs.append(r)
-    for e, (ks, rs) in blocks.items():
-        if e == 0:
-            v[:, ks, rs] = 1.0
-            continue
-        pw, d_pw = power(e)
-        v[:, ks] = pw[:, rs]
-        if v_prime is not None:
-            v_prime[:, ks] = d_pw[:, rs]
+    the block rows are I, G, G**2, ... (``_power_rows``).  Up to G**3 the
+    products are those of the running product G**j = G**(j-1) G."""
+    v, v_prime = _power_rows(g, g_prime, rows, np.matmul)
     return BasisPair(v=v, v_prime=v_prime, g=g)
 
 
@@ -269,8 +271,8 @@ def _basis_values(basis: BasisPair, rows) -> np.ndarray:
     """Rows ``rows`` (ascending) of V alone, without V', for a stack of
     bases, from the roots or the G it was built from."""
     if basis.xi is not None:
-        return _root_power_rows(basis.xi, rows)[0]
-    return _frobenius_rows(basis.g, None, rows).v
+        return _power_rows(basis.xi[..., None, :], None, rows, np.multiply)[0]
+    return _power_rows(basis.g, None, rows, np.matmul)[0]
 
 
 def phi(ctx: NEPContext, basis: BasisPair, rows: int) -> tuple:
@@ -345,36 +347,11 @@ def newton_correction(phi_mat, phi_prime) -> complex:
     return complex(steps[0])
 
 
-def _eigvec_rows(basis: BasisPair, beta: np.ndarray, length: int, sym: LaurentSymbol) -> np.ndarray:
-    """Leading ``length`` eigenvector entries v_i = (row i + m of the
-    basis) . beta for each basis of a stack and its row of beta (n, p),
-    extending past the stored rows by the interior recurrence (root
-    powers or further G powers)."""
-    m = sym.m
-    if basis.xi is not None:
-        # row i holds xi**(m + i), built by repeated multiplication
-        xi = basis.xi[:, None, :]
-        powers = np.repeat(xi, length, axis=1)
-        powers[:, :1] = xi**m
-        return (np.cumprod(powers, axis=1) @ beta[:, :, None])[:, :, 0]
-    # column k of cols is G**k beta; while cols has j columns, power is
-    # G**j (by squaring) and power @ cols doubles it
-    p = basis.p
-    total = length + m
-    cols = beta[:, :, None]
-    power = basis.g
-    while cols.shape[-1] * p < total:
-        if cols.shape[-1] > 1:
-            power = power @ power
-        cols = np.concatenate([cols, power @ cols], axis=-1)
-    return cols.swapaxes(1, 2).reshape(cols.shape[0], -1)[:, m:total]
-
-
 def eigvec_prefix(basis: BasisPair, beta, length: int, sym: LaurentSymbol) -> np.ndarray:
-    """Leading ``length`` eigenvector entries of one basis and a nonzero
-    beta: a batch of one of ``_eigvec_rows`` (``basis[None]`` is a stack
-    of one)."""
+    """Leading ``length`` eigenvector entries v_i = (row i + m of the
+    basis) . beta, i = 0, 1, ..., of one basis and a nonzero beta, from
+    the roots or the G it was built from (``_basis_values``)."""
     bvec = np.asarray(beta, dtype=complex)
     if bvec.ndim != 1 or bvec.size != basis.p or not np.any(bvec):
         raise InvalidInputError("beta must be a nonzero vector of length p")
-    return _eigvec_rows(basis[None], bvec[None], length, sym)[0]
+    return _basis_values(basis[None], range(sym.m, sym.m + length))[0] @ bvec

@@ -14,6 +14,7 @@ integer rule, ``_position``.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -162,9 +163,13 @@ def apply_prefix(a: QTMatrix, v, out_len: int) -> np.ndarray:
     return _apply_rows(a, vec[None], out_len)[0]
 
 
-def _apply_rows(a: QTMatrix, vec: np.ndarray, out_len: int) -> np.ndarray:
+def _apply_rows(a: QTMatrix, vec: np.ndarray, out_len: int, at=None) -> np.ndarray:
     """First ``out_len`` entries of A v for each row v of a stack of
-    prefixes (n, L), each long enough as ``apply_prefix`` requires."""
+    prefixes (n, L), each long enough as ``apply_prefix`` requires.
+    Given ``at``, the ascending 0-based entries of v that the columns of
+    ``vec`` hold, the leading ones 0, 1, ..., out_len + n - 1: then vec
+    need hold only those and the correction columns of the rows asked
+    for, however far they are."""
     out = np.zeros((vec.shape[0], out_len), dtype=complex)
     for d, c in a.symbol.terms():
         start = max(0, -d)
@@ -175,7 +180,8 @@ def _apply_rows(a: QTMatrix, vec: np.ndarray, out_len: int) -> np.ndarray:
             # in real arithmetic, rounded as the product of two complex
             # scalars is: numpy's loop over a strided column may fuse
             # the complex product's multiply and add
-            x, row = vec[:, j - 1], out[:, i - 1]
+            k = j - 1 if at is None else bisect.bisect_left(at, j - 1)
+            x, row = vec[:, k], out[:, i - 1]
             row.real += v_e.real * x.real - v_e.imag * x.imag
             row.imag += v_e.real * x.imag + v_e.imag * x.real
     return out

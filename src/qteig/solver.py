@@ -19,7 +19,7 @@ columns, the only basis rows a pass builds, and an accepted row also
 holds its eigenvector prefix as a record.  That gives 222 rows at 8
 columns (the seven-band fixture, whose 167 starts run as one chunk),
 125 at 22 (the clustered roots) and 333 at 2 (the rank-one fixture's
-basins).  By tracemalloc, a chunk's passes peak at 1.6, 3.7 and 2.2 MB
+basins).  By tracemalloc, a chunk's passes peak at 1.6, 3.9 and 2.7 MB
 there.  Those 50 x 50 basins take 0.36-0.42 s in chunks of 32 rows
 and 0.13-0.16 s in chunks of 333, which raise the peak RSS by 2.3 MB
 more (512 rows: 4.5 MB, 1024 rows: 7.5 MB, for at most 0.03 s less).
@@ -55,8 +55,13 @@ deficiency and the residual of all q equations passes too; a shift
 that fails the p-row test keeps stepping from that same evaluation
 until the budget runs out.  Classification (``_classify``) takes the
 shifts of a p group that converged in the pass with one stacked call per
-stage (null vectors, eigenvector prefixes, residuals, row norms and the
-certificate) and decides each row on its own.
+stage (null vectors, V, residuals, row norms and the certificate) and
+decides each row on its own.  It builds V once, without V', at the rows
+range(m + L) and W's nonzero columns, L = max(q + n, vec_len): its rows
+from m on times beta are the stored eigenvector prefix and the entries
+the residual's band rows read, a correction column far past the prefix
+is read from its own row, and the certificate's ||V|| is taken over the
+rows below W's width, so a far column costs log of its index.
 
 The winding raster counts a few grid rows at a time with
 ``poly._count_rows``: root squaring on all their cells at once, and the
@@ -65,6 +70,7 @@ explicit-root split for the cells it does not settle.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import math
@@ -79,7 +85,6 @@ from .factor import _factor_rows, _g_rows
 from .linalg import _check_eig_dim, eig_dense
 from .nep import (
     _basis_values,
-    _eigvec_rows,
     _frobenius_rows,
     _newton_steps,
     _vandermonde_rows,
@@ -233,12 +238,9 @@ def _classify(a, ctx, lam, basis, iterations, cfg) -> list:
     converged shifts of one p group with the basis stack their
     evaluation built.  Returns, per row, an EigRecord, a
     no_convergence_pltq failure when only the p < q checks fail, or
-    None when the shift is not accepted.  Raises InvalidInputError when
-    the residual's eigenvector prefix cannot reach the last correction
-    column."""
+    None when the shift is not accepted."""
     sym = a.symbol
-    q = ctx.q
-    p = basis.p
+    m, q, p = sym.m, ctx.q, basis.p
     # W V, all q rows, from the basis rows at W's nonzero columns: Phi is
     # its first p, the certificate reads it whole
     wv = ctx.w @ basis.v
@@ -247,29 +249,26 @@ def _classify(a, ctx, lam, basis, iterations, cfg) -> list:
     scaled, _, c = equilibrate(wv[:, :p])
     y = _ldexp(np.linalg.svd(scaled)[2][:, -1].conj(), -c[:, 0])
     beta = y / _row_norms(y)[:, None]
-    res_len = max(q + sym.n, a.correction.k2)
-    if res_len > np.iinfo(np.intp).max:
-        # the residual reads the eigenvector up to the last correction
-        # column; past numpy's largest dimension no prefix can hold it
-        raise InvalidInputError(
-            f"correction column {a.correction.k2} is too far for the residual prefix"
-        )
-    # one prefix serves the residual rows and the stored eigenvector:
-    # both are leading entries of the same sequence
-    full = _eigvec_rows(basis, beta, max(res_len, cfg.vec_len), sym)
-    vec = full[:, :res_len]
+    # one V, without V', at the rows the prefix and W read: the stored
+    # eigenvector and the residual's band rows are its rows m.. times
+    # beta, and each correction column j its row m - 1 + j, however far
+    size = max(q + sym.n, cfg.vec_len)
+    rows = sorted(set(range(m + size)).union(ctx.cols))
+    v = _basis_values(basis, rows)
+    vec = (v[:, m:] @ beta[:, :, None])[:, :, 0]
     # rows are computed each on their own: r[:, :p] is the residual of
     # the p rows Phi solves, all of r when p == q
-    r = _apply_rows(a, vec, q) - lam[:, None] * vec[:, :q]
+    r = _apply_rows(a, vec, q, [i - m for i in rows[m:]]) - lam[:, None] * vec[:, :q]
     denom_p, res_p, res, denom_q = (_row_norms(x).tolist()
                                     for x in (vec[:, :p], r[:, :p], r, vec[:, :q]))
     if p < q:
         # W V is q x p: rank deficient when its smallest singular value
-        # is at rounding level of ||W|| ||V||, with V full-width (its
-        # values alone, built for these rows only)
+        # is at rounding level of ||W|| ||V||, ||V|| over V's rows below
+        # W's width (all of them unless a correction column lies past
+        # the prefix)
         smin = np.linalg.svd(wv, compute_uv=False)[:, -1]
-        v = _basis_values(basis, range(ctx.width))
-        tol = 1e-12 * q * ctx.norm2 * np.linalg.svd(v, compute_uv=False).max(axis=-1)
+        below = v[:, : bisect.bisect_left(rows, ctx.width)]
+        tol = 1e-12 * q * ctx.norm2 * np.linalg.svd(below, compute_uv=False).max(axis=-1)
     out = []
     for k, its in enumerate(iterations.tolist()):
         if denom_p[k] == 0.0 or res_p[k] / denom_p[k] > cfg.residual_tol:
@@ -284,7 +283,7 @@ def _classify(a, ctx, lam, basis, iterations, cfg) -> list:
             status = SolveStatus.ISOLATED_PLTQ
         out.append(EigRecord(
             lam=complex(lam[k]),
-            vec_prefix=tuple(full[k, : cfg.vec_len]),
+            vec_prefix=tuple(vec[k, : cfg.vec_len]),
             residual=res_q,
             iterations=its,
             status=status,
@@ -382,11 +381,12 @@ def _chunk_rows(columns: int, vec_len: int) -> int:
     record), 700 per nonzero column of W, the rows of its stacked bases,
     and 60 per entry of its eigenvector prefix: 16 in the array
     ``_classify`` builds and about 40 kept in the record's tuple of numpy
-    scalars.  By tracemalloc a row of a pass peaks at about 9.7 kB on
-    the seven-band fixture (8 columns, 12.6 kB by this count), 29 kB on
-    the clustered roots (22 columns, 22.4 kB; their degree-12 splits
-    and p < q certificates cost more) and 6.7 kB on the rank-one basins
-    (2 columns, 8.4 kB)."""
+    scalars.  By tracemalloc a row of a pass peaks at about 9.8 kB on
+    the seven-band fixture (8 columns, 12.6 kB by this count), 31 kB on
+    the clustered roots (22 columns, 22.4 kB; their degree-12 splits,
+    p < q certificates and the p-wide V of the rows ``_classify`` takes
+    cost more, so that chunk peaks at 3.9 MB) and 8.0 kB on the rank-one
+    basins (2 columns, 8.4 kB)."""
     return max(32, 2_800_000 // (1000 + 700 * columns + 60 * vec_len))
 
 

@@ -195,6 +195,21 @@ class TestEigSingleCommand:
         assert out["status"] == "on_curve"
         assert out["residual"] is None
 
+    @pytest.mark.parametrize("method", q.SolverConfig.METHODS)
+    def test_far_correction_column(self, tmp_path, capsys, method):
+        # fix_a plus an entry at (1, 10**300), whose eigenvector entry
+        # underflows: the eigenvalue 0 stays isolated
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "am": [5, -2],
+            "ap": [5, -2],
+            "E": [{"i": 1, "j": 1, "re": -4, "im": 0}, {"i": 1, "j": 10**300, "re": 0.5, "im": 0}],
+        }))
+        assert main(["eig-single", str(path), "--lambda0", "0.05,0", "--method", method]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "isolated_pq"
+        assert abs(complex(out["re"], out["im"])) <= 1e-12
+
     def test_bad_lambda0(self, fix_a_file, capsys):
         assert main(["eig-single", fix_a_file, "--lambda0", "nan,0"]) == 2
         capsys.readouterr()

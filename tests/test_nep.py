@@ -251,6 +251,18 @@ def _running_powers(g, g_prime, rows):
     return np.concatenate(blocks, axis=1)[:, :rows], np.concatenate(d_blocks, axis=1)[:, :rows]
 
 
+def _binary_power(x, e):
+    """x**e elementwise: the product of the squares x**(2**h) over the
+    bits h of e, the highest on the left."""
+    out, square = None, x
+    for h in range(e.bit_length()):
+        if h:
+            square = square * square
+        if e >> h & 1:
+            out = square if out is None else square * out
+    return np.ones_like(x) if out is None else out
+
+
 class TestNarrowBasis:
     """The basis kernels at an ascending set of rows, W's nonzero columns
     among them, against the same rows of a full-width basis."""
@@ -297,10 +309,12 @@ class TestNarrowBasis:
             _, narrow = _vandermonde_rows(a.symbol, xi, ctx.cols)
             if clustered[0]:
                 continue
-            # the running product xi**i = xi**(i-1) * xi
+            # binary powering, highest bit on the left, and within
+            # rounding of the running product xi**i = xi**(i-1) * xi
             power = np.ones(xi.shape, dtype=complex)
             for i in range(ctx.width):
-                assert full.v[:, i].tobytes() == power.tobytes()
+                assert full.v[:, i].tobytes() == _binary_power(xi, i).tobytes()
+                assert np.abs(full.v[:, i] - power).max() <= 1e-14 * np.abs(power).max()
                 power = power * xi
             assert narrow.v.tobytes() == full.v[:, cols].tobytes()
             assert narrow.v_prime.tobytes() == full.v_prime[:, cols].tobytes()

@@ -194,14 +194,24 @@ class TestRunExits:
         rec = q.eig_single(fix_a, 0.05, q.SolverConfig(maxit=4))
         assert (rec.status, rec.iterations) == (q.SolveStatus.ISOLATED_PQ, 4)
 
-    def test_far_correction_column(self, fix_a):
-        # W and the basis take column 10**300 in their stride, but the
-        # residual prefix cannot reach it: the converged run fails at
-        # once, the others are unaffected
-        a = q.QTMatrix(fix_a.symbol, q.Correction(fix_a.correction.entries + ((1, 10**300, 0.5),)))
-        with pytest.raises(InvalidInputError, match="too far for the residual prefix"):
-            q.eig_single(a, 0.05)
-        assert q.eig_single(a, 3 + 2j).status is q.SolveStatus.DIVERGED
+    @pytest.mark.parametrize("column", [10**6, 10**12, 10**300], ids=["1e6", "1e12", "1e300"])
+    @pytest.mark.parametrize("method", q.SolverConfig.METHODS)
+    def test_far_correction_column(self, fix_a, method, column):
+        # the basis reaches column j in log(j) squarings, and the
+        # residual reads only that row past its band prefix: an entry
+        # whose eigenvector entry 2**-j underflows leaves fix_a's runs
+        # as they were
+        a = q.QTMatrix(fix_a.symbol, q.Correction(fix_a.correction.entries + ((1, column, 0.5),)))
+        cfg = q.SolverConfig(method=method)
+        rec = q.eig_single(a, 0.05, cfg)
+        assert rec.status is q.SolveStatus.ISOLATED_PQ
+        assert abs(rec.lam) <= 1e-12
+        assert q.eig_single(a, 3 + 2j, cfg).status is q.SolveStatus.DIVERGED
+        box = ((-0.5, 0.5), (-0.5, 0.5), 6)
+        labels, limits = q.basins(a, *box, cfg)
+        want_labels, want_limits = q.basins(fix_a, *box, cfg)
+        assert np.array_equal(labels, want_labels)
+        assert limits == want_limits
 
     def test_no_inside_roots(self):
         # z (a(z) - 0) = 1 + 0.1 z**2 has both roots outside: p = 0
