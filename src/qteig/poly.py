@@ -20,11 +20,13 @@ of b(z)*b(-z)) until a single coefficient dominates the 1-norm of the
 rest by more than rounding can make up (``_count_rows``); the index of
 that coefficient is the number of roots strictly inside the unit
 circle.  One kernel, ``_count_rows``, counts every row of a
-(polynomials, degree+1) coefficient array, so that a raster counts all
-its cells at once; the rows it does not settle (roots on or hugging the
-circle) take their count from ``_split_rows``, whose SPLIT_BAND alone
-puts a shift on the curve.  ``winding`` and ``count_inside`` are
-batches of one of it, and ``inside_roots`` a batch of one of the split.
+(polynomials, degree+1) coefficient array; the rows it does not settle
+(roots on or hugging the circle) take their count from ``_split_rows``,
+whose SPLIT_BAND alone puts a shift on the curve.  It serves
+``winding`` and ``count_inside``, batches of one of it, and the cells
+of the winding raster that lie near the sampled curve (the others take
+the sampled polygon's crossings, ``solver.winding_map``); ``inside_roots``
+is a batch of one of the split.
 The products b(z)*b(-z) here and the factorization's s*u share one
 batched kernel, ``_convolve_rows``; ``convolve`` is a batch of one of it.
 """

@@ -63,9 +63,14 @@ the residual's band rows read, a correction column far past the prefix
 is read from its own row, and the certificate's ||V|| is taken over the
 rows below W's width, so a far column costs log of its index.
 
-The winding raster counts a few grid rows at a time with
-``poly._count_rows``: root squaring on all their cells at once, and the
-explicit-root split for the cells it does not settle.
+The winding raster samples the symbol curve finely enough that the
+closed polygon through the samples stays within a 64th of a cell of it
+(``_curve_polygon``).  A cell farther than that band from the polygon
+takes the polygon's winding number from the signed crossings of its
+rightward ray (``_polygon_winding``), all cells from one difference
+array; the cells in the band (``_near_cells``) are counted by
+``poly._count_rows``, root squaring with the explicit-root split for
+the cells it does not settle, a few grid rows' worth at a time.
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ from .nep import (
     equilibrate,
     phi,
 )
-from .poly import _char_rows, _count_rows, _ldexp, _row_norms, _split_rows
+from .poly import SPLIT_BAND, _char_rows, _count_rows, _ldexp, _row_norms, _split_rows
 from .qt import (
     EigRecord,
     QTMatrix,
@@ -101,6 +106,7 @@ from .qt import (
     _position,
     finite_section,
     norm_inf,
+    symbol_curve,
 )
 
 # Step threshold of the stop rule, relative to max(1, |shift|).  At the
@@ -116,8 +122,16 @@ BASIN_NONCONV = -2
 # Raster sentinel for winding cells on the symbol curve.
 CURVE_SENTINEL = -128
 
-# Grid rows per batch of the winding raster: bounds its working memory.
+# Grid rows' worth of cells per ``poly._count_rows`` call of the winding
+# raster.  Only the cells near the sampled curve go there; this bounds
+# the stacks of the worst case, every cell near.
 _MAP_BLOCK = 10
+
+# Most samples of the symbol curve the winding raster takes; past it the
+# band of cells counted by root squaring widens instead.  On 300 x 300
+# cells that all lie in the band, the raster peaks at 5.8 MB by
+# tracemalloc at 2**14 samples and at 14 MB at 2**16.
+_MAP_SAMPLES = 2**14
 
 
 @dataclass(frozen=True)
@@ -498,9 +512,112 @@ def _grid_axes(re_range, im_range, resolution):
         raise InvalidInputError("ranges must be finite")
     if re1 <= re0 or im1 <= im0:
         raise InvalidInputError("ranges must be increasing")
-    res = re0 + (np.arange(n_re) + 0.5) * (re1 - re0) / n_re
-    ims = im0 + (np.arange(n_im) + 0.5) * (im1 - im0) / n_im
+    if not (math.isfinite((re1 - re0) / n_re) and math.isfinite((im1 - im0) / n_im)):
+        raise InvalidInputError("cell widths must be finite")
+    with np.errstate(over="ignore"):  # refused just below
+        res = re0 + (np.arange(n_re) + 0.5) * (re1 - re0) / n_re
+        ims = im0 + (np.arange(n_im) + 0.5) * (im1 - im0) / n_im
+    if not (np.isfinite(res).all() and np.isfinite(ims).all()):
+        raise InvalidInputError("cell centres must be finite")
     return res, ims
+
+
+def _edge_rows(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The (edge, grid row) pairs of polygon edges e that reach the rows
+    lo[e] <= row < hi[e], as two flat arrays."""
+    counts = hi - lo
+    edge = np.repeat(np.arange(lo.size), counts)
+    first = np.cumsum(counts) - counts
+    return edge, np.arange(edge.size) - first[edge] + lo[edge]
+
+
+def _curve_polygon(a: QTMatrix, res: np.ndarray, ims: np.ndarray) -> tuple:
+    """The symbol curve sampled for the winding raster, and the band eps
+    around the closed polygon through the samples beyond which a cell's
+    winding number is the polygon's.
+
+    On [t_j, t_j + h], h = 2 pi / nseg, the chord leaves the curve by at
+    most delta = h**2 / 8 * sum k**2 |a_k| (linear interpolation of
+    a(e^{it})), so the straight-line homotopy from polygon to curve keeps
+    clear of every point farther than delta from the polygon.  nseg puts
+    delta at 1/64 of the smaller cell side, up to _MAP_SAMPLES samples,
+    past which the band widens instead.  eps adds to delta the rounding
+    of the samples and of the crossings, and 100 SPLIT_BAND sum |k a_k|:
+    a shift whose root the split puts within SPLIT_BAND of the circle
+    lies within about SPLIT_BAND sum |k a_k| of the curve, so every
+    on-curve cell is near, and beyond eps the count, whether root
+    squaring or the split settles it, is the winding number.
+    """
+    k, c = np.array([(j, abs(v)) for j, v in a.symbol.terms()]).T
+    s0, s1, s2 = (float(np.sum(np.abs(k) ** e * c)) for e in (0, 1, 2))
+    cell = min(res[1] - res[0], ims[1] - ims[0])
+    h = math.sqrt(cell / (8.0 * s2))  # the step that puts delta at cell / 64
+    nseg = _MAP_SAMPLES
+    if h * _MAP_SAMPLES > 2 * math.pi:
+        nseg = max(8, math.ceil(2 * math.pi / h))
+    box = max(abs(res[0]), abs(res[-1]), abs(ims[0]), abs(ims[-1]))
+    rounding = 64 * (k.size + 8) * np.finfo(float).eps * (s0 + box)
+    delta = (2 * math.pi / nseg) ** 2 / 8.0 * s2
+    return symbol_curve(a, nseg), delta + rounding + 100 * SPLIT_BAND * s1
+
+
+def _polygon_winding(f: np.ndarray, res: np.ndarray, ims: np.ndarray) -> np.ndarray:
+    """Winding number of the closed polygon through f around every cell
+    centre not on it, by the signed crossings of the cell's rightward ray
+    (Hormann & Agathos, Comput. Geom. 20, 2001).  An edge crosses the
+    rows min(y0, y1) <= y < max(y0, y1), upwards +1 and downwards -1,
+    and adds its sign to the cells left of the crossing: one difference
+    array along the rows, summed from the right."""
+    x0, y0 = f.real, f.imag
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    edge, row = _edge_rows(np.searchsorted(ims, np.minimum(y0, y1)),
+                           np.searchsorted(ims, np.maximum(y0, y1)))
+    dy = y1[edge] - y0[edge]
+    x = x0[edge] + (ims[row] - y0[edge]) / dy * (x1[edge] - x0[edge])
+    width = res.size + 1
+    acc = np.bincount(row * width + np.searchsorted(res, x), weights=np.sign(dy),
+                      minlength=ims.size * width).reshape(ims.size, width)
+    return np.rint(np.cumsum(acc[:, ::-1], axis=1)[:, -2::-1]).astype(np.int64)
+
+
+def _near_cells(f: np.ndarray, res: np.ndarray, ims: np.ndarray, eps: float) -> np.ndarray:
+    """A mask holding every cell within eps of the closed polygon through
+    f.  On each grid row within b = 2 eps of an edge in y, the edge covers
+    the x-range of its points within b of the row, widened by eps (b is
+    twice eps so that rounding in the edge parameter cannot shrink it).
+    On the rows whose band holds the whole edge that range is the edge's
+    own, one rectangle; the other rows, about twice the rows the edge
+    crosses, take one rectangle each.  The rectangles are added as the
+    corners of one 2-D difference array."""
+    if not math.isfinite(eps):
+        return np.ones((ims.size, res.size), dtype=bool)
+    x0, y0 = f.real, f.imag
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    ymin, ymax = np.minimum(y0, y1), np.maximum(y0, y1)
+    b = 2 * eps
+    lo, hi = np.searchsorted(ims, ymin - b), np.searchsorted(ims, ymax + b, side="right")
+    whole_lo = np.searchsorted(ims, ymax - b)
+    whole_hi = np.maximum(np.searchsorted(ims, ymin + b, side="right"), whole_lo)
+    edge, row = _edge_rows(np.concatenate((lo, whole_hi)), np.concatenate((whole_lo, hi)))
+    edge %= f.size
+    dy, dx = y1[edge] - y0[edge], x1[edge] - x0[edge]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta = (ims[row] - b - y0[edge]) / dy
+        tb = (ims[row] + b - y0[edge]) / dy
+    flat = dy == 0
+    xa = x0[edge] + np.where(flat, 0.0, np.clip(np.minimum(ta, tb), 0.0, 1.0)) * dx
+    xb = x0[edge] + np.where(flat, 1.0, np.clip(np.maximum(ta, tb), 0.0, 1.0)) * dx
+    r0 = np.concatenate((whole_lo, row))
+    r1 = np.concatenate((whole_hi, row + 1))
+    c0 = np.searchsorted(res, np.concatenate((np.minimum(x0, x1), np.minimum(xa, xb))) - eps)
+    c1 = np.searchsorted(res, np.concatenate((np.maximum(x0, x1), np.maximum(xa, xb))) + eps,
+                         side="right")
+    width = res.size + 1
+    corners = np.concatenate((r0 * width + c0, r1 * width + c1, r0 * width + c1, r1 * width + c0))
+    signs = np.repeat([1.0, 1.0, -1.0, -1.0], r0.size)
+    cover = np.bincount(corners, weights=signs, minlength=(ims.size + 1) * width)
+    cover = cover.reshape(ims.size + 1, width).cumsum(axis=0).cumsum(axis=1)
+    return cover[:-1, :-1] > 0.5
 
 
 def winding_map(a: QTMatrix, re_range, im_range, resolution) -> np.ndarray:
@@ -508,18 +625,24 @@ def winding_map(a: QTMatrix, re_range, im_range, resolution) -> np.ndarray:
     with CURVE_SENTINEL marking cells that land on the curve.
 
     Returns an (n_im, n_re) integer grid; row k belongs to the k-th
-    imaginary coordinate, column j to the j-th real coordinate.  The
-    cells of a few grid rows at a time are counted as one batch
-    (``poly._count_rows``).
+    imaginary coordinate, column j to the j-th real coordinate.  A cell
+    farther than eps from the sampled curve's polygon
+    (``_curve_polygon``) takes the polygon's winding number
+    (``_polygon_winding``); the cells near it are counted by
+    ``poly._count_rows``, a batch of at most _MAP_BLOCK grid rows' worth
+    at a time.  Both give the certified count.
     """
     res, ims = _grid_axes(re_range, im_range, resolution)
     sym = a.symbol
-    out = np.empty((ims.size, res.size), dtype=np.int64)
-    for k in range(0, ims.size, _MAP_BLOCK):
-        lam = (res[None, :] + 1j * ims[k : k + _MAP_BLOCK, None]).ravel()
+    f, eps = _curve_polygon(a, res, ims)
+    out = _polygon_winding(f, res, ims)
+    near = np.flatnonzero(_near_cells(f, res, ims, eps))
+    block = _MAP_BLOCK * res.size
+    for k in range(0, near.size, block):
+        cells = near[k : k + block]
+        lam = res[cells % res.size] + 1j * ims[cells // res.size]
         count, _, on_curve = _count_rows(_char_rows(sym, lam))
-        wind = np.where(on_curve, CURVE_SENTINEL, count - sym.m)
-        out[k : k + _MAP_BLOCK] = wind.reshape(-1, res.size)
+        out.flat[cells] = np.where(on_curve, CURVE_SENTINEL, count - sym.m)
     return out
 
 

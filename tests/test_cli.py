@@ -276,6 +276,17 @@ class TestMapCommand:
         assert not out.exists()
         assert not (tmp_path / "m.csv.curve.csv").exists()
 
+    def test_box_width_overflow(self, fix_a_file, tmp_path, capsys):
+        # a finite box whose cell width overflows is an input error, not a
+        # numerical failure
+        out = tmp_path / "m.csv"
+        for kind in ("winding", "basins"):
+            argv = ["map", fix_a_file, "--box=-1e308,1e308,-1,1", "--res", "3",
+                    "--kind", kind, "--out", str(out)]
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: cell widths must be finite")
+        assert not out.exists()
+
     def test_out_into_missing_directory(self, fix_a_file, tmp_path, capsys, monkeypatch):
         # an unwritable --out is an input error, not a traceback, and is
         # found before the raster is computed

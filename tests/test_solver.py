@@ -14,6 +14,7 @@ from qteig.solver import (
     BASIN_CONTINUOUS,
     BASIN_NONCONV,
     CURVE_SENTINEL,
+    _MAP_SAMPLES,
     _classify,
     _dedupe,
     _grid_axes,
@@ -456,6 +457,68 @@ class TestWindingMap:
         assert unsettled == 80
         assert int(np.sum(grid == CURVE_SENTINEL)) == 12
 
+    @staticmethod
+    def _per_cell(sym, re_range, im_range, n):
+        """``winding`` at every cell centre, CURVE_SENTINEL on the curve."""
+        res, ims = _grid_axes(re_range, im_range, n)
+        out = np.empty((ims.size, res.size), dtype=np.int64)
+        for k, y in enumerate(ims):
+            for j, x in enumerate(res):
+                try:
+                    out[k, j] = q.winding(sym, complex(x, y))
+                except OnCurveError:
+                    out[k, j] = CURVE_SENTINEL
+        return out
+
+    def test_only_near_cells_are_squared(self, fig2_symbol, monkeypatch):
+        # the cells farther than eps from the sampled curve take the
+        # polygon's crossings; a box clear of the curve squares none
+        calls = []
+
+        def count_spy(c):
+            calls.append(c.shape[0])
+            return _count_rows(c)
+
+        monkeypatch.setattr("qteig.solver._count_rows", count_spy)
+        a = q.QTMatrix(symbol=fig2_symbol, correction=q.Correction.zero())
+        grid = q.winding_map(a, (-10, 10), (-10, 10), 200)
+        assert set(np.unique(grid).tolist()) - {CURVE_SENTINEL} == {0, 1, 2}
+        assert 0 < sum(calls) < 0.02 * grid.size
+        calls.clear()
+        # |a(z)| <= sum |a_k| = 14 on the circle
+        assert set(q.winding_map(a, (20, 30), (-5, 5), 50).ravel().tolist()) == {0}
+        assert calls == []
+
+    def test_row_through_real_samples(self, fig2_symbol):
+        # at 101 cells the centre row is Im = 0, which holds the sample
+        # a(1) = -6 exactly: a vertex on a row, where the crossing rule
+        # counts an edge for min(y0, y1) <= y < max(y0, y1) only
+        a = q.QTMatrix(symbol=fig2_symbol, correction=q.Correction.zero())
+        assert _grid_axes((-10, 10), (-10, 10), 101)[1][50] == 0
+        assert q.symbol_curve(a, 8)[0] == -6
+        box = ((-10, 10), (-10, 10))
+        assert np.array_equal(q.winding_map(a, *box, 101), self._per_cell(fig2_symbol, *box, 101))
+
+    def test_sample_cap(self, monkeypatch):
+        # roots 1e6, 0.5 and +-1 at shift 0: sum k**2 |a_k| = 4e6 asks for
+        # about 1e5 samples at these cells, so the curve takes
+        # _MAP_SAMPLES and the band around it widens
+        c = np.convolve(np.convolve([-1e6, 1], [-0.5, 1]), [-1, 0, 1])
+        far = q.LaurentSymbol(neg=(c[2], c[1], c[0]), pos=(c[2], c[3], c[4]))
+        a = q.QTMatrix(symbol=far, correction=q.Correction.zero())
+        samples = []
+
+        def curve_spy(a, nsamples):
+            samples.append(nsamples)
+            return q.symbol_curve(a, nsamples)
+
+        monkeypatch.setattr("qteig.solver.symbol_curve", curve_spy)
+        box = ((-2, 2), (-2, 2))
+        grid = q.winding_map(a, *box, 31)
+        assert samples == [_MAP_SAMPLES]
+        assert np.array_equal(grid, self._per_cell(far, *box, 31))
+        assert len(set(grid.ravel().tolist())) >= 2
+
     def test_resolution_guard(self, fix_a):
         with pytest.raises(InvalidInputError):
             q.winding_map(fix_a, (-1, 1), (-1, 1), 1)
@@ -470,6 +533,15 @@ class TestWindingMap:
                 q.winding_map(fix_a, re_range, im_range, 3)
             with pytest.raises(InvalidInputError):
                 q.basins(fix_a, re_range, im_range, 3)
+
+    def test_cell_width_overflow(self, fix_a):
+        # finite ranges whose cell width (2e308 / 3) or centres (the
+        # third, -5e307 + 2.5 * 1.5e308 / 3) overflow
+        for re_range, what in (((-1e308, 1e308), "widths"), ((-5e307, 1e308), "centres")):
+            with pytest.raises(InvalidInputError, match=f"cell {what} must be finite"):
+                q.winding_map(fix_a, re_range, (-1, 1), 3)
+            with pytest.raises(InvalidInputError, match=f"cell {what} must be finite"):
+                q.basins(fix_a, re_range, (-1, 1), 3)
 
 
 class TestBasins:

@@ -37,8 +37,11 @@ seven-band fixture (defaults) and on the clustered-root fixture
 (``--gamma 12.5 --tol 1e-8``), each with both methods; the stdout of
 ``qteig eig-single`` on the rank-one fixture from ``--lambda0 0.05
 --vec-len 20`` (Frobenius) and from ``--lambda0 0.3,0.1 --method
-vandermonde``; SHA-256s of two ``winding_map`` grids, the fig-2 200 x 200
-grid over [-10, 10]^2 and the rank-one fixture's 10 x 10 grid over
+vandermonde``; SHA-256s of five ``winding_map`` grids: the fig-2 grid
+over [-10, 10]^2 at 200 x 200 cells and at 101 x 101 (whose centre row
+Im = 0 holds the real sample a(1) = -6), the 200 x 200 grids of the
+seven-band symbol over [-4, 4]^2 and of the clustered-root symbol over
+[-12, 12]^2, and the rank-one fixture's 10 x 10 grid over
 [0.5, 9.5] x [-3e-9, 3e-9], where root squaring cannot certify the 80
 cells next to the curve, so the explicit-root split decides them; and
 SHA-256s of the files ``qteig map`` writes (the grid, the labels
@@ -199,6 +202,9 @@ def _outputs(q, seven_band, cluster, fix_a) -> dict:
     out = {}
     for key, a, box, res in (
         ("winding_map fig2 200", fig2, ((-10, 10), (-10, 10)), 200),
+        ("winding_map fig2 101", fig2, ((-10, 10), (-10, 10)), 101),
+        ("winding_map seven_band 200", seven_band, ((-4, 4), (-4, 4)), 200),
+        ("winding_map cluster 200", cluster, ((-12, 12), (-12, 12)), 200),
         ("winding_map fix_a unsettled 10", fix_a, ((0.5, 9.5), (-3e-9, 3e-9)), 10),
     ):
         grid = q.winding_map(a, *box, res)
