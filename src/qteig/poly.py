@@ -357,7 +357,9 @@ def _count_rows(c: np.ndarray) -> tuple:
     sqrt(eps), and each step doubles the split.  Once that margin
     reaches 1 no row can settle, as the pivot alone adds 1, and the rows
     left (roots on or hugging the circle) take their count from
-    ``_split_rows``, all in one call.
+    ``_split_rows``, all in one call.  The margin is no certificate for a
+    cluster of three or more roots near the circle: the coefficients
+    ``np.poly([0.999997] * 3 + [0.3])[::-1]`` settle 4, but the count is 2.
 
     Returns (count, fallback, on_curve): the counts, the rows counted by
     ``_split_rows``, and those of them with a root within SPLIT_BAND of

@@ -65,12 +65,12 @@ rows below W's width, so a far column costs log of its index.
 
 The winding raster samples the symbol curve finely enough that the
 closed polygon through the samples stays within a 64th of a cell of it
-(``_curve_polygon``).  A cell farther than that band from the polygon
-takes the polygon's winding number from the signed crossings of its
-rightward ray (``_polygon_winding``), all cells from one difference
-array; the cells in the band (``_near_cells``) are counted by
-``poly._count_rows``, root squaring with the explicit-root split for
-the cells it does not settle, a few grid rows' worth at a time.
+(``_curve_polygon``).  A cell farther than eps from the polygon takes
+its winding number from the signed crossings of its rightward ray
+(``_polygon_winding``); the cells whose eps-square the polygon meets
+(``_near_cells``) are counted by ``poly._count_rows``, root squaring
+with the explicit-root split for the cells it does not settle, a few
+grid rows' worth at a time.  Both walk the edges with ``_crossings``.
 """
 
 from __future__ import annotations
@@ -500,14 +500,23 @@ def eig_all(a: QTMatrix, cfg: SolverConfig | None = None) -> EigenSolveReport:
     )
 
 
+def _pair(x, what: str, convert) -> tuple:
+    """x's two entries through convert; ``what`` names x in the error."""
+    try:
+        lo, hi = (convert(v) for v in x)
+    except (TypeError, ValueError):  # not iterable, not two entries, not numbers
+        raise InvalidInputError(f"{what} {x!r} is not a pair of numbers") from None
+    return lo, hi
+
+
 def _grid_axes(re_range, im_range, resolution):
     if np.ndim(resolution) == 0:
         resolution = (resolution, resolution)
-    n_re, n_im = (_position(r, "resolution") for r in resolution)
+    n_re, n_im = _pair(resolution, "resolution", lambda r: _position(r, "resolution"))
     if n_re < 2 or n_im < 2:
         raise InvalidInputError("resolution must be at least 2 per axis")
-    re0, re1 = (float(x) for x in re_range)
-    im0, im1 = (float(x) for x in im_range)
+    re0, re1 = _pair(re_range, "re_range", float)
+    im0, im1 = _pair(im_range, "im_range", float)
     if not all(math.isfinite(x) for x in (re0, re1, im0, im1)):
         raise InvalidInputError("ranges must be finite")
     if re1 <= re0 or im1 <= im0:
@@ -522,15 +531,6 @@ def _grid_axes(re_range, im_range, resolution):
     return res, ims
 
 
-def _edge_rows(lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """The (edge, grid row) pairs of polygon edges e that reach the rows
-    lo[e] <= row < hi[e], as two flat arrays."""
-    counts = hi - lo
-    edge = np.repeat(np.arange(lo.size), counts)
-    first = np.cumsum(counts) - counts
-    return edge, np.arange(edge.size) - first[edge] + lo[edge]
-
-
 def _curve_polygon(a: QTMatrix, res: np.ndarray, ims: np.ndarray) -> tuple:
     """The symbol curve sampled for the winding raster, and the band eps
     around the closed polygon through the samples beyond which a cell's
@@ -542,11 +542,11 @@ def _curve_polygon(a: QTMatrix, res: np.ndarray, ims: np.ndarray) -> tuple:
     clear of every point farther than delta from the polygon.  nseg puts
     delta at 1/64 of the smaller cell side, up to _MAP_SAMPLES samples,
     past which the band widens instead.  eps adds to delta the rounding
-    of the samples and of the crossings, and 100 SPLIT_BAND sum |k a_k|:
-    a shift whose root the split puts within SPLIT_BAND of the circle
-    lies within about SPLIT_BAND sum |k a_k| of the curve, so every
-    on-curve cell is near, and beyond eps the count, whether root
-    squaring or the split settles it, is the winding number.
+    of the samples, crossings and ``_near_cells`` side lines, and 100
+    SPLIT_BAND sum |k a_k|: a shift whose root the split puts within
+    SPLIT_BAND of the circle lies within about SPLIT_BAND sum |k a_k| of
+    the curve, so every on-curve cell is near, and beyond eps the count,
+    whether root squaring or the split settles it, is the winding number.
     """
     k, c = np.array([(j, abs(v)) for j, v in a.symbol.terms()]).T
     s0, s1, s2 = (float(np.sum(np.abs(k) ** e * c)) for e in (0, 1, 2))
@@ -561,63 +561,61 @@ def _curve_polygon(a: QTMatrix, res: np.ndarray, ims: np.ndarray) -> tuple:
     return symbol_curve(a, nseg), delta + rounding + 100 * SPLIT_BAND * s1
 
 
+def _crossings(a0, a1, b0, b1, lines: np.ndarray) -> tuple:
+    """The crossings of the polygon edges (a0, b0) -> (a1, b1) with the
+    ascending lines a = lines[i]: an edge crosses the lines
+    min(a0, a1) <= line < max(a0, a1).  Returns three flat arrays: each
+    crossing's edge, line index and b coordinate."""
+    lo = np.searchsorted(lines, np.minimum(a0, a1))
+    counts = np.searchsorted(lines, np.maximum(a0, a1)) - lo
+    edge = np.repeat(np.arange(lo.size), counts)
+    line = np.arange(edge.size) - (np.cumsum(counts) - counts)[edge] + lo[edge]
+    b = b0[edge] + (lines[line] - a0[edge]) / (a1[edge] - a0[edge]) * (b1[edge] - b0[edge])
+    return edge, line, b
+
+
 def _polygon_winding(f: np.ndarray, res: np.ndarray, ims: np.ndarray) -> np.ndarray:
     """Winding number of the closed polygon through f around every cell
     centre not on it, by the signed crossings of the cell's rightward ray
-    (Hormann & Agathos, Comput. Geom. 20, 2001).  An edge crosses the
-    rows min(y0, y1) <= y < max(y0, y1), upwards +1 and downwards -1,
-    and adds its sign to the cells left of the crossing: one difference
-    array along the rows, summed from the right."""
+    (Hormann & Agathos, Comput. Geom. 20, 2001).  Each row crossing of
+    an edge, upwards +1 and downwards -1, adds its sign to the cells left
+    of it: one difference array along the rows, summed from the right."""
     x0, y0 = f.real, f.imag
     x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-    edge, row = _edge_rows(np.searchsorted(ims, np.minimum(y0, y1)),
-                           np.searchsorted(ims, np.maximum(y0, y1)))
-    dy = y1[edge] - y0[edge]
-    x = x0[edge] + (ims[row] - y0[edge]) / dy * (x1[edge] - x0[edge])
+    edge, row, x = _crossings(y0, y1, x0, x1, ims)
     width = res.size + 1
-    acc = np.bincount(row * width + np.searchsorted(res, x), weights=np.sign(dy),
+    acc = np.bincount(row * width + np.searchsorted(res, x), weights=np.sign(y1 - y0)[edge],
                       minlength=ims.size * width).reshape(ims.size, width)
     return np.rint(np.cumsum(acc[:, ::-1], axis=1)[:, -2::-1]).astype(np.int64)
 
 
 def _near_cells(f: np.ndarray, res: np.ndarray, ims: np.ndarray, eps: float) -> np.ndarray:
     """A mask holding every cell within eps of the closed polygon through
-    f.  On each grid row within b = 2 eps of an edge in y, the edge covers
-    the x-range of its points within b of the row, widened by eps (b is
-    twice eps so that rounding in the edge parameter cannot shrink it).
-    On the rows whose band holds the whole edge that range is the edge's
-    own, one rectangle; the other rows, about twice the rows the edge
-    crosses, take one rectangle each.  The rectangles are added as the
-    corners of one 2-D difference array."""
+    f: the cells whose square of half-side eps about the centre (it holds
+    the disk of radius eps) the polygon meets, with a vertex in it or an
+    edge crossing a side line Im = ims -+ eps or Re = res -+ eps.  Each
+    vertex and crossing marks one rectangle of cells in a 2-D difference
+    array: O(segments + crossings) work for any eps.  Rounding moves the
+    lines and crossings by a few ulps of the box, far inside the term
+    64 (k + 8) eps_mach (s0 + box) that eps allows for it."""
     if not math.isfinite(eps):
         return np.ones((ims.size, res.size), dtype=bool)
+
+    def near(axis, v):  # the span of centres on this axis within eps of v
+        return np.searchsorted(axis, v - eps), np.searchsorted(axis, v + eps, side="right")
     x0, y0 = f.real, f.imag
     x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-    ymin, ymax = np.minimum(y0, y1), np.maximum(y0, y1)
-    b = 2 * eps
-    lo, hi = np.searchsorted(ims, ymin - b), np.searchsorted(ims, ymax + b, side="right")
-    whole_lo = np.searchsorted(ims, ymax - b)
-    whole_hi = np.maximum(np.searchsorted(ims, ymin + b, side="right"), whole_lo)
-    edge, row = _edge_rows(np.concatenate((lo, whole_hi)), np.concatenate((whole_lo, hi)))
-    edge %= f.size
-    dy, dx = y1[edge] - y0[edge], x1[edge] - x0[edge]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ta = (ims[row] - b - y0[edge]) / dy
-        tb = (ims[row] + b - y0[edge]) / dy
-    flat = dy == 0
-    xa = x0[edge] + np.where(flat, 0.0, np.clip(np.minimum(ta, tb), 0.0, 1.0)) * dx
-    xb = x0[edge] + np.where(flat, 1.0, np.clip(np.maximum(ta, tb), 0.0, 1.0)) * dx
-    r0 = np.concatenate((whole_lo, row))
-    r1 = np.concatenate((whole_hi, row + 1))
-    c0 = np.searchsorted(res, np.concatenate((np.minimum(x0, x1), np.minimum(xa, xb))) - eps)
-    c1 = np.searchsorted(res, np.concatenate((np.maximum(x0, x1), np.maximum(xa, xb))) + eps,
-                         side="right")
-    width = res.size + 1
-    corners = np.concatenate((r0 * width + c0, r1 * width + c1, r0 * width + c1, r1 * width + c0))
-    signs = np.repeat([1.0, 1.0, -1.0, -1.0], r0.size)
-    cover = np.bincount(corners, weights=signs, minlength=(ims.size + 1) * width)
-    cover = cover.reshape(ims.size + 1, width).cumsum(axis=0).cumsum(axis=1)
-    return cover[:-1, :-1] > 0.5
+    rects = [near(ims, y0) + near(res, x0)]
+    for side in (-eps, eps):
+        _, row, x = _crossings(y0, y1, x0, x1, ims + side)
+        rects.append((row, row + 1) + near(res, x))
+        _, col, y = _crossings(x0, x1, y0, y1, res + side)
+        rects.append(near(ims, y) + (col, col + 1))
+    r0, r1, c0, c1 = (np.concatenate(v) for v in zip(*rects))
+    cover = np.zeros((ims.size + 1, res.size + 1), dtype=np.int64)
+    for r, c, sign in ((r0, c0, 1), (r1, c1, 1), (r0, c1, -1), (r1, c0, -1)):
+        np.add.at(cover, (r, c), sign)
+    return cover.cumsum(axis=0).cumsum(axis=1)[:-1, :-1] > 0
 
 
 def winding_map(a: QTMatrix, re_range, im_range, resolution) -> np.ndarray:
@@ -625,12 +623,10 @@ def winding_map(a: QTMatrix, re_range, im_range, resolution) -> np.ndarray:
     with CURVE_SENTINEL marking cells that land on the curve.
 
     Returns an (n_im, n_re) integer grid; row k belongs to the k-th
-    imaginary coordinate, column j to the j-th real coordinate.  A cell
-    farther than eps from the sampled curve's polygon
-    (``_curve_polygon``) takes the polygon's winding number
-    (``_polygon_winding``); the cells near it are counted by
-    ``poly._count_rows``, a batch of at most _MAP_BLOCK grid rows' worth
-    at a time.  Both give the certified count.
+    imaginary coordinate, column j to the j-th real coordinate.  The
+    cells near the sampled curve (``_near_cells``) are counted by
+    ``poly._count_rows``, at most _MAP_BLOCK grid rows' worth at a time,
+    the others by the polygon's crossings (``_polygon_winding``).
     """
     res, ims = _grid_axes(re_range, im_range, resolution)
     sym = a.symbol

@@ -175,6 +175,14 @@ class TestCountInside:
                 rc = q.count_inside(q.Poly((scale, 3 * scale)))
             assert (rc.count, rc.fallback_used) == (1, False)
 
+    def test_cluster_outside_circle_settles(self):
+        # a triple root 1e-5 outside the circle and one at 0.3: root
+        # squaring settles 1, the count of these float coefficients'
+        # exact roots (mpmath at 120 and 240 digits); the companion
+        # eigensolve puts one of the cluster's roots inside
+        rc = q.count_inside(q.Poly(np.poly([1 + 1e-5] * 3 + [0.3])[::-1]))
+        assert (rc.count, rc.fallback_used) == (1, False)
+
     def test_zero_poly_rejected(self):
         with pytest.raises(DomainError):
             q.count_inside(q.Poly(()))

@@ -16,9 +16,11 @@ from qteig.solver import (
     CURVE_SENTINEL,
     _MAP_SAMPLES,
     _classify,
+    _curve_polygon,
     _dedupe,
     _grid_axes,
     _chunk_rows,
+    _near_cells,
     _run_newton,
     section_size,
 )
@@ -382,22 +384,28 @@ class TestWindingMap:
             z = 2 * q.norm_inf(a) + 0.1j
             assert q.winding(a.symbol, z) == 0
 
+    @staticmethod
+    def _far_symbol():
+        """The symbol whose roots at shift 0 are 1e6, 0.5 and +-1."""
+        c = np.convolve(np.convolve([-1e6, 1], [-0.5, 1]), [-1, 0, 1])
+        return q.LaurentSymbol(neg=(c[2], c[1], c[0]), pos=(c[2], c[3], c[4]))
+
+    @staticmethod
+    def _per_cell(sym, re_range, im_range, n):
+        """``winding`` at every cell centre, CURVE_SENTINEL on the curve."""
+        res, ims = _grid_axes(re_range, im_range, n)
+        out = np.empty((ims.size, res.size), dtype=np.int64)
+        for k, y in enumerate(ims):
+            for j, x in enumerate(res):
+                try:
+                    out[k, j] = q.winding(sym, complex(x, y))
+                except OnCurveError:
+                    out[k, j] = CURVE_SENTINEL
+        return out
+
     def test_matches_scalar_winding(self, fix_a, fig2_symbol):
         # the batched root squaring of winding_map against winding, one
         # cell at a time
-        def per_cell(sym, re_range, im_range, n):
-            def centers(lo, hi):
-                return lo + (np.arange(n) + 0.5) * (hi - lo) / n
-
-            out = np.empty((n, n), dtype=np.int64)
-            for k, y in enumerate(centers(*im_range)):
-                for j, x in enumerate(centers(*re_range)):
-                    try:
-                        out[k, j] = q.winding(sym, complex(x, y))
-                    except OnCurveError:
-                        out[k, j] = CURVE_SENTINEL
-            return out, [complex(x, y) for y in centers(*im_range) for x in centers(*re_range)]
-
         def trims(b):
             # the leading coefficient underflows before the count settles
             for bk, margin in squarings(b):
@@ -407,11 +415,9 @@ class TestWindingMap:
                     return False
             return False
 
-        # roots 1e6, 0.5 and +-1 at shift 0: near it the leading
-        # coefficient underflows while the roots near the circle keep the
-        # count open
-        c = np.convolve(np.convolve([-1e6, 1], [-0.5, 1]), [-1, 0, 1])
-        far = q.LaurentSymbol(neg=(c[2], c[1], c[0]), pos=(c[2], c[3], c[4]))
+        # near shift 0 the leading coefficient of the far symbol
+        # underflows while the roots near the circle keep the count open
+        far = self._far_symbol()
         rng = np.random.default_rng(23)
         cases = [
             (fig2_symbol, (-10, 10), (-10, 10), 100),
@@ -422,10 +428,11 @@ class TestWindingMap:
         sentinels = fallbacks = trimmed = 0
         for sym, re_range, im_range, n in cases:
             a = q.QTMatrix(symbol=sym, correction=q.Correction.zero())
-            want, shifts = per_cell(sym, re_range, im_range, n)
+            want = self._per_cell(sym, re_range, im_range, n)
             assert np.array_equal(q.winding_map(a, re_range, im_range, n), want)
             sentinels += int(np.sum(want == CURVE_SENTINEL))
-            for lam in shifts:
+            res, ims = _grid_axes(re_range, im_range, n)
+            for lam in (complex(x, y) for y in ims for x in res):
                 b = q.char_poly(sym, lam)
                 fallbacks += q.count_inside(b).fallback_used
                 trimmed += trims(b)
@@ -457,19 +464,6 @@ class TestWindingMap:
         assert unsettled == 80
         assert int(np.sum(grid == CURVE_SENTINEL)) == 12
 
-    @staticmethod
-    def _per_cell(sym, re_range, im_range, n):
-        """``winding`` at every cell centre, CURVE_SENTINEL on the curve."""
-        res, ims = _grid_axes(re_range, im_range, n)
-        out = np.empty((ims.size, res.size), dtype=np.int64)
-        for k, y in enumerate(ims):
-            for j, x in enumerate(res):
-                try:
-                    out[k, j] = q.winding(sym, complex(x, y))
-                except OnCurveError:
-                    out[k, j] = CURVE_SENTINEL
-        return out
-
     def test_only_near_cells_are_squared(self, fig2_symbol, monkeypatch):
         # the cells farther than eps from the sampled curve take the
         # polygon's crossings; a box clear of the curve squares none
@@ -500,11 +494,10 @@ class TestWindingMap:
         assert np.array_equal(q.winding_map(a, *box, 101), self._per_cell(fig2_symbol, *box, 101))
 
     def test_sample_cap(self, monkeypatch):
-        # roots 1e6, 0.5 and +-1 at shift 0: sum k**2 |a_k| = 4e6 asks for
-        # about 1e5 samples at these cells, so the curve takes
-        # _MAP_SAMPLES and the band around it widens
-        c = np.convolve(np.convolve([-1e6, 1], [-0.5, 1]), [-1, 0, 1])
-        far = q.LaurentSymbol(neg=(c[2], c[1], c[0]), pos=(c[2], c[3], c[4]))
+        # the far symbol's sum k**2 |a_k| = 4e6 asks for about 1e5
+        # samples at these cells, so the curve takes _MAP_SAMPLES and the
+        # band around it widens
+        far = self._far_symbol()
         a = q.QTMatrix(symbol=far, correction=q.Correction.zero())
         samples = []
 
@@ -519,9 +512,61 @@ class TestWindingMap:
         assert np.array_equal(grid, self._per_cell(far, *box, 31))
         assert len(set(grid.ravel().tolist())) >= 2
 
+    def test_near_cells_hold_every_cell_within_eps(self, fig2_symbol, test2_case1, test3,
+                                                  fix_a):
+        # brute force: the distance of every cell centre from every edge
+        # of the polygon; each cell within eps must be in the mask
+        def distance(f, res, ims):
+            d = np.roll(f, -1) - f
+            dd = np.where(d == 0, 1.0, np.abs(d) ** 2)
+            out = np.empty((ims.size, res.size))
+            for k, y in enumerate(ims):
+                z = (res + 1j * y)[:, None] - f
+                t = np.clip((z * d.conj()).real / dd, 0.0, 1.0)
+                out[k] = np.abs(z - t * d).min(axis=1)
+            return out
+
+        far = self._far_symbol()
+        rng = np.random.default_rng(27)
+        cases = [
+            (fig2_symbol, (-10, 10), (-10, 10), 64),
+            (test2_case1.symbol, (-4, 4), (-4, 4), 64),
+            (test3.symbol, (-12, 12), (-12, 12), 64),
+            (far, (-2, 2), (-2, 2), 31),
+            (fix_a.symbol, (0.5, 9.5), (-3e-9, 3e-9), 10),
+        ]
+        for zoom in np.logspace(-6, 0, 6):
+            sym = random_symbol(rng)
+            z = q.symbol_curve(q.QTMatrix(symbol=sym, correction=q.Correction.zero()), 5)[2]
+            cases.append((sym, (z.real - zoom, z.real + zoom), (z.imag - zoom, z.imag + zoom),
+                          int(rng.integers(16, 48))))
+        within = 0
+        for sym, re_range, im_range, n in cases:
+            a = q.QTMatrix(symbol=sym, correction=q.Correction.zero())
+            # every box moved by a random sub-cell offset
+            dx, dy = rng.uniform(-0.5, 0.5, 2) * (np.diff(re_range)[0], np.diff(im_range)[0]) / n
+            res, ims = _grid_axes(np.add(re_range, dx), np.add(im_range, dy), n)
+            f, eps = _curve_polygon(a, res, ims)
+            close = distance(f, res, ims) <= eps
+            assert not np.any(close & ~_near_cells(f, res, ims, eps)), (re_range, im_range, n)
+            within += int(np.sum(close))
+        assert within > 100
+
     def test_resolution_guard(self, fix_a):
         with pytest.raises(InvalidInputError):
             q.winding_map(fix_a, (-1, 1), (-1, 1), 1)
+
+    def test_malformed_arguments(self, fix_a):
+        box = ((-1, 1), (-1, 1))
+        for raster in (q.winding_map, q.basins):
+            for resolution in ((3, 3, 3), (3,), [], None, "ab"):
+                with pytest.raises(InvalidInputError, match="resolution"):
+                    raster(fix_a, *box, resolution)
+            for bad in ((1, 2, 3), (1,), "ab", None, (1j, 2)):
+                with pytest.raises(InvalidInputError, match="re_range"):
+                    raster(fix_a, bad, (-1, 1), 3)
+                with pytest.raises(InvalidInputError, match="im_range"):
+                    raster(fix_a, (-1, 1), bad, 3)
 
     def test_non_finite_range(self, fix_a):
         for re_range, im_range in (

@@ -37,13 +37,17 @@ seven-band fixture (defaults) and on the clustered-root fixture
 (``--gamma 12.5 --tol 1e-8``), each with both methods; the stdout of
 ``qteig eig-single`` on the rank-one fixture from ``--lambda0 0.05
 --vec-len 20`` (Frobenius) and from ``--lambda0 0.3,0.1 --method
-vandermonde``; SHA-256s of five ``winding_map`` grids: the fig-2 grid
+vandermonde``; SHA-256s of seven ``winding_map`` grids: the fig-2 grid
 over [-10, 10]^2 at 200 x 200 cells and at 101 x 101 (whose centre row
 Im = 0 holds the real sample a(1) = -6), the 200 x 200 grids of the
 seven-band symbol over [-4, 4]^2 and of the clustered-root symbol over
-[-12, 12]^2, and the rank-one fixture's 10 x 10 grid over
+[-12, 12]^2, the rank-one fixture's 10 x 10 grid over
 [0.5, 9.5] x [-3e-9, 3e-9], where root squaring cannot certify the 80
-cells next to the curve, so the explicit-root split decides them; and
+cells next to the curve, so the explicit-root split decides them, the
+31 x 31 grid over [-2, 2]^2 of a symbol with roots 1e6, 0.5 and +-1 at
+shift 0, whose curve takes the most samples the raster allows, and the
+fig-2 grid at 64 x 64 cells over the box of half-width 1e-6 about the
+curve point a(e^{i pi / 3}), where every cell lies near the curve; and
 SHA-256s of the files ``qteig map`` writes (the grid, the labels
 sidecar and the curve) for that winding map and for the 50 x 50 basins
 of the rank-one fixture over [-0.5, 0.5]^2.
@@ -53,8 +57,7 @@ operator whose rows below m hold entries on scattered columns with a
 repeated (rank-deficient) row, it records the reduction: repr of
 ``norm_inf``, the row count q of ``build_w``, and the SHA-256s of W's
 nonzero columns (``NEPContext.cols``, as int64) and of W's bytes on
-them.  A tree that stores W at its full width is read on the same
-columns: 0..m-1 and m - 1 + j for each correction column j.
+them.
 
 ``--compare`` pairs the runs of a set by their start: the k-th run from
 a start on one side with the k-th run from the same start (the same
@@ -199,6 +202,14 @@ def _outputs(q, seven_band, cluster, fix_a) -> dict:
         symbol=q.LaurentSymbol(neg=(0, 1, -2, 3), pos=(0, -1, -4, -3)),
         correction=q.Correction.zero(),
     )
+    # roots 1e6, 0.5 and +-1 at shift 0: its curve asks for more samples
+    # than the raster takes
+    c = np.convolve(np.convolve([-1e6, 1], [-0.5, 1]), [-1, 0, 1])
+    far = q.QTMatrix(
+        symbol=q.LaurentSymbol(neg=(c[2], c[1], c[0]), pos=(c[2], c[3], c[4])),
+        correction=q.Correction.zero(),
+    )
+    z = q.symbol_curve(fig2, 6)[1]
     out = {}
     for key, a, box, res in (
         ("winding_map fig2 200", fig2, ((-10, 10), (-10, 10)), 200),
@@ -206,6 +217,9 @@ def _outputs(q, seven_band, cluster, fix_a) -> dict:
         ("winding_map seven_band 200", seven_band, ((-4, 4), (-4, 4)), 200),
         ("winding_map cluster 200", cluster, ((-12, 12), (-12, 12)), 200),
         ("winding_map fix_a unsettled 10", fix_a, ((0.5, 9.5), (-3e-9, 3e-9)), 10),
+        ("winding_map far 31", far, ((-2, 2), (-2, 2)), 31),
+        ("winding_map fig2 zoom 64", fig2,
+         ((z.real - 1e-6, z.real + 1e-6), (z.imag - 1e-6, z.imag + 1e-6)), 64),
     ):
         grid = q.winding_map(a, *box, res)
         out[key] = _sha256(np.ascontiguousarray(grid, dtype=np.int64).tobytes())
@@ -256,15 +270,10 @@ def _reductions(q, ops) -> dict:
     out = {}
     for name, a in ops.items():
         ctx = build_w(a)
-        cols, w = getattr(ctx, "cols", None), ctx.w
-        if cols is None:  # W stored at its full width
-            m = a.symbol.m
-            cols = tuple(range(m)) + tuple(sorted({m - 1 + j for _, j, _ in a.correction.entries}))
-            w = np.ascontiguousarray(w[:, list(cols)])
         out[f"reduction {name}"] = (
             f"norm_inf {q.norm_inf(a)!r}\nq {ctx.q}\n"
-            f"cols {_sha256(np.array(cols, dtype=np.int64).tobytes())}\n"
-            f"W {_sha256(w.tobytes())}\n"
+            f"cols {_sha256(np.array(ctx.cols, dtype=np.int64).tobytes())}\n"
+            f"W {_sha256(ctx.w.tobytes())}\n"
         )
     return out
 
