@@ -18,13 +18,13 @@ row's cost: the stacked bases grow with the number of W's nonzero
 columns, the only basis rows a pass builds, and an accepted row also
 holds its eigenvector prefix as a record.  That gives 222 rows at 8
 columns (the seven-band fixture, whose 167 starts run as one chunk),
-125 at 22 (the clustered roots) and 333 at 2 (the rank-one fixture's
-basins).  By tracemalloc, a chunk's passes peak at 1.6, 3.9 and 2.7 MB
-there.  Those 50 x 50 basins take 0.36-0.42 s in chunks of 32 rows
-and 0.13-0.16 s in chunks of 333, which raise the peak RSS by 2.3 MB
-more (512 rows: 4.5 MB, 1024 rows: 7.5 MB, for at most 0.03 s less).
-One batch of all 300 section starts of a fixture, at W's full width,
-raised it by 11-16 MB.
+125 at 22 (the clustered roots) and, with the one-entry prefix of
+``basins``, 1138 at 2 (the rank-one fixture).  By tracemalloc, a
+chunk's passes peak at 1.6, 3.9 and 0.9 MB there.  Those 50 x 50 basins
+take 0.23-0.37 s in chunks of 32 rows and 0.06-0.10 s in chunks of
+1138, which raise the peak RSS by 0.1 MB (a 100-entry prefix in chunks
+of 333: 2.2 MB, 0.07-0.12 s).  One batch of all 300 section starts of
+a fixture, at W's full width, raised it by 11-16 MB.
 
 On a real operator (real band and correction) the run from conj(lam)
 is the mirror image of the run from lam, so ``eig_all`` runs only the
@@ -59,9 +59,9 @@ stage (null vectors, V, residuals, row norms and the certificate) and
 decides each row on its own.  It builds V once, without V', at the rows
 range(m + L) and W's nonzero columns, L = max(q + n, vec_len): its rows
 from m on times beta are the stored eigenvector prefix and the entries
-the residual's band rows read, a correction column far past the prefix
-is read from its own row, and the certificate's ||V|| is taken over the
-rows below W's width, so a far column costs log of its index.
+the residual's band rows read; a correction column far past the prefix
+is read from its own row, so a far column costs log of its index.  The
+certificate's ||V|| is over the pass's basis rows, the ones W reads.
 
 The winding raster samples the symbol curve finely enough that the
 closed polygon through the samples stays within a 64th of a cell of it
@@ -75,7 +75,6 @@ grid rows' worth at a time.  Both walk the edges with ``_crossings``.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import itertools
 import math
@@ -277,12 +276,10 @@ def _classify(a, ctx, lam, basis, iterations, cfg) -> list:
                                     for x in (vec[:, :p], r[:, :p], r, vec[:, :q]))
     if p < q:
         # W V is q x p: rank deficient when its smallest singular value
-        # is at rounding level of ||W|| ||V||, ||V|| over V's rows below
-        # W's width (all of them unless a correction column lies past
-        # the prefix)
+        # is at rounding level of ||W|| ||V||, ||V|| over the basis rows
+        # the pass built for W, whatever the prefix length
         smin = np.linalg.svd(wv, compute_uv=False)[:, -1]
-        below = v[:, : bisect.bisect_left(rows, ctx.width)]
-        tol = 1e-12 * q * ctx.norm2 * np.linalg.svd(below, compute_uv=False).max(axis=-1)
+        tol = 1e-12 * q * ctx.norm2 * np.linalg.svd(basis.v, compute_uv=False).max(axis=-1)
     out = []
     for k, its in enumerate(iterations.tolist()):
         if denom_p[k] == 0.0 or res_p[k] / denom_p[k] > cfg.residual_tol:
@@ -395,12 +392,13 @@ def _chunk_rows(columns: int, vec_len: int) -> int:
     record), 700 per nonzero column of W, the rows of its stacked bases,
     and 60 per entry of its eigenvector prefix: 16 in the array
     ``_classify`` builds and about 40 kept in the record's tuple of numpy
-    scalars.  By tracemalloc a row of a pass peaks at about 9.8 kB on
+    scalars.  By tracemalloc a row of a pass peaks at about 9.7 kB on
     the seven-band fixture (8 columns, 12.6 kB by this count), 31 kB on
     the clustered roots (22 columns, 22.4 kB; their degree-12 splits,
     p < q certificates and the p-wide V of the rows ``_classify`` takes
-    cost more, so that chunk peaks at 3.9 MB) and 8.0 kB on the rank-one
-    basins (2 columns, 8.4 kB)."""
+    cost more, so that chunk peaks at 3.9 MB) and 0.8 kB on the rank-one
+    basins (2 columns, one-entry prefix, 2.5 kB; 7.8 kB against 8.4 kB
+    with a 100-entry prefix)."""
     return max(32, 2_800_000 // (1000 + 700 * columns + 60 * vec_len))
 
 
@@ -649,14 +647,16 @@ def basins(a: QTMatrix, re_range, im_range, resolution, cfg: SolverConfig | None
     everything else.
 
     Returns (labels, eigenvalues): the (n_im, n_re) label grid and the
-    list of limit eigenvalues the nonnegative labels refer to.
+    list of limit eigenvalues the nonnegative labels refer to.  It keeps
+    no eigenvectors: the runs store a one-entry prefix, ``cfg.vec_len``
+    ignored, so that ``_chunk_rows`` steps more cells at once.
     """
     cfg = cfg or SolverConfig()
     res, ims = _grid_axes(re_range, im_range, resolution)
     labels = np.full((ims.size, res.size), BASIN_NONCONV, dtype=np.int64)
     starts = (complex(x, y) for y in ims for x in res)  # row-major, as labels.flat
     limits: list = []
-    for cell, rec in enumerate(_runs(a, starts, cfg)):
+    for cell, rec in enumerate(_runs(a, starts, dataclasses.replace(cfg, vec_len=1))):
         if rec.status is SolveStatus.CONTINUOUS_SET:
             labels.flat[cell] = BASIN_CONTINUOUS
         elif rec.is_isolated:

@@ -758,18 +758,22 @@ class TestOneDriver:
         assert report.continuous_detected == continuous
         assert continuous == (name == "continuous")
 
-    @pytest.mark.parametrize("name", ["fix_a", "continuous"])
+    @pytest.mark.parametrize("name", ["fix_a", "fix_a_pltq", "continuous"])
     def test_basins_label_each_cell_run(self, name, request):
         if name == "continuous":
             a, box = q.qt_new([0, 1], [0, 2]), ((-4, 4), (-2, 2))
+        elif name == "fix_a_pltq":  # p < q: cells reach the rank certificate
+            a, box = request.getfixturevalue(name), ((-2, 2), (-2, 2))
         else:
             a, box = request.getfixturevalue(name), ((-0.5, 0.5), (-0.5, 0.5))
         cfg = q.SolverConfig()
         res, ims = _grid_axes(*box, 7)
         want = np.full((ims.size, res.size), BASIN_NONCONV, dtype=np.int64)
         limits = []
+        statuses = set()
         for k, y in enumerate(ims):
             recs = self._records(a, [complex(x, y) for x in res], cfg)
+            statuses.update(rec.status for rec in recs)
             for j, rec in enumerate(recs):
                 if rec.status is q.SolveStatus.CONTINUOUS_SET:
                     want[k, j] = BASIN_CONTINUOUS
@@ -784,8 +788,15 @@ class TestOneDriver:
         labels, got = q.basins(a, *box, 7, cfg)
         assert np.array_equal(labels, want)
         assert got == limits
+        # basins keeps no eigenvectors: the prefix length changes nothing
+        for vec_len in (1, 500):
+            other = q.basins(a, *box, 7, dataclasses.replace(cfg, vec_len=vec_len))
+            assert np.array_equal(other[0], labels) and other[1] == limits
         if name == "continuous":
             assert (labels == BASIN_CONTINUOUS).any() and (labels == BASIN_NONCONV).any()
+        elif name == "fix_a_pltq":
+            assert q.SolveStatus.ISOLATED_PLTQ in statuses
+            assert limits and (labels >= 0).any() and (labels == BASIN_NONCONV).any()
         else:
             assert limits and (labels >= 0).all()
 
@@ -825,12 +836,18 @@ class TestBatch:
         assert recs == self._one_by_one(fix_a, starts, cfg)
         assert all(r.status is q.SolveStatus.ISOLATED_PQ for r in recs)
 
-    def test_basins_cross_chunk_boundaries_in_order(self, test2_case1):
+    def test_basins_cross_chunk_boundaries_in_order(self, test2_case1, monkeypatch):
         # several limits, numbered in first-found order, over more cells
-        # than three chunks hold
+        # than three of the chunks basins steps hold
         cfg = q.SolverConfig()
-        box, res = ((-2.0, -0.2), (-0.2, 0.2)), (28, 24)
-        assert res[0] * res[1] > 3 * _chunk_rows(len(build_w(test2_case1).cols), cfg.vec_len)
+        box, res = ((-2.0, -0.2), (-0.2, 0.2)), (40, 36)
+        chunks = []
+        real = q.solver._chunk_rows
+        monkeypatch.setattr(q.solver, "_chunk_rows",
+                            lambda *args: chunks.append(real(*args)) or chunks[-1])
+        labels, got = q.basins(test2_case1, *box, res, cfg)
+        monkeypatch.undo()
+        assert res[0] * res[1] > 3 * chunks[0]
         xs, ys = _grid_axes(*box, res)
         recs = self._one_by_one(test2_case1, [complex(x, y) for y in ys for x in xs], cfg)
         want = np.full(len(recs), BASIN_NONCONV, dtype=np.int64)
@@ -845,17 +862,16 @@ class TestBatch:
                     idx = len(limits)
                     limits.append(rec.lam)
                 want[cell] = idx
-        labels, got = q.basins(test2_case1, *box, res, cfg)
         assert len(limits) >= 3
         assert np.array_equal(labels.ravel(), want)
         assert got == limits
 
     @pytest.mark.parametrize("name", ["fix_a", "test2_case1", "test3"])
     def test_records_do_not_depend_on_the_chunk(self, name, request, monkeypatch):
-        # the derived chunk (333 rows for fix_a's basins grid of 576
-        # cells, 222 for the seven-band section's 300 starts, 125 for the
-        # clustered roots' 300, whose degree-12 rows are polished from
-        # warm roots) against chunks of 1 and 32 rows
+        # the derived chunk (333 rows for a grid of 576 cells on fix_a
+        # at the default prefix, 222 for the seven-band section's 300
+        # starts, 125 for the clustered roots' 300, whose degree-12 rows
+        # are polished from warm roots) against chunks of 1 and 32 rows
         a = request.getfixturevalue(name)
         cfg = q.SolverConfig()
         if name == "test3":  # criterion 4's configuration
@@ -872,11 +888,44 @@ class TestBatch:
             monkeypatch.setattr(q.solver, "_chunk_rows", lambda width, vec_len: rows)
             assert list(q.solver._runs(a, starts, cfg)) == want
 
+    @pytest.mark.parametrize("name", ["test2_case1", "test3", "fix_a_pltq"])
+    def test_outcomes_do_not_depend_on_vec_len(self, name, request):
+        # classification reads the prefix only to store it: the same
+        # statuses, shifts, residuals and iteration counts at any length,
+        # and prefixes that agree on their common length.  Each operator
+        # has runs that reach the p < q rank certificate
+        a = request.getfixturevalue(name)
+        cfg = q.SolverConfig()
+        if name == "test3":  # criterion 4's configuration
+            cfg = q.SolverConfig(gamma=12.5, residual_tol=1e-8, dedupe_tol=1e-4)
+        if name == "fix_a_pltq":
+            xs, ys = _grid_axes((-2, 2), (-2, 2), 7)
+            starts = [complex(x, y) for y in ys for x in xs]
+        else:
+            starts = eig_dense(q.finite_section(a, section_size(a, cfg.gamma)))
+        runs = {n: list(q.solver._runs(a, starts, dataclasses.replace(cfg, vec_len=n)))
+                for n in (1, 100, 300)}
+        want = runs[100]
+        assert any(r.status is q.SolveStatus.ISOLATED_PLTQ
+                   or (r.status is q.SolveStatus.NO_CONVERGENCE_PLTQ and math.isfinite(r.residual))
+                   for r in want)
+        for n, recs in runs.items():
+            for rec, ref in zip(recs, want, strict=True):
+                assert rec.status is ref.status and rec.iterations == ref.iterations
+                assert repr(rec.lam) == repr(ref.lam)
+                assert repr(rec.residual) == repr(ref.residual)
+                k = min(n, 100)
+                assert len(rec.vec_prefix) == (n if rec.is_isolated else 0)
+                assert (np.array(rec.vec_prefix[:k]).tobytes()
+                        == np.array(ref.vec_prefix[:k]).tobytes())
+
     def test_chunk_rows_follow_the_row_cost(self):
         # the fixtures' nonzero columns of W (seven-band, clustered roots,
-        # rank-one) at the default prefix length; a longer prefix costs
-        # rows, and a wide W keeps the floor of 32
+        # rank-one) at the default prefix length, and the rank-one basins'
+        # one-entry prefix; a longer prefix costs rows, and a wide W keeps
+        # the floor of 32
         assert [_chunk_rows(w, 100) for w in (8, 22, 2)] == [222, 125, 333]
+        assert _chunk_rows(2, 1) == 1138
         assert _chunk_rows(34, 1000) < _chunk_rows(34, 100)
         assert _chunk_rows(5000, 1) == 32
 

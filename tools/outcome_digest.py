@@ -18,8 +18,10 @@ and makes five runs, one per set:
 For each Newton run it records (status, iterations, repr(lam),
 repr(residual), SHA-256 of the eigenvector prefix's complex128 bytes,
 repr(start)), so the classification's output is compared too, not only
-the shift it classified; for each set the accepted eigenvalues (the
-``eig_all`` records, or the basin limits); and for each set the rows of
+the shift it classified (``basins`` keeps no eigenvectors and runs with
+a one-entry prefix, so its runs hash that one entry); for each set the
+accepted eigenvalues (the ``eig_all`` records, or the basin limits);
+and for each set the rows of
 the Newton driver's root splits that the previous pass's roots settled
 and the rows sent to the companion eigensolve (``_split_counts`` wraps
 the private ``qteig.solver._split_rows`` for the call).  ``eig_all``
