@@ -2,8 +2,10 @@
 drivers and the winding raster.  ``eig_single`` (one start), ``eig_all``
 (the finite-section eigenvalues) and ``basins`` (the raster cells) run
 their starts through one generator, ``_runs``, which builds W, the
-row-sum norm and the realness test once; ``_limit_index`` is the one "same limit" rule, for
-deduplication and basin labels alike.
+row-sum norm and the realness test once.  ``_limit_index`` is the one
+"same limit" rule, for deduplication and basin labels alike: over an
+array of shifts in order, each takes the first limit it matches, and
+a shift that matches none is a new limit for the shifts after it.
 
 The starts run in lockstep, in consecutive chunks (``_run_batch``):
 each pass evaluates every live start of the chunk with one stacked call
@@ -11,28 +13,32 @@ per stage, and ``_run_newton`` (one start, as ``eig_single`` runs it)
 is a batch of one through the same code.  Every stage, the Aberth
 polish of warm roots included, is elementwise or a gufunc stack
 (``matmul``, ``solve``, ``eigvals``) on C-ordered arrays, so a start's
-record does not depend on what else is in its chunk; a stacked solve
-that raises is redone row by row.  The chunk size bounds
-the working memory of a pass, so ``_chunk_rows`` derives it from a
-row's cost: the stacked bases grow with the number of W's nonzero
-columns, the only basis rows a pass builds, and an accepted row also
-holds its eigenvector prefix as a record.  That gives 222 rows at 8
-columns (the seven-band fixture, whose 167 starts run as one chunk),
-125 at 22 (the clustered roots) and, with the one-entry prefix of
-``basins``, 1138 at 2 (the rank-one fixture).  By tracemalloc, a
-chunk's passes peak at 1.6, 3.9 and 0.9 MB there.  Those 50 x 50 basins
-take 0.23-0.37 s in chunks of 32 rows and 0.06-0.10 s in chunks of
-1138, which raise the peak RSS by 0.1 MB (a 100-entry prefix in chunks
-of 333: 2.2 MB, 0.07-0.12 s).  One batch of all 300 section starts of
-a fixture, at W's full width, raised it by 11-16 MB.
+outcome does not depend on what else is in its chunk; a stacked solve
+that raises is redone row by row.  A chunk's outcomes are columns, one
+``Outcomes`` value: status codes, final shifts, residuals and step
+counts, set by masks, and the eigenvector prefixes of the accepted runs
+only.  An ``EigRecord`` is built only for a run a caller returns
+(``eig_single``, ``_run_newton``, the isolated runs of ``eig_all``);
+``basins`` reads its labels from the codes and shifts.  The chunk size
+bounds the working memory of a pass, so ``_chunk_rows`` derives it
+from a row's cost: the stacked bases grow with the number of W's
+nonzero columns, the only basis rows a pass builds, and an accepted row
+also holds its eigenvector prefix.  That gives 222 rows at 8 columns
+(the seven-band fixture, whose 167 starts run as one chunk), 125 at 22
+(the clustered roots) and, with the one-entry prefix of ``basins``,
+1138 at 2 (the rank-one fixture).  By tracemalloc, a chunk's passes
+peak at 1.6, 3.9 and 0.8 MB there.  Those 50 x 50 basins
+take 0.23-0.44 s in chunks of 32 rows and 0.045-0.075 s in chunks of
+1138 (ten calls in one process, twice).  One batch of all 300 section starts
+of a fixture, at W's full width, raised the peak RSS by 11-16 MB.
 
 On a real operator (real band and correction) the run from conj(lam)
 is the mirror image of the run from lam, so ``eig_all`` runs only the
-section starts with Im >= 0 and mirrors each isolated record of a start with Im > 0; the
-section's non-real eigenvalues come in exact conjugate pairs.  On such
-an operator a shift that is exactly real steps by the real part of its
-step, and its jitter stays on the axis, so real eigenvalues come out
-exactly real.
+section starts with Im >= 0 and mirrors each isolated record of a
+start with Im > 0; the section's non-real eigenvalues come in exact
+conjugate pairs.  On such an operator a shift that is exactly real
+steps by the real part of its step, and its jitter stays on the axis,
+so real eigenvalues come out exactly real.
 
 The shifts of a pass are evaluated in one place, ``_bases_at``: it
 splits the roots of z**m (a(z) - lam) at the unit circle once per row
@@ -76,7 +82,6 @@ grid rows' worth at a time.  Both walk the edges with ``_crossings``.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -168,25 +173,59 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class EigenSolveReport:
-    """Deduplicated isolated eigenvalues plus bookkeeping for one driver run."""
+    """Deduplicated isolated eigenvalues plus bookkeeping for one driver
+    run.  ``outcomes`` maps the value of each SolveStatus some run ended
+    in to the number of runs that ended so: the runs made, so a mirrored
+    conjugate start is not counted."""
 
     records: tuple
     section_size: int
     continuous_detected: bool
+    outcomes: dict
 
     @property
     def converged(self) -> int:
         return len(self.records)
 
 
-def _failure(lam: complex, iterations: int, status: SolveStatus, residual=math.inf) -> EigRecord:
-    return EigRecord(
-        lam=complex(lam),
-        vec_prefix=(),
-        residual=float(residual),
-        iterations=iterations,
-        status=status,
-    )
+@dataclass(frozen=True)
+class Outcomes:
+    """The Newton runs of one chunk of starts, one entry per start, in
+    order: the status code (the SolveStatus's index in STATUSES, LIVE
+    while the run goes on), the final shift, the residual (inf where the
+    exit computes none), the step count and the slot, the row of
+    ``prefix`` that holds the run's eigenvector prefix (-1 for a run
+    that is not accepted); ``prefix`` holds the accepted runs' only."""
+
+    STATUSES: ClassVar[tuple] = tuple(SolveStatus)
+    LIVE: ClassVar[int] = -1
+
+    code: np.ndarray
+    lam: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    slot: np.ndarray
+    prefix: np.ndarray
+
+    def record(self, k: int) -> EigRecord:
+        """The EigRecord of row k."""
+        j = self.slot[k]
+        return EigRecord(
+            lam=complex(self.lam[k]),
+            vec_prefix=tuple(self.prefix[j]) if j >= 0 else (),
+            residual=float(self.residual[k]),
+            iterations=int(self.iterations[k]),
+            status=self.STATUSES[self.code[k]],
+        )
+
+
+def _code(status: SolveStatus) -> int:
+    return Outcomes.STATUSES.index(status)
+
+
+def _isolated(code: np.ndarray) -> np.ndarray:
+    """Where the status codes are isolated eigenvalues."""
+    return (code == _code(SolveStatus.ISOLATED_PQ)) | (code == _code(SolveStatus.ISOLATED_PLTQ))
 
 
 def _bases_at(a, ctx, lam, p0, a_norm, method, warm=None):
@@ -205,15 +244,15 @@ def _bases_at(a, ctx, lam, p0, a_norm, method, warm=None):
     clustered roots; a breakdown of the factorization ends the row's run
     as max_iterations.
 
-    Returns (status, stacks, roots): a list with a SolveStatus or None
-    per row, a list of (rows, BasisPair stack) for the rows that have a
-    basis, and every row's roots, the next pass's warm roots.
+    Returns (code, stacks, roots): each row's status code (``Outcomes``;
+    LIVE where the row has a basis), a list of (rows, BasisPair stack)
+    for the rows that have a basis, and every row's roots, the next
+    pass's warm roots.
     """
     sym = a.symbol
     b = _char_rows(sym, lam)
     roots, p, on_curve = _split_rows(b, warm)
-    status = [None] * lam.size
-    undecided = np.ones(lam.size, dtype=bool)
+    code = np.full(lam.size, Outcomes.LIVE)
     for hit, why in (
         (on_curve, SolveStatus.ON_CURVE),
         ((p0 >= 0) & (p != p0), SolveStatus.OUT_OF_COMPONENT),
@@ -222,9 +261,8 @@ def _bases_at(a, ctx, lam, p0, a_norm, method, warm=None):
         # no decaying solutions at all in this component: nothing to solve
         (p == 0, SolveStatus.NO_CONVERGENCE_PLTQ),
     ):
-        for i in np.flatnonzero(undecided & hit):
-            status[i] = why
-        undecided &= ~hit
+        code[(code == Outcomes.LIVE) & hit] = _code(why)
+    undecided = code == Outcomes.LIVE
     stacks = []
     for size in sorted(set(p[undecided].tolist())):
         rows = np.flatnonzero(undecided & (p == size))
@@ -236,22 +274,23 @@ def _bases_at(a, ctx, lam, p0, a_norm, method, warm=None):
             if not rows.size:
                 continue
         s, _, ds, _, broken = _factor_rows(sym, b[rows], inside)
-        for i in rows[broken]:
-            # the factorization pipeline broke down at this shift;
-            # classified as a failed run rather than escaping the driver
-            status[i] = SolveStatus.MAX_ITERATIONS
+        # the factorization pipeline broke down at this shift; classified
+        # as a failed run rather than escaping the driver
+        code[rows[broken]] = _code(SolveStatus.MAX_ITERATIONS)
         ok = ~broken
         stacks.append((rows[ok], _frobenius_rows(*_g_rows(s[ok], ds[ok]), ctx.cols)))
-    return status, stacks, roots
+    return code, stacks, roots
 
 
-def _classify(a, ctx, lam, basis, iterations, cfg) -> list:
+def _classify(a, ctx, lam, basis, cfg) -> tuple:
     """Residual test on the p rows Phi solves (all q rows when p == q)
     and, for p < q, the rank certificate and the q-row residual, at the
     converged shifts of one p group with the basis stack their
-    evaluation built.  Returns, per row, an EigRecord, a
-    no_convergence_pltq failure when only the p < q checks fail, or
-    None when the shift is not accepted."""
+    evaluation built.  Returns (code, residual, prefix): per row, the
+    isolated status code, no_convergence_pltq when only the p < q checks
+    fail, or LIVE when the shift is not accepted; per row, the relative
+    residual of all q rows; and the eigenvector prefixes of the isolated
+    rows, in order."""
     sym = a.symbol
     m, q, p = sym.m, ctx.q, basis.p
     # W V, all q rows, from the basis rows at W's nonzero columns: Phi is
@@ -272,34 +311,22 @@ def _classify(a, ctx, lam, basis, iterations, cfg) -> list:
     # rows are computed each on their own: r[:, :p] is the residual of
     # the p rows Phi solves, all of r when p == q
     r = _apply_rows(a, vec, q, [i - m for i in rows[m:]]) - lam[:, None] * vec[:, :q]
-    denom_p, res_p, res, denom_q = (_row_norms(x).tolist()
-                                    for x in (vec[:, :p], r[:, :p], r, vec[:, :q]))
+    denom_p, res_p, res, denom_q = (_row_norms(x) for x in (vec[:, :p], r[:, :p], r, vec[:, :q]))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero prefix is not accepted
+        rel_p, residual = res_p / denom_p, res / denom_q
+    accept = ~((denom_p == 0.0) | (rel_p > cfg.residual_tol))
+    code = np.where(accept, _code(SolveStatus.ISOLATED_PQ), Outcomes.LIVE)
     if p < q:
         # W V is q x p: rank deficient when its smallest singular value
         # is at rounding level of ||W|| ||V||, ||V|| over the basis rows
         # the pass built for W, whatever the prefix length
         smin = np.linalg.svd(wv, compute_uv=False)[:, -1]
         tol = 1e-12 * q * ctx.norm2 * np.linalg.svd(basis.v, compute_uv=False).max(axis=-1)
-    out = []
-    for k, its in enumerate(iterations.tolist()):
-        if denom_p[k] == 0.0 or res_p[k] / denom_p[k] > cfg.residual_tol:
-            out.append(None)
-            continue
-        res_q = res[k] / denom_q[k]
-        status = SolveStatus.ISOLATED_PQ
-        if p < q:
-            if smin[k] > tol[k] or res_q > cfg.residual_tol:
-                out.append(_failure(lam[k], its, SolveStatus.NO_CONVERGENCE_PLTQ, res_q))
-                continue
-            status = SolveStatus.ISOLATED_PLTQ
-        out.append(EigRecord(
-            lam=complex(lam[k]),
-            vec_prefix=tuple(vec[k, : cfg.vec_len]),
-            residual=res_q,
-            iterations=its,
-            status=status,
-        ))
-    return out
+        failed = (smin > tol) | (residual > cfg.residual_tol)
+        code[accept] = _code(SolveStatus.ISOLATED_PLTQ)
+        code[accept & failed] = _code(SolveStatus.NO_CONVERGENCE_PLTQ)
+        accept &= ~failed
+    return code, residual, vec[accept, : cfg.vec_len]
 
 
 def _is_real(a: QTMatrix) -> bool:
@@ -315,55 +342,55 @@ def _mirror(rec: EigRecord) -> EigRecord:
     )
 
 
-def _run_batch(a, ctx, a_norm, starts, cfg, real) -> list:
-    """Newton runs from a batch of starts in lockstep, one record per
-    start, in order.  Each pass evaluates the live shifts
-    (``_bases_at``, from the roots of their previous pass; the starts of
-    a batch are all on their first pass together, which has none),
-    classifies the shifts whose last step was below STEP_TOL
-    (``_classify``, per p group), then checks the budget and steps the
-    rows still live.  A vanishing trace moves the row's shift
-    once by a tiny jitter; a second one ends its run.  When ``real`` (a
-    real operator), a shift that is exactly real steps by the real part
-    of its step and jitters along the axis.  Every stage is elementwise
-    or a gufunc stack, so a row's record does not depend on the other
-    rows."""
+def _run_batch(a, ctx, a_norm, starts, cfg, real) -> Outcomes:
+    """Newton runs from a batch of starts in lockstep, their Outcomes in
+    order.  Each pass evaluates the live shifts (``_bases_at``, from the
+    roots of their previous pass; the starts of a batch are all on their
+    first pass together, which has none), classifies the shifts whose
+    last step was below STEP_TOL (``_classify``, per p group), then
+    checks the budget and steps the rows still live.  A vanishing trace
+    moves the row's shift once by a tiny jitter; a second one ends its
+    run.  When ``real`` (a real operator), a shift that is exactly real
+    steps by the real part of its step and jitters along the axis.
+    Every stage is elementwise or a gufunc stack, and every exit a mask,
+    so a row's outcome does not depend on the other rows."""
     lam = np.array(starts, dtype=complex)
     n = lam.size
+    code = np.full(n, Outcomes.LIVE)
+    residual = np.full(n, math.inf)
     p0 = np.full(n, -1)
     warm = None  # the live rows' last roots: none before the first pass
     iters = np.zeros(n, dtype=np.int64)
     jittered = np.zeros(n, dtype=bool)
     classify = np.zeros(n, dtype=bool)
-    out = [None] * n
+    slot = np.full(n, -1)
+    prefixes = [np.zeros((0, cfg.vec_len), dtype=complex)]
+    held = 0  # the prefixes kept so far
     live = np.arange(n)
     while live.size:
-        status, stacks, roots = _bases_at(a, ctx, lam[live], p0[live], a_norm, cfg.method, warm)
-        for i, why in zip(live, status):
-            if why is not None:
-                out[i] = _failure(lam[i], int(iters[i]), why)
+        code[live], stacks, roots = _bases_at(a, ctx, lam[live], p0[live], a_norm, cfg.method, warm)
         for rows, basis in stacks:
             idx = live[rows]
             p0[idx] = basis.p  # the start's component; later shifts must stay in it
-            conv = np.flatnonzero(classify[idx])
-            if conv.size:
-                recs = _classify(a, ctx, lam[idx[conv]], basis[conv], iters[idx[conv]], cfg)
-                for i, rec in zip(idx[conv], recs):
-                    out[i] = rec
-            steps = []
-            for k, i in enumerate(idx):
-                if out[i] is not None:
-                    continue
-                if iters[i] >= cfg.maxit:
-                    out[i] = _failure(lam[i], int(iters[i]), SolveStatus.MAX_ITERATIONS)
-                else:
-                    steps.append(k)
-            if not steps:
+            conv = classify[idx]
+            if conv.any():
+                done = idx[conv]
+                got, res, prefix = _classify(a, ctx, lam[done], basis[conv], cfg)
+                code[done] = got
+                ended = got != Outcomes.LIVE
+                residual[done[ended]] = res[ended]
+                slot[done[_isolated(got)]] = held + np.arange(len(prefix))
+                held += len(prefix)
+                prefixes.append(prefix)
+            go = code[idx] == Outcomes.LIVE
+            spent = go & (iters[idx] >= cfg.maxit)
+            code[idx[spent]] = _code(SolveStatus.MAX_ITERATIONS)
+            go &= ~spent
+            if not go.any():
                 continue
-            idx = idx[steps]
-            step, vanished = _newton_steps(*phi(ctx, basis[np.array(steps)], basis.p))
-            for i in idx[vanished & jittered[idx]]:
-                out[i] = _failure(lam[i], int(iters[i]), SolveStatus.MAX_ITERATIONS)
+            idx = idx[go]
+            step, vanished = _newton_steps(*phi(ctx, basis[go], basis.p))
+            code[idx[vanished & jittered[idx]]] = _code(SolveStatus.MAX_ITERATIONS)
             moved = idx[vanished & ~jittered[idx]]
             jittered[moved], classify[moved] = True, False
             on_axis = real & (lam[moved].imag == 0)
@@ -374,14 +401,14 @@ def _run_batch(a, ctx, a_norm, starts, cfg, real) -> list:
             iters[idx] += 1
             classify[idx] = np.abs(step) < STEP_TOL * np.maximum(1.0, np.abs(lam[idx]))
             lam[idx] -= step
-        keep = np.array([out[i] is None for i in live], dtype=bool)
+        keep = code[live] == Outcomes.LIVE
         live, warm = live[keep], roots[keep]
-    return out
+    return Outcomes(code, lam, residual, iters, slot, np.concatenate(prefixes))
 
 
 def _run_newton(a, ctx, a_norm, lam0, cfg) -> EigRecord:
     """One Newton run: a batch of one of ``_run_batch``."""
-    return _run_batch(a, ctx, a_norm, [complex(lam0)], cfg, _is_real(a))[0]
+    return _run_batch(a, ctx, a_norm, [complex(lam0)], cfg, _is_real(a)).record(0)
 
 
 def _chunk_rows(columns: int, vec_len: int) -> int:
@@ -389,36 +416,50 @@ def _chunk_rows(columns: int, vec_len: int) -> int:
     working memory, and at least 32, so that a wide W still steps
     enough rows per stacked call to amortise its overhead.  A row costs
     about 1000 bytes whatever the sizes (companion stack, masks, its
-    record), 700 per nonzero column of W, the rows of its stacked bases,
-    and 60 per entry of its eigenvector prefix: 16 in the array
-    ``_classify`` builds and about 40 kept in the record's tuple of numpy
-    scalars.  By tracemalloc a row of a pass peaks at about 9.7 kB on
-    the seven-band fixture (8 columns, 12.6 kB by this count), 31 kB on
-    the clustered roots (22 columns, 22.4 kB; their degree-12 splits,
-    p < q certificates and the p-wide V of the rows ``_classify`` takes
-    cost more, so that chunk peaks at 3.9 MB) and 0.8 kB on the rank-one
-    basins (2 columns, one-entry prefix, 2.5 kB; 7.8 kB against 8.4 kB
-    with a 100-entry prefix)."""
+    outcome columns), 700 per nonzero column of W, the rows of its
+    stacked bases, and 60 per entry of its eigenvector prefix: 16 in the
+    array ``_classify`` builds, which an accepted run keeps, and about 40
+    in the tuple of numpy scalars of the record ``eig_all`` builds from
+    it.  By tracemalloc a row of a chunk's passes peaks at about 9.7 kB
+    on the seven-band fixture (8 columns, 12.6 kB by this count), 31.0
+    kB on the clustered roots (22 columns, 22.4 kB; their degree-12
+    splits, p < q certificates and the p-wide V of the rows
+    ``_classify`` takes cost more, so that chunk peaks at 3.9 MB) and
+    0.7 kB on the rank-one basins (2 columns, one-entry prefix, 2.5
+    kB)."""
     return max(32, 2_800_000 // (1000 + 700 * columns + 60 * vec_len))
 
 
 def _runs(a: QTMatrix, starts, cfg: SolverConfig):
-    """Generator of the Newton record of each start, in order, on one W,
-    one row-sum norm and one realness test, all made before the first
-    run; the starts run in lockstep, ``_chunk_rows`` at a time, sized
-    from W's nonzero columns."""
+    """Generator of the Outcomes of a sequence of starts, one per chunk of
+    ``_chunk_rows`` consecutive starts (sized from W's nonzero columns),
+    in order, on one W, one row-sum norm and one realness test, all made
+    before the first run."""
     ctx, a_norm, real = build_w(a), norm_inf(a), _is_real(a)
     size = _chunk_rows(len(ctx.cols), cfg.vec_len)
-    it = iter(starts)
-    chunks = iter(lambda: list(itertools.islice(it, size)), [])
-    return (rec for chunk in chunks for rec in _run_batch(a, ctx, a_norm, chunk, cfg, real))
+    return (_run_batch(a, ctx, a_norm, starts[k : k + size], cfg, real)
+            for k in range(0, len(starts), size))
 
 
-def _limit_index(lam: complex, limits, tol: float):
-    """Index of the first w in ``limits`` with |lam - w| <= tol *
-    max(1, |lam|), the same limit as lam; None if there is none."""
-    scale = tol * max(1.0, abs(lam))
-    return next((k for k, w in enumerate(limits) if abs(lam - w) <= scale), None)
+def _limit_index(lam: np.ndarray, limits: list, tol: float) -> np.ndarray:
+    """For each shift of ``lam``, in order, the index of the first w in
+    ``limits`` with |lam - w| <= tol * max(1, |lam|), the same limit.  A
+    shift with none is appended to ``limits`` (a complex), so that the
+    shifts after it may match it."""
+    scale = tol * np.maximum(1.0, np.abs(lam))
+    out = np.full(lam.size, -1)
+    if limits:
+        hit = np.abs(lam[:, None] - np.array(limits, dtype=complex)) <= scale[:, None]
+        out = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    free = np.flatnonzero(out < 0)
+    while free.size:  # the first shift no limit matched is a new limit
+        first, rest = free[0], free[1:]
+        out[first] = len(limits)
+        limits.append(complex(lam[first]))
+        hit = np.abs(lam[rest] - limits[-1]) <= scale[rest]
+        out[rest[hit]] = out[first]
+        free = rest[~hit]
+    return out
 
 
 def eig_single(a: QTMatrix, lam0: complex, cfg: SolverConfig | None = None) -> EigRecord:
@@ -428,7 +469,7 @@ def eig_single(a: QTMatrix, lam0: complex, cfg: SolverConfig | None = None) -> E
     start = complex(lam0)
     if not (math.isfinite(start.real) and math.isfinite(start.imag)):
         raise InvalidInputError("starting shift must be finite")
-    return next(_runs(a, [start], cfg))
+    return next(_runs(a, [start], cfg)).record(0)
 
 
 def _dedupe(records, tol):
@@ -440,8 +481,8 @@ def _dedupe(records, tol):
     reps: list = []
     members: list = []
     for rec in sorted(records, key=lambda r: (r.lam.real, r.lam.imag)):
-        k = _limit_index(rec.lam, (rep.lam for rep in reps), tol)
-        if k is None:
+        (k,) = _limit_index(np.array([rec.lam]), [rep.lam for rep in reps], tol)
+        if k == len(reps):
             reps.append(rec)
             members.append([rec])
             continue
@@ -481,20 +522,24 @@ def eig_all(a: QTMatrix, cfg: SolverConfig | None = None) -> EigenSolveReport:
     mirrored = _is_real(a)
     if mirrored:
         starts = [z for z in starts if z.imag >= 0]
-    isolated, continuous = [], False
-    for start, rec in zip(starts, _runs(a, starts, cfg)):
-        continuous |= rec.status is SolveStatus.CONTINUOUS_SET
-        if rec.is_isolated:
+    isolated, done = [], 0
+    counts = np.zeros(len(Outcomes.STATUSES), dtype=np.int64)
+    for out in _runs(a, starts, cfg):
+        counts += np.bincount(out.code, minlength=counts.size)
+        for k in np.flatnonzero(out.slot >= 0).tolist():
+            start, rec = starts[done + k], out.record(k)
             isolated.append((start, rec))
             if mirrored and start.imag > 0:
                 isolated.append((start.conjugate(), _mirror(rec)))
+        done += out.code.size
     # the section's order, as if every start had run: it decides which
     # of two records with the same shift and residual _dedupe keeps
     isolated.sort(key=lambda sr: (sr[0].real, sr[0].imag))
     return EigenSolveReport(
         records=tuple(_dedupe([rec for _, rec in isolated], cfg.dedupe_tol)),
         section_size=size,
-        continuous_detected=continuous,
+        continuous_detected=bool(counts[_code(SolveStatus.CONTINUOUS_SET)]),
+        outcomes={s.value: int(n) for s, n in zip(Outcomes.STATUSES, counts) if n},
     )
 
 
@@ -653,16 +698,15 @@ def basins(a: QTMatrix, re_range, im_range, resolution, cfg: SolverConfig | None
     """
     cfg = cfg or SolverConfig()
     res, ims = _grid_axes(re_range, im_range, resolution)
-    labels = np.full((ims.size, res.size), BASIN_NONCONV, dtype=np.int64)
-    starts = (complex(x, y) for y in ims for x in res)  # row-major, as labels.flat
+    starts = np.empty((ims.size, res.size), dtype=complex)  # row-major, as labels
+    starts.real, starts.imag = res, ims[:, None]
+    labels = np.full(starts.shape, BASIN_NONCONV, dtype=np.int64)
     limits: list = []
-    for cell, rec in enumerate(_runs(a, starts, dataclasses.replace(cfg, vec_len=1))):
-        if rec.status is SolveStatus.CONTINUOUS_SET:
-            labels.flat[cell] = BASIN_CONTINUOUS
-        elif rec.is_isolated:
-            idx = _limit_index(rec.lam, limits, cfg.dedupe_tol)
-            if idx is None:
-                idx = len(limits)
-                limits.append(rec.lam)
-            labels.flat[cell] = idx
+    cell = 0
+    for out in _runs(a, starts.ravel(), dataclasses.replace(cfg, vec_len=1)):
+        chunk = labels.reshape(-1)[cell : cell + out.code.size]
+        chunk[out.code == _code(SolveStatus.CONTINUOUS_SET)] = BASIN_CONTINUOUS
+        accepted = out.slot >= 0
+        chunk[accepted] = _limit_index(out.lam[accepted], limits, cfg.dedupe_tol)
+        cell += out.code.size
     return labels, limits

@@ -133,7 +133,7 @@ def test_observed_records_each_run(fix_a):
 
 
 def test_observed_records_generator_starts(fix_a):
-    # basins hands the driver a generator of its cells: each run is
+    # basins hands the driver an array of its cells: each run is
     # recorded with its own cell, in order
     (labels, _), runs = tool._observed(q, lambda: q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 3))
     xs, ys = q.solver._grid_axes((-0.5, 0.5), (-0.5, 0.5), 3)

@@ -14,18 +14,35 @@ from qteig.solver import (
     BASIN_CONTINUOUS,
     BASIN_NONCONV,
     CURVE_SENTINEL,
+    Outcomes,
     _MAP_SAMPLES,
     _classify,
     _curve_polygon,
     _dedupe,
     _grid_axes,
     _chunk_rows,
+    _limit_index,
     _near_cells,
     _run_newton,
     section_size,
 )
 
 from conftest import random_symbol, squarings
+
+
+def _run_records(a, starts, cfg):
+    """The EigRecord of each run the driver makes from starts, in order."""
+    return [out.record(k) for out in q.solver._runs(a, starts, cfg) for k in range(out.code.size)]
+
+
+def _classified(a, ctx, lam, basis, iterations, cfg):
+    """``_classify``'s outcome of each row as an EigRecord with the given
+    step counts, or None where it does not accept the shift."""
+    code, residual, prefix = _classify(a, ctx, lam, basis, cfg)
+    slot = np.full(code.size, -1)
+    slot[q.solver._isolated(code)] = np.arange(len(prefix))
+    out = Outcomes(code, lam, residual, iterations, slot, prefix)
+    return [None if c == Outcomes.LIVE else out.record(k) for k, c in enumerate(code)]
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +89,7 @@ class TestEigSingle:
         lam = 1e-14
         basis = basis_frobenius(wiener_hopf(fix_a_pltq.symbol, lam), ctx.width)
         cfg = q.SolverConfig()
-        (rec,) = _classify(fix_a_pltq, ctx, np.array([lam]), basis[None], np.array([0]), cfg)
+        (rec,) = _classified(fix_a_pltq, ctx, np.array([lam]), basis[None], np.array([0]), cfg)
         assert rec.status is q.SolveStatus.ISOLATED_PLTQ
         assert rec.residual <= 1e-13
 
@@ -249,6 +266,23 @@ class TestEigAll:
         rep = q.eig_all(fix_a_pltq)
         assert rep.converged == 1
         assert rep.records[0].status is q.SolveStatus.ISOLATED_PLTQ
+
+    @pytest.mark.parametrize("name", ["test2_case1", "test3"])
+    def test_outcome_counts(self, name, request):
+        # one count per status of the runs made: on these real operators
+        # the section starts with Im >= 0
+        a = request.getfixturevalue(name)
+        cfg = q.SolverConfig()
+        want = {"out_of_component": 89, "no_convergence_pltq": 59, "isolated_pq": 11,
+                "diverged": 8}
+        if name == "test3":  # criterion 4's configuration
+            cfg = q.SolverConfig(gamma=12.5, residual_tol=1e-8, dedupe_tol=1e-4)
+            want = {"isolated_pq": 92, "no_convergence_pltq": 38, "out_of_component": 29,
+                    "max_iterations": 6}
+        report = q.eig_all(a, cfg)
+        assert report.outcomes == want
+        starts = eig_dense(q.finite_section(a, section_size(a, cfg.gamma)))
+        assert sum(report.outcomes.values()) == sum(z.imag >= 0 for z in starts)
 
     def test_deterministic(self, fix_a, fix_a_pltq):
         for a in (fix_a, fix_a_pltq):
@@ -830,7 +864,7 @@ class TestBatch:
 
         monkeypatch.setattr(np.linalg, "solve", spy)
         cfg = q.SolverConfig()
-        recs = list(q.solver._runs(fix_a, starts, cfg))
+        recs = _run_records(fix_a, starts, cfg)
         assert len(starts) in raised  # the whole chunk's solve raised once
         monkeypatch.undo()
         assert recs == self._one_by_one(fix_a, starts, cfg)
@@ -883,10 +917,10 @@ class TestBatch:
             starts = eig_dense(q.finite_section(a, section_size(a, cfg.gamma)))
         derived = _chunk_rows(len(build_w(a).cols), cfg.vec_len)
         assert 32 < derived < len(starts)
-        want = list(q.solver._runs(a, starts, cfg))
+        want = _run_records(a, starts, cfg)
         for rows in (1, 32):
             monkeypatch.setattr(q.solver, "_chunk_rows", lambda width, vec_len: rows)
-            assert list(q.solver._runs(a, starts, cfg)) == want
+            assert _run_records(a, starts, cfg) == want
 
     @pytest.mark.parametrize("name", ["test2_case1", "test3", "fix_a_pltq"])
     def test_outcomes_do_not_depend_on_vec_len(self, name, request):
@@ -903,7 +937,7 @@ class TestBatch:
             starts = [complex(x, y) for y in ys for x in xs]
         else:
             starts = eig_dense(q.finite_section(a, section_size(a, cfg.gamma)))
-        runs = {n: list(q.solver._runs(a, starts, dataclasses.replace(cfg, vec_len=n)))
+        runs = {n: _run_records(a, starts, dataclasses.replace(cfg, vec_len=n))
                 for n in (1, 100, 300)}
         want = runs[100]
         assert any(r.status is q.SolveStatus.ISOLATED_PLTQ
@@ -918,6 +952,47 @@ class TestBatch:
                 assert len(rec.vec_prefix) == (n if rec.is_isolated else 0)
                 assert (np.array(rec.vec_prefix[:k]).tobytes()
                         == np.array(ref.vec_prefix[:k]).tobytes())
+
+    def test_basin_labels_follow_the_sequential_rule(self, test1_case2, monkeypatch):
+        # the labels and limits of a walk over the cells in order, each
+        # run alone and matched by _limit_index against the limits found
+        # before it.  At this dedupe_tol the rule's scale max(1, |lam|)
+        # is the matched shift's: 1.152-2.907i joins 0.894-2.856i, found
+        # before it, which would not join it the other way round, so the
+        # labels depend on the order.  Chunks of 50 rows split the grid
+        cfg = q.SolverConfig(dedupe_tol=0.0856)
+        box, res = ((0.0, 3.0), (-3.2, -1.2)), 24
+        monkeypatch.setattr(q.solver, "_chunk_rows", lambda width, vec_len: 50)
+        labels, got = q.basins(test1_case2, *box, res, cfg)
+        monkeypatch.undo()
+        xs, ys = _grid_axes(*box, res)
+        recs = self._one_by_one(test1_case2, [complex(x, y) for y in ys for x in xs], cfg)
+        want = np.full(len(recs), BASIN_NONCONV, dtype=np.int64)
+        limits = []
+        one_way = 0
+        for cell, rec in enumerate(recs):
+            if rec.status is q.SolveStatus.CONTINUOUS_SET:
+                want[cell] = BASIN_CONTINUOUS
+            elif rec.is_isolated:
+                (want[cell],) = _limit_index(np.array([rec.lam]), limits, cfg.dedupe_tol)
+                z = limits[want[cell]]
+                one_way += abs(rec.lam - z) > cfg.dedupe_tol * max(1.0, abs(z))
+        assert len(recs) > 10 * 50 and len(limits) >= 10 and one_way
+        assert np.array_equal(labels.ravel(), want)
+        assert got == limits
+        assert all(type(z) is complex for z in got)
+
+    def test_limit_index_matches_first_in_order(self):
+        # at tol 0.3, 1.5 is a limit of its own next to 1.0; 1.3 is
+        # within tol of both and takes the first, not the nearer; 2.0 is
+        # within 0.3 * 2.0 of 1.5, but 1.5 is not within 0.3 * 1.5 of
+        # 2.0, so which of the two is a limit depends on their order
+        limits = [1.0 + 0j]
+        got = _limit_index(np.array([1.5, 1.3, 2.0, 1.5 + 1e-9, 5.0]), limits, 0.3)
+        assert got.tolist() == [1, 0, 1, 1, 2] and limits == [1.0, 1.5, 5.0]
+        assert _limit_index(np.array([1.3]), [1.0 + 0j, 1.5 + 0j], 0.3).tolist() == [0]
+        assert _limit_index(np.array([1.5, 2.0]), [], 0.3).tolist() == [0, 0]
+        assert _limit_index(np.array([2.0, 1.5]), [], 0.3).tolist() == [0, 1]
 
     def test_chunk_rows_follow_the_row_cost(self):
         # the fixtures' nonzero columns of W (seven-band, clustered roots,
@@ -939,17 +1014,17 @@ class TestBatch:
         ctx = build_w(a)
         cfg = q.SolverConfig(method=method, residual_tol=1e-6)
         lam = np.array([0.0, 1e-14, 0.3, 1e-8, -3e-15 + 2e-15j])
-        status, stacks, _ = q.solver._bases_at(a, ctx, lam, np.full(lam.size, -1),
-                                               q.norm_inf(a), method)
+        code, stacks, _ = q.solver._bases_at(a, ctx, lam, np.full(lam.size, -1),
+                                             q.norm_inf(a), method)
         (rows, basis), = stacks
-        assert status == [None] * lam.size and rows.tolist() == list(range(lam.size))
+        assert (code == Outcomes.LIVE).all() and rows.tolist() == list(range(lam.size))
         iters = np.arange(lam.size) + 3
-        recs = _classify(a, ctx, lam, basis, iters, cfg)
+        recs = _classified(a, ctx, lam, basis, iters, cfg)
         isolated = q.SolveStatus.ISOLATED_PQ if ctx.q == 1 else q.SolveStatus.ISOLATED_PLTQ
         near = isolated if ctx.q == 1 else q.SolveStatus.NO_CONVERGENCE_PLTQ
         assert [r and r.status for r in recs] == [isolated, isolated, None, near, isolated]
         for k, rec in enumerate(recs):
-            (one,) = _classify(a, ctx, lam[k : k + 1], basis[k][None], iters[k : k + 1], cfg)
+            (one,) = _classified(a, ctx, lam[k : k + 1], basis[k][None], iters[k : k + 1], cfg)
             assert rec == one
             if rec is not None:
                 assert repr(rec.residual) == repr(one.residual)
@@ -969,7 +1044,7 @@ class TestBatch:
             return real(g, g_prime, rows)
 
         monkeypatch.setattr("qteig.solver._frobenius_rows", spy)
-        recs = list(q.solver._runs(a, starts, cfg))
+        recs = _run_records(a, starts, cfg)
         assert sizes[0] == 1
         monkeypatch.undo()
         assert recs == self._one_by_one(a, starts, cfg)

@@ -28,8 +28,8 @@ the private ``qteig.solver._split_rows`` for the call).  ``eig_all``
 keeps only the accepted runs, so the per-run records are observed while
 it executes: the private driver ``qteig.solver._runs``, through which
 ``eig_all`` and ``basins`` run every start, is replaced for the call by
-a generator that records what it passes on, each record with the start
-it came from (the starts may be a generator, so they are teed).  The
+a generator that passes on each chunk's outcomes and records the
+``EigRecord`` of each of their rows, with the start it came from.  The
 starts are whatever the tree's ``eig_all`` and ``basins`` choose, and
 each set is run once: on a real operator ``eig_all`` runs only the
 section starts with Im >= 0.
@@ -89,7 +89,6 @@ import contextlib
 import dataclasses
 import hashlib
 import io
-import itertools
 import json
 import sys
 import tempfile
@@ -136,15 +135,17 @@ def _record(rec, start) -> list:
 def _observed(q, run) -> tuple:
     """run()'s result and the ``_record`` of every Newton run it makes,
     in order: ``qteig.solver._runs`` is replaced by a generator that
-    records each record it passes on, with its start, and restored when
-    run() returns or raises."""
+    passes on each chunk's outcomes and records each of their rows, with
+    its start, and restored when run() returns or raises."""
     runs, records = q.solver._runs, []
 
     def recording(a, starts, cfg):
-        ours, theirs = itertools.tee(starts)
-        for start, rec in zip(ours, runs(a, theirs, cfg)):
-            records.append(_record(rec, start))
-            yield rec
+        done = 0
+        for out in runs(a, starts, cfg):
+            for k in range(out.code.size):
+                records.append(_record(out.record(k), starts[done + k]))
+            done += out.code.size
+            yield out
 
     q.solver._runs = recording
     try:
