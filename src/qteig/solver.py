@@ -1,11 +1,12 @@
 """Newton's iteration on the determinant of the reduced pencil, its
 drivers and the winding raster.  ``eig_single`` (one start), ``eig_all``
 (the finite-section eigenvalues) and ``basins`` (the raster cells) run
-their starts through one generator, ``_runs``, which builds W, the
-row-sum norm and the realness test once.  ``_limit_index`` is the one
-"same limit" rule, for deduplication and basin labels alike: over an
-array of shifts in order, each takes the first limit it matches, and
-a shift that matches none is a new limit for the shifts after it.
+their starts through one driver, ``_runs``, which builds W, the row-sum
+norm and the realness test once and returns one ``Outcomes`` for all
+the starts.  ``_limit_index`` is the one "same limit" rule, for
+deduplication and basin labels alike: over an array of shifts in order,
+each takes the first limit it matches, and a shift that matches none is
+a new limit for the shifts after it.
 
 The starts run in lockstep, in consecutive chunks (``_run_batch``):
 each pass evaluates every live start of the chunk with one stacked call
@@ -14,31 +15,33 @@ is a batch of one through the same code.  Every stage, the Aberth
 polish of warm roots included, is elementwise or a gufunc stack
 (``matmul``, ``solve``, ``eigvals``) on C-ordered arrays, so a start's
 outcome does not depend on what else is in its chunk; a stacked solve
-that raises is redone row by row.  A chunk's outcomes are columns, one
-``Outcomes`` value: status codes, final shifts, residuals and step
-counts, set by masks, and the eigenvector prefixes of the accepted runs
-only.  An ``EigRecord`` is built only for a run a caller returns
-(``eig_single``, ``_run_newton``, the isolated runs of ``eig_all``);
-``basins`` reads its labels from the codes and shifts.  The chunk size
-bounds the working memory of a pass, so ``_chunk_rows`` derives it
-from a row's cost: the stacked bases grow with the number of W's
-nonzero columns, the only basis rows a pass builds, and an accepted row
-also holds its eigenvector prefix.  That gives 222 rows at 8 columns
-(the seven-band fixture, whose 167 starts run as one chunk), 125 at 22
-(the clustered roots) and, with the one-entry prefix of ``basins``,
-1138 at 2 (the rank-one fixture).  By tracemalloc, a chunk's passes
-peak at 1.6, 3.9 and 0.8 MB there.  Those 50 x 50 basins
-take 0.23-0.44 s in chunks of 32 rows and 0.045-0.075 s in chunks of
-1138 (ten calls in one process, twice).  One batch of all 300 section starts
-of a fixture, at W's full width, raised the peak RSS by 11-16 MB.
+that raises is redone row by row.  Outcomes are columns: status codes,
+final shifts, residuals and step counts, set by masks, and the
+eigenvector prefixes of the accepted runs only.  An ``EigRecord`` is
+built only for a run a caller gets back (``eig_single``,
+``_run_newton``, the representatives of ``eig_all``); ``eig_all``
+deduplicates on the columns (``_representatives``), and ``basins``
+reads its labels from them.  The chunk size bounds the working memory
+of a pass, so ``_chunk_rows`` derives it from a row's cost: the stacked
+bases grow with the number of W's nonzero columns, the only basis rows
+a pass builds, and an accepted row also holds its eigenvector prefix.
+That gives 222 rows at 8 columns (the seven-band fixture, whose 167
+starts run as one chunk), 125 at 22 (the clustered roots) and, with the
+one-entry prefix of ``basins``, 1138 at 2 (the rank-one fixture).  By
+tracemalloc, a chunk's passes peak at 1.6, 3.9 and 0.8 MB there.  Those
+50 x 50 basins take 0.23-0.44 s in chunks of 32 rows and 0.045-0.075 s
+in chunks of 1138 (ten calls in one process, twice).  One batch of all
+300 section starts of a fixture, at W's full width, raised the peak RSS
+by 11-16 MB.
 
 On a real operator (real band and correction) the run from conj(lam)
 is the mirror image of the run from lam, so ``eig_all`` runs only the
-section starts with Im >= 0 and mirrors each isolated record of a
-start with Im > 0; the section's non-real eigenvalues come in exact
-conjugate pairs.  On such an operator a shift that is exactly real
-steps by the real part of its step, and its jitter stays on the axis,
-so real eigenvalues come out exactly real.
+section starts with Im >= 0 and takes the conjugates of the accepted
+rows of the starts with Im > 0 as the rows of their conjugate starts;
+the section's non-real eigenvalues come in exact conjugate pairs.  On
+such an operator a shift that is exactly real steps by the real part of
+its step, and its jitter stays on the axis, so real eigenvalues come
+out exactly real.
 
 The shifts of a pass are evaluated in one place, ``_bases_at``: it
 splits the roots of z**m (a(z) - lam) at the unit circle once per row
@@ -180,17 +183,20 @@ class EigenSolveReport:
 
     records: tuple
     section_size: int
-    continuous_detected: bool
     outcomes: dict
 
     @property
     def converged(self) -> int:
         return len(self.records)
 
+    @property
+    def continuous_detected(self) -> bool:
+        return SolveStatus.CONTINUOUS_SET.value in self.outcomes
+
 
 @dataclass(frozen=True)
 class Outcomes:
-    """The Newton runs of one chunk of starts, one entry per start, in
+    """The Newton runs of a sequence of starts, one entry per start, in
     order: the status code (the SolveStatus's index in STATUSES, LIVE
     while the run goes on), the final shift, the residual (inf where the
     exit computes none), the step count and the slot, the row of
@@ -206,6 +212,16 @@ class Outcomes:
     iterations: np.ndarray
     slot: np.ndarray
     prefix: np.ndarray
+
+    @classmethod
+    def join(cls, parts) -> Outcomes:
+        """The rows of ``parts`` in order, each part's slots offset by the
+        prefixes of the parts before it."""
+        held = np.cumsum([0] + [len(out.prefix) for out in parts[:-1]])
+        parts = [dataclasses.replace(out, slot=np.where(out.slot >= 0, out.slot + k, -1))
+                 for out, k in zip(parts, held)]
+        return cls(*(np.concatenate([getattr(out, f.name) for out in parts])
+                     for f in dataclasses.fields(cls)))
 
     def record(self, k: int) -> EigRecord:
         """The EigRecord of row k."""
@@ -335,13 +351,6 @@ def _is_real(a: QTMatrix) -> bool:
     return not any(v.imag for v in values)
 
 
-def _mirror(rec: EigRecord) -> EigRecord:
-    """The record of the run from the conjugate start on a real operator."""
-    return dataclasses.replace(
-        rec, lam=rec.lam.conjugate(), vec_prefix=tuple(np.asarray(rec.vec_prefix).conj())
-    )
-
-
 def _run_batch(a, ctx, a_norm, starts, cfg, real) -> Outcomes:
     """Newton runs from a batch of starts in lockstep, their Outcomes in
     order.  Each pass evaluates the live shifts (``_bases_at``, from the
@@ -418,27 +427,26 @@ def _chunk_rows(columns: int, vec_len: int) -> int:
     about 1000 bytes whatever the sizes (companion stack, masks, its
     outcome columns), 700 per nonzero column of W, the rows of its
     stacked bases, and 60 per entry of its eigenvector prefix: 16 in the
-    array ``_classify`` builds, which an accepted run keeps, and about 40
-    in the tuple of numpy scalars of the record ``eig_all`` builds from
-    it.  By tracemalloc a row of a chunk's passes peaks at about 9.7 kB
-    on the seven-band fixture (8 columns, 12.6 kB by this count), 31.0
-    kB on the clustered roots (22 columns, 22.4 kB; their degree-12
-    splits, p < q certificates and the p-wide V of the rows
-    ``_classify`` takes cost more, so that chunk peaks at 3.9 MB) and
-    0.7 kB on the rank-one basins (2 columns, one-entry prefix, 2.5
-    kB)."""
+    array ``_classify`` builds, which an accepted run keeps, and 44 of
+    allowance for the p-wide V and vectors it builds at those rows.  By
+    tracemalloc a row of a chunk's passes peaks at about 9.7 kB on the
+    seven-band fixture (8 columns, 12.6 kB by this count; 9.7 kB at a
+    one-entry prefix, 10.5 at 300), 31.0 kB on the clustered roots (22
+    columns, 22.4 kB; their degree-12 splits, p < q certificates and the
+    p-wide V of the rows ``_classify`` takes cost more, so that chunk
+    peaks at 3.9 MB) and 0.7 kB on the rank-one basins (2 columns,
+    one-entry prefix, 2.5 kB)."""
     return max(32, 2_800_000 // (1000 + 700 * columns + 60 * vec_len))
 
 
-def _runs(a: QTMatrix, starts, cfg: SolverConfig):
-    """Generator of the Outcomes of a sequence of starts, one per chunk of
-    ``_chunk_rows`` consecutive starts (sized from W's nonzero columns),
-    in order, on one W, one row-sum norm and one realness test, all made
-    before the first run."""
+def _runs(a: QTMatrix, starts, cfg: SolverConfig) -> Outcomes:
+    """The Outcomes of a sequence of starts, in order, run in chunks of
+    ``_chunk_rows`` consecutive starts (sized from W's nonzero columns)
+    on one W, one row-sum norm and one realness test."""
     ctx, a_norm, real = build_w(a), norm_inf(a), _is_real(a)
     size = _chunk_rows(len(ctx.cols), cfg.vec_len)
-    return (_run_batch(a, ctx, a_norm, starts[k : k + size], cfg, real)
-            for k in range(0, len(starts), size))
+    return Outcomes.join([_run_batch(a, ctx, a_norm, starts[k : k + size], cfg, real)
+                          for k in range(0, len(starts), size)])
 
 
 def _limit_index(lam: np.ndarray, limits: list, tol: float) -> np.ndarray:
@@ -469,28 +477,22 @@ def eig_single(a: QTMatrix, lam0: complex, cfg: SolverConfig | None = None) -> E
     start = complex(lam0)
     if not (math.isfinite(start.real) and math.isfinite(start.imag)):
         raise InvalidInputError("starting shift must be finite")
-    return next(_runs(a, [start], cfg)).record(0)
+    return _runs(a, [start], cfg).record(0)
 
 
-def _dedupe(records, tol):
-    """Cluster isolated records by shift, keeping the representative with
-    the smallest residual per cluster, the first of equals.  A cluster
-    that holds a non-real record and its mirror image (``_mirror``) is a
-    real eigenvalue of a real operator: it keeps its best exactly real
-    record, when it has one."""
-    reps: list = []
-    members: list = []
-    for rec in sorted(records, key=lambda r: (r.lam.real, r.lam.imag)):
-        (k,) = _limit_index(np.array([rec.lam]), [rep.lam for rep in reps], tol)
-        if k == len(reps):
-            reps.append(rec)
-            members.append([rec])
-            continue
-        members[k].append(rec)
-        lams = {r.lam for r in members[k]}
-        real = any(z.imag and z.conjugate() in lams for z in lams)
-        reps[k] = min(members[k], key=lambda r: (real and r.lam.imag != 0, r.residual))
-    return sorted(reps, key=lambda r: (r.lam.real, r.lam.imag))
+def _representatives(lam: np.ndarray, residual: np.ndarray, tol: float, real: bool) -> np.ndarray:
+    """Indices of one run per limit of the accepted shifts ``lam``, given
+    in section order, in (real, imag) order of their shifts.  Sorted so
+    (equal shifts in section order), the shifts take their limits from
+    one ``_limit_index`` call: a limit is its first member.  Each keeps
+    its smallest residual, the first of equals in that order, and on a
+    real operator (``real``) its exactly real runs come first."""
+    order = np.lexsort((lam.imag, lam.real))
+    lam, residual = lam[order], residual[order]
+    label = _limit_index(lam, [], tol)
+    best = np.lexsort((residual, real & (lam.imag != 0), label))
+    _, first = np.unique(label[best], return_index=True)
+    return order[np.sort(best[first])]
 
 
 def section_size(a: QTMatrix, gamma: float) -> int:
@@ -507,10 +509,11 @@ def eig_all(a: QTMatrix, cfg: SolverConfig | None = None) -> EigenSolveReport:
 
     On a real operator the section's non-real eigenvalues come in exact
     conjugate pairs and the run from conj(lam) mirrors the run from lam,
-    so only the starts with Im >= 0 run, and each isolated record of a
-    start with Im > 0 is joined by its mirror image: the conjugate
-    shift and eigenvector prefix, with the same residual, iteration
-    count and status.
+    so only the starts with Im >= 0 run, and the accepted rows of the
+    starts with Im > 0 join as rows of their conjugate starts: conjugate
+    shifts and eigenvector prefixes, the same status, residual and step
+    count.  ``_representatives`` keeps one accepted row per limit, an
+    exactly real one first on a real operator; only those become records.
 
     Seeding from a finite truncation is a heuristic: eigenvalues whose
     basins the section misses are not found.
@@ -518,27 +521,25 @@ def eig_all(a: QTMatrix, cfg: SolverConfig | None = None) -> EigenSolveReport:
     cfg = cfg or SolverConfig()
     size = section_size(a, cfg.gamma)
     _check_eig_dim(size)  # before the section is built
-    starts = eig_dense(finite_section(a, size))
+    starts = np.array(eig_dense(finite_section(a, size)))
     mirrored = _is_real(a)
     if mirrored:
-        starts = [z for z in starts if z.imag >= 0]
-    isolated, done = [], 0
-    counts = np.zeros(len(Outcomes.STATUSES), dtype=np.int64)
-    for out in _runs(a, starts, cfg):
-        counts += np.bincount(out.code, minlength=counts.size)
-        for k in np.flatnonzero(out.slot >= 0).tolist():
-            start, rec = starts[done + k], out.record(k)
-            isolated.append((start, rec))
-            if mirrored and start.imag > 0:
-                isolated.append((start.conjugate(), _mirror(rec)))
-        done += out.code.size
-    # the section's order, as if every start had run: it decides which
-    # of two records with the same shift and residual _dedupe keeps
-    isolated.sort(key=lambda sr: (sr[0].real, sr[0].imag))
+        starts = starts[starts.imag >= 0]
+    out = _runs(a, starts, cfg)
+    counts = np.bincount(out.code, minlength=len(Outcomes.STATUSES))
+    if mirrored:
+        up = np.flatnonzero((out.slot >= 0) & (starts.imag > 0))
+        out = Outcomes.join([out, Outcomes(
+            out.code[up], out.lam[up].conj(), out.residual[up], out.iterations[up],
+            np.arange(up.size), out.prefix[out.slot[up]].conj())])
+        starts = np.concatenate([starts, starts[up].conj()])
+    # the section's order, as if every start had run
+    rows = np.flatnonzero(out.slot >= 0)
+    rows = rows[np.lexsort((starts[rows].imag, starts[rows].real))]
+    reps = rows[_representatives(out.lam[rows], out.residual[rows], cfg.dedupe_tol, mirrored)]
     return EigenSolveReport(
-        records=tuple(_dedupe([rec for _, rec in isolated], cfg.dedupe_tol)),
+        records=tuple(out.record(k) for k in reps.tolist()),
         section_size=size,
-        continuous_detected=bool(counts[_code(SolveStatus.CONTINUOUS_SET)]),
         outcomes={s.value: int(n) for s, n in zip(Outcomes.STATUSES, counts) if n},
     )
 
@@ -700,13 +701,10 @@ def basins(a: QTMatrix, re_range, im_range, resolution, cfg: SolverConfig | None
     res, ims = _grid_axes(re_range, im_range, resolution)
     starts = np.empty((ims.size, res.size), dtype=complex)  # row-major, as labels
     starts.real, starts.imag = res, ims[:, None]
-    labels = np.full(starts.shape, BASIN_NONCONV, dtype=np.int64)
+    out = _runs(a, starts.ravel(), dataclasses.replace(cfg, vec_len=1))
+    labels = np.full(out.code.size, BASIN_NONCONV, dtype=np.int64)
+    labels[out.code == _code(SolveStatus.CONTINUOUS_SET)] = BASIN_CONTINUOUS
+    accepted = out.slot >= 0
     limits: list = []
-    cell = 0
-    for out in _runs(a, starts.ravel(), dataclasses.replace(cfg, vec_len=1)):
-        chunk = labels.reshape(-1)[cell : cell + out.code.size]
-        chunk[out.code == _code(SolveStatus.CONTINUOUS_SET)] = BASIN_CONTINUOUS
-        accepted = out.slot >= 0
-        chunk[accepted] = _limit_index(out.lam[accepted], limits, cfg.dedupe_tol)
-        cell += out.code.size
-    return labels, limits
+    labels[accepted] = _limit_index(out.lam[accepted], limits, cfg.dedupe_tol)
+    return labels.reshape(starts.shape), limits

@@ -18,11 +18,11 @@ from qteig.solver import (
     _MAP_SAMPLES,
     _classify,
     _curve_polygon,
-    _dedupe,
     _grid_axes,
     _chunk_rows,
     _limit_index,
     _near_cells,
+    _representatives,
     _run_newton,
     section_size,
 )
@@ -32,7 +32,8 @@ from conftest import random_symbol, squarings
 
 def _run_records(a, starts, cfg):
     """The EigRecord of each run the driver makes from starts, in order."""
-    return [out.record(k) for out in q.solver._runs(a, starts, cfg) for k in range(out.code.size)]
+    out = q.solver._runs(a, starts, cfg)
+    return [out.record(k) for k in range(out.code.size)]
 
 
 def _classified(a, ctx, lam, basis, iterations, cfg):
@@ -714,45 +715,69 @@ class TestRealOperators:
         assert all(rec.lam.imag == 0 for rec in recs if rec not in nonreal)
 
 
-def _record(lam, residual, iterations=4):
-    return q.EigRecord(lam=complex(lam), vec_prefix=(1.0 + 0j,), residual=residual,
-                       iterations=iterations, status=q.SolveStatus.ISOLATED_PQ)
+def _picks(runs, tol, real):
+    """``_representatives`` of (shift, residual) pairs, as their indices."""
+    lam = np.array([z for z, _ in runs], dtype=complex)
+    residual = np.array([r for _, r in runs], dtype=float)
+    return _representatives(lam, residual, tol, real).tolist()
 
 
 class TestDedupe:
+    """``_representatives``: one accepted run per limit."""
+
     X = -1.9220915082832417
 
     def test_smallest_residual(self):
-        recs = [_record(self.X, 3e-13, 4), _record(self.X + 1e-12, 1e-14, 7),
-                _record(self.X + 2e-12, 1e-14, 9), _record(0.5, 1e-12)]
-        assert _dedupe(recs, 1e-8) == [recs[1], recs[3]]
+        runs = [(self.X, 3e-13), (self.X + 1e-12, 1e-14), (self.X + 2e-12, 1e-14), (0.5, 1e-12)]
+        assert _picks(runs, 1e-8, True) == [1, 3]
 
     def test_record_and_its_mirror_keep_the_real_record(self):
         # a run from a start with Im > 0 and its mirror image land next to
         # the axis with a smaller residual than the real start's run
-        near = _record(complex(self.X, 1.7e-16), 6.9e-14, 6)
-        real = _record(self.X + 4e-16, 3.4e-13, 4)
-        recs = [near, q.solver._mirror(near), real]
-        assert _dedupe(recs, 1e-8) == [real]
-        # without an exactly real record the residual decides
-        assert _dedupe(recs[:2], 1e-8) == [q.solver._mirror(near)]
+        near = complex(self.X, 1.7e-16)
+        runs = [(near, 6.9e-14), (near.conjugate(), 6.9e-14), (self.X + 4e-16, 3.4e-13)]
+        assert _picks(runs, 1e-8, True) == [2]
+        # without an exactly real run the residual decides, and of equal
+        # residuals the first in (real, imag) order: the mirror
+        assert _picks(runs[:2], 1e-8, True) == [1]
 
     def test_no_mirror_keeps_the_smallest_residual(self):
-        # a complex operator's records: no record's mirror is in the cluster
-        near = _record(complex(self.X, 1.7e-16), 6.9e-14)
-        real = _record(self.X + 4e-16, 3.4e-13)
-        assert _dedupe([near, real], 1e-8) == [near]
+        # on a complex operator an exactly real run has no precedence
+        runs = [(complex(self.X, 1.7e-16), 6.9e-14), (self.X + 4e-16, 3.4e-13)]
+        assert _picks(runs, 1e-8, False) == [0]
+
+    def test_limit_is_the_first_member(self):
+        # 0.5 is the limit; 0.5 + 0.9e-8, the smallest residual, joins it,
+        # and 0.5 + 1.5e-8, within tol of that run but not of 0.5, starts
+        # a limit of its own
+        runs = [(0.5, 3e-13), (0.5 + 0.9e-8, 1e-14), (0.5 + 1.5e-8, 2e-13)]
+        assert _picks(runs, 1e-8, True) == [1, 2]
+
+    def test_equal_runs_keep_the_first_in_section_order(self):
+        runs = [(0.5 + 1e-12, 1e-14), (0.5 + 0j, 3e-13), (0.5 + 1e-12, 1e-14), (0.5 + 0j, 3e-13)]
+        assert _picks(runs, 1e-8, True) == [0]
 
 
 def test_mirror_conjugates_the_prefix_bit_for_bit(test2_case1):
-    rec = q.eig_single(test2_case1, -0.33 + 0.08j)
-    assert rec.is_isolated and rec.lam.imag
-    mirror = q.solver._mirror(rec)
-    assert mirror.lam == rec.lam.conjugate()
-    want = tuple(v.conjugate() for v in rec.vec_prefix)
-    assert [type(v) for v in mirror.vec_prefix] == [type(v) for v in want]
-    assert np.array(mirror.vec_prefix).tobytes() == np.array(want).tobytes()
-    assert dataclasses.replace(mirror, lam=rec.lam, vec_prefix=rec.vec_prefix) == rec
+    # each non-real representative's conjugate is the mirror of its run
+    recs = q.eig_all(test2_case1).records
+    by_lam = {rec.lam: rec for rec in recs}
+    nonreal = [rec for rec in recs if rec.lam.imag]
+    assert nonreal
+    for rec in nonreal:
+        mirror = by_lam[rec.lam.conjugate()]
+        want = np.conj(rec.vec_prefix)
+        assert all(type(v) is np.complex128 for v in mirror.vec_prefix)
+        assert np.array(mirror.vec_prefix).tobytes() == want.tobytes()
+        assert dataclasses.replace(mirror, lam=rec.lam, vec_prefix=rec.vec_prefix) == rec
+
+
+def test_eig_all_builds_only_the_records_it_returns(test2_case1, monkeypatch):
+    built = []
+    record = Outcomes.record
+    monkeypatch.setattr(Outcomes, "record", lambda self, k: built.append(k) or record(self, k))
+    report = q.eig_all(test2_case1)
+    assert len(built) == len(report.records) == 7
 
 
 class TestOneDriver:
@@ -785,9 +810,9 @@ class TestOneDriver:
         ran = dict(zip(upper, self._records(a, upper, cfg)))
         recs = [ran[z] if z.imag >= 0 else _conjugate(ran[z.conjugate()]) for z in starts]
         report = q.eig_all(a, cfg)
-        assert report.records == tuple(
-            _dedupe([r for r in recs if r.is_isolated], cfg.dedupe_tol)
-        )
+        isolated = [r for r in recs if r.is_isolated]
+        picks = _picks([(r.lam, r.residual) for r in isolated], cfg.dedupe_tol, True)
+        assert report.records == tuple(isolated[k] for k in picks)
         continuous = any(r.status is q.SolveStatus.CONTINUOUS_SET for r in recs)
         assert report.continuous_detected == continuous
         assert continuous == (name == "continuous")

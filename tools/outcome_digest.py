@@ -28,8 +28,8 @@ the private ``qteig.solver._split_rows`` for the call).  ``eig_all``
 keeps only the accepted runs, so the per-run records are observed while
 it executes: the private driver ``qteig.solver._runs``, through which
 ``eig_all`` and ``basins`` run every start, is replaced for the call by
-a generator that passes on each chunk's outcomes and records the
-``EigRecord`` of each of their rows, with the start it came from.  The
+a wrapper that records the ``EigRecord`` of each row of the outcomes it
+returns, with the start it came from.  The
 starts are whatever the tree's ``eig_all`` and ``basins`` choose, and
 each set is run once: on a real operator ``eig_all`` runs only the
 section starts with Im >= 0.
@@ -134,18 +134,15 @@ def _record(rec, start) -> list:
 
 def _observed(q, run) -> tuple:
     """run()'s result and the ``_record`` of every Newton run it makes,
-    in order: ``qteig.solver._runs`` is replaced by a generator that
-    passes on each chunk's outcomes and records each of their rows, with
-    its start, and restored when run() returns or raises."""
+    in order: ``qteig.solver._runs`` is replaced by a wrapper that
+    records each row of the outcomes it returns, with its start, and
+    restored when run() returns or raises."""
     runs, records = q.solver._runs, []
 
     def recording(a, starts, cfg):
-        done = 0
-        for out in runs(a, starts, cfg):
-            for k in range(out.code.size):
-                records.append(_record(out.record(k), starts[done + k]))
-            done += out.code.size
-            yield out
+        out = runs(a, starts, cfg)
+        records.extend(_record(out.record(k), start) for k, start in enumerate(starts))
+        return out
 
     q.solver._runs = recording
     try:
