@@ -11,6 +11,15 @@ axis (``_solve_rows``, ``_eigvals_rows``, ``_companion_roots``);
 ``lu_solve``, ``eig_dense`` and ``roots_companion`` are batches of one.
 The Newton driver's root split takes ``_companion_roots`` only for the
 rows that ``poly._split_rows`` cannot polish from warm roots.
+
+The stacked solve at k = 1 and 2 and the roots at degree 2 have a
+second, elementwise path: a division, LU with partial pivoting written
+out, and a stable quadratic formula.  numpy's stacked LAPACK calls pay
+a per-matrix cost far above that arithmetic, and the basins of the
+rank-one fixture (m = n = 1, p = 1) are made of exactly these stacks
+(ROADMAP item 22).  Each path has the contract of the LAPACK call it
+replaces: the same singular rows, exact conjugate pairs of a real
+row's roots, the same errors.
 """
 
 from __future__ import annotations
@@ -41,14 +50,30 @@ def _phase(z: complex) -> complex:
     return z / az if az > 0 else 1.0 + 0j
 
 
+def _ldexp(c: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """c * 2**exp for a complex array, exact unless it underflows: numpy's
+    ldexp takes real arrays only."""
+    out = np.empty(np.broadcast_shapes(c.shape, exp.shape), dtype=complex)
+    out.real = np.ldexp(c.real, exp)
+    out.imag = np.ldexp(c.imag, exp)
+    return out
+
+
 def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple:
     """Solve A X = B for a stack of square A, (n, k, k), and B, (n, k, c),
-    by LAPACK's LU with partial pivoting, one stacked call.
+    by LU with partial pivoting: for k >= 3, LAPACK's, one stacked call;
+    for k = 1 and 2, the same elimination elementwise
+    (``_solve_small_rows``), which the rank-one basins' 1 x 1 Newton and
+    2 x 2 derivative solves take without LAPACK's per-matrix cost
+    (ROADMAP item 22).
 
-    Returns (x, singular): a stack whose exactly singular row makes the
-    stacked call raise is redone row by row, and those rows get x = 0 and
-    a True in ``singular``; the other rows are unaffected.
+    Returns (x, singular): the rows with an exactly zero pivot get x = 0
+    and a True in ``singular``; the other rows are unaffected.  A stack
+    with such a row makes the stacked call raise, and is redone row by
+    row.
     """
+    if a.shape[1] <= 2:
+        return _solve_small_rows(a, b)
     try:
         return np.linalg.solve(a, b), np.zeros(a.shape[0], dtype=bool)
     except np.linalg.LinAlgError:
@@ -63,8 +88,28 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple:
     return x, singular
 
 
+def _solve_small_rows(a: np.ndarray, b: np.ndarray) -> tuple:
+    """``_solve_rows`` at k = 1 (a division) and k = 2 (one elimination
+    step after the row swap LAPACK makes: its pivot is the entry of the
+    first column of larger |re| + |im|, the first on a tie)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if a.shape[1] == 1:
+            x, singular = b / a, a[:, 0, 0] == 0
+        else:
+            first = np.abs(a[:, :, 0].real) + np.abs(a[:, :, 0].imag)
+            swap = (first[:, 1] > first[:, 0])[:, None, None]
+            a, b = np.where(swap, a[:, ::-1], a), np.where(swap, b[:, ::-1], b)
+            pivot, ell = a[:, :1, :1], a[:, 1:, :1] / a[:, :1, :1]
+            u = a[:, 1:, 1:] - ell * a[:, :1, 1:]
+            x2 = (b[:, 1:] - ell * b[:, :1]) / u
+            x = np.concatenate([(b[:, :1] - a[:, :1, 1:] * x2) / pivot, x2], axis=1)
+            singular = (pivot == 0)[:, 0, 0] | (u == 0)[:, 0, 0]
+    x[singular] = 0.0
+    return x, singular
+
+
 def lu_solve(a, b) -> np.ndarray:
-    """Solve A X = B by LAPACK's LU with partial pivoting.
+    """Solve A X = B by LU with partial pivoting (``_solve_rows``).
 
     B may be a vector or a matrix; the result has the same shape.
     Raises SingularMatrixError when a pivot is exactly zero.
@@ -174,12 +219,45 @@ def _eigvals_rows(mats: np.ndarray) -> np.ndarray:
 def _companion_roots(c: np.ndarray) -> np.ndarray:
     """All roots of each row of a (n, d+1) coefficient array, ascending
     powers, last column nonzero: the eigenvalues of the companion
-    matrices, each row sorted by (real, imaginary) part."""
+    matrices, each row sorted by (real, imaginary) part.  At degree 2
+    they come from the quadratic formula instead (``_quadratic_rows``),
+    the whole root split of the rank-one basins (ROADMAP item 22).  A
+    non-finite coefficient, or a root that overflows, raises
+    ConvergenceError."""
     d = c.shape[1] - 1
+    if d == 2:
+        return _quadratic_rows(c)
     comp = np.zeros((c.shape[0], d, d), dtype=complex)
     comp[:, np.arange(d - 1), np.arange(1, d)] = 1.0
     comp[:, -1] = -(c / c[:, -1:])[:, :d]
     return _eigvals_rows(comp)
+
+
+def _quadratic_rows(c: np.ndarray) -> np.ndarray:
+    """``_companion_roots`` at degree 2, in the stable form: the root of
+    larger modulus -q / c2 with q = (c1 + sqrt(c1**2 - 4 c0 c2)) / 2 on
+    the branch of larger |q|, then c0 / q from the product of the roots.
+    Each row is first scaled by the power of two that brings the larger
+    of |c1| and sqrt(|c0 c2|) into [0.5, 1) (exact; a zero coefficient
+    sets no scale), so that neither product overflows and only a
+    negligible one can underflow.  A real row's roots are exactly real
+    or, when its discriminant is negative, an exact conjugate pair, as
+    from LAPACK's real driver."""
+    m, e = np.frexp(np.abs(c))
+    e = np.where(m == 0, e[:, 2:] - 2000, e)  # far below any other exponent
+    c0, c1, c2 = _ldexp(c, -np.maximum(e[:, 1:2], (e[:, :1] + e[:, 2:]) // 2)).T
+    real = ~c.imag.any(axis=1)
+    with np.errstate(all="ignore"):
+        disc = c1 * c1 - 4.0 * c0 * c2
+        root = np.sqrt(disc)
+        q = -0.5 * (c1 + np.where((c1.conj() * root).real >= 0, root, -root))
+        r1 = q / c2
+        r2 = np.where(real & (disc.real < 0), r1.conj(), c0 / np.where(q == 0, 1.0, q))
+    roots = np.stack([r1, r2], axis=1)
+    roots.imag[real & (disc.real >= 0)] = 0.0
+    if not (np.isfinite(c).all() and np.isfinite(roots).all()):
+        raise ConvergenceError("non-finite coefficient or root")
+    return np.sort_complex(roots)
 
 
 def roots_companion(b: "Poly") -> list:

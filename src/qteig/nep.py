@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import ClusteredRootsError, DerivativeVanishesError, InvalidInputError
 from .factor import WienerHopfFactors, _check_monic, _g_rows, _upper_toeplitz
-from .linalg import _solve_rows, qr_rank_revealing
-from .poly import LaurentSymbol, _ldexp, _row_sums, inside_roots
+from .linalg import _ldexp, _solve_rows, qr_rank_revealing
+from .poly import LaurentSymbol, _row_sums, inside_roots
 from .qt import QTMatrix
 
 # Inside roots closer than this are too clustered for a root-power

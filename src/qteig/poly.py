@@ -44,7 +44,7 @@ from .errors import (
     InvalidSymbolError,
     OnCurveError,
 )
-from .linalg import _companion_roots
+from .linalg import _companion_roots, _ldexp
 
 # A root whose modulus is within this distance of 1 sits on the symbol
 # curve: ``_split_rows`` flags such a shift as on the curve.
@@ -318,15 +318,6 @@ def _graeffe_rows(c: np.ndarray) -> np.ndarray:
     even = _convolve_rows(c, alt)[:, 0::2]
     pivot = even[np.arange(c.shape[0]), np.argmax(np.abs(even), axis=1)]
     return even / pivot[:, None]
-
-
-def _ldexp(c: np.ndarray, exp: np.ndarray) -> np.ndarray:
-    """c * 2**exp for a complex array, exact unless it underflows: numpy's
-    ldexp takes real arrays only."""
-    out = np.empty(np.broadcast_shapes(c.shape, exp.shape), dtype=complex)
-    out.real = np.ldexp(c.real, exp)
-    out.imag = np.ldexp(c.imag, exp)
-    return out
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:

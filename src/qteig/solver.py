@@ -94,7 +94,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .factor import _factor_rows, _g_rows
-from .linalg import _check_eig_dim, eig_dense
+from .linalg import _check_eig_dim, _ldexp, eig_dense
 from .nep import (
     _basis_values,
     _frobenius_rows,
@@ -104,7 +104,7 @@ from .nep import (
     equilibrate,
     phi,
 )
-from .poly import SPLIT_BAND, _char_rows, _count_rows, _ldexp, _row_norms, _split_rows
+from .poly import SPLIT_BAND, _char_rows, _count_rows, _row_norms, _split_rows
 from .qt import (
     EigRecord,
     QTMatrix,
@@ -306,17 +306,23 @@ def _classify(a, ctx, lam, basis, cfg) -> tuple:
     isolated status code, no_convergence_pltq when only the p < q checks
     fail, or LIVE when the shift is not accepted; per row, the relative
     residual of all q rows; and the eigenvector prefixes of the isolated
-    rows, in order."""
+    rows, in order.  The null vector beta of each Phi is its last right
+    singular vector, by LAPACK's SVD for p > 1; at p == 1 it is the 1
+    that SVD returns, taken without the call, as the rank-one basins
+    classify every run there (ROADMAP item 22)."""
     sym = a.symbol
     m, q, p = sym.m, ctx.q, basis.p
     # W V, all q rows, from the basis rows at W's nonzero columns: Phi is
     # its first p, the certificate reads it whole
     wv = ctx.w @ basis.v
     # null vectors of unit 2-norm: the last right singular vector of each
-    # equilibrated Phi, scaled back by its column factors
-    scaled, _, c = equilibrate(wv[:, :p])
-    y = _ldexp(np.linalg.svd(scaled)[2][:, -1].conj(), -c[:, 0])
-    beta = y / _row_norms(y)[:, None]
+    # equilibrated Phi, scaled back by its column factors (1 at p == 1)
+    if p == 1:
+        beta = np.ones((len(lam), 1), dtype=complex)
+    else:
+        scaled, _, c = equilibrate(wv[:, :p])
+        y = _ldexp(np.linalg.svd(scaled)[2][:, -1].conj(), -c[:, 0])
+        beta = y / _row_norms(y)[:, None]
     # one V, without V', at the rows the prefix and W read: the stored
     # eigenvector and the residual's band rows are its rows m.. times
     # beta, and each correction column j its row m - 1 + j, however far
@@ -434,8 +440,9 @@ def _chunk_rows(columns: int, vec_len: int) -> int:
     one-entry prefix, 10.5 at 300), 31.0 kB on the clustered roots (22
     columns, 22.4 kB; their degree-12 splits, p < q certificates and the
     p-wide V of the rows ``_classify`` takes cost more, so that chunk
-    peaks at 3.9 MB) and 0.7 kB on the rank-one basins (2 columns,
-    one-entry prefix, 2.5 kB)."""
+    peaks at 3.9 MB) and 0.8 kB on the rank-one basins (2 columns,
+    one-entry prefix, 2.5 kB; 0.7 kB when LAPACK took their 1 x 1 and
+    2 x 2 stacks)."""
     return max(32, 2_800_000 // (1000 + 700 * columns + 60 * vec_len))
 
 

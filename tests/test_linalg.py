@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 import qteig as q
-from qteig.errors import InvalidInputError, SingularMatrixError
-from qteig.linalg import eig_dense, lu_solve, qr_rank_revealing, roots_companion
+from qteig.errors import ConvergenceError, InvalidInputError, SingularMatrixError
+from qteig.linalg import (
+    _companion_roots,
+    _solve_rows,
+    eig_dense,
+    lu_solve,
+    qr_rank_revealing,
+    roots_companion,
+)
 
 from conftest import poly_from_roots
 
@@ -165,3 +172,152 @@ class TestRootsCompanion:
             got = np.asarray(roots_companion(prod))
             for r in both:
                 assert np.abs(got - r).min() < 1e-8
+
+
+def _lapack_roots(c):
+    # the companion eigenvalues, as ``_companion_roots`` takes them above
+    # degree 2
+    comp = np.zeros((c.shape[0], 2, 2), dtype=complex)
+    comp[:, 0, 1] = 1.0
+    comp[:, 1] = -c[:, :2] / c[:, 2:]
+    return np.linalg.eigvals(comp)
+
+
+def _root_distance(got, want):
+    # order-free distance between the root pairs of each row
+    straight = np.abs(got - want).max(axis=1)
+    crossed = np.abs(got - want[:, ::-1]).max(axis=1)
+    return np.minimum(straight, crossed)
+
+
+class TestQuadraticRoots:
+    """``_companion_roots`` at degree 2: the closed form."""
+
+    def test_random_rows_agree_with_lapack(self):
+        rng = np.random.default_rng(11)
+        c = _rand(rng, 10_000, 3)
+        got, want = _companion_roots(c), _lapack_roots(c)
+        assert np.array_equal(got, np.sort_complex(got))
+        assert (_root_distance(got, want) <= 1e-14 * np.abs(want).max(axis=1)).all()
+
+    def test_real_rows_give_exact_conjugates_or_real_roots(self):
+        rng = np.random.default_rng(12)
+        roots = _companion_roots(rng.standard_normal((10_000, 3)).astype(complex))
+        real = (roots.imag == 0).all(axis=1)
+        pair = roots[:, 0] == roots[:, 1].conj()
+        assert (real | pair).all()
+        assert real.sum() > 1000 and (~real).sum() > 1000
+
+    def test_extreme_coefficient_ratios(self):
+        # LAPACK's companion is finite and accurate on these rows
+        c = np.array([(1, 1e200, 1), (1, 1e-200, 1), (1e200, 1e200, 1), (1, 1, 1e200),
+                      (1e200, 1, 1), (1e-200, 1e-200, 1)], dtype=complex)
+        got, want = _companion_roots(c), _lapack_roots(c)
+        assert np.isfinite(got).all()
+        assert (_root_distance(got, want) <= 1e-14 * np.abs(want).max(axis=1)).all()
+        # here c0 / c2 under- or overflows in the companion, so LAPACK is
+        # wrong or raises; the roots are 1e-+200 times the cube roots of 1
+        c = np.array([(1e-200, 1, 1e200), (1e200, 1, 1e-200)], dtype=complex)
+        scale = np.array([1e-200, 1e200])
+        want = scale[:, None] * np.exp(2j * np.pi / 3 * np.array([-1, 1]))
+        assert (_root_distance(_companion_roots(c), want) <= 1e-14 * scale).all()
+
+    def test_zero_constant_term(self):
+        c = np.array([(0, 3 - 1j, 2), (0, 0, 1 + 1j), (0, 2, 1)], dtype=complex)
+        roots = _companion_roots(c)
+        assert (np.abs(roots) == 0).any(axis=1).all()
+        assert np.allclose(roots[0][roots[0] != 0], -(3 - 1j) / 2)
+        assert (roots[1] == 0).all()
+        assert (roots[2] == [-2, 0]).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("col", [0, 1, 2])
+    def test_non_finite_coefficient_raises(self, bad, col):
+        c = np.array([(1, 2, 3), (1, -3, 2)], dtype=complex)
+        c[1, col] = bad
+        with pytest.raises(ConvergenceError):
+            _companion_roots(c)
+
+
+def _lapack_mask(a, b):
+    # the rows on which LAPACK's LU finds an exactly zero pivot
+    singular = []
+    for i in range(a.shape[0]):
+        try:
+            np.linalg.solve(a[i], b[i])
+            singular.append(False)
+        except np.linalg.LinAlgError:
+            singular.append(True)
+    return singular
+
+
+class TestSmallSolve:
+    """``_solve_rows`` at k = 1 and 2: the elimination written out."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_random_stacks_agree_with_lapack(self, k):
+        rng = np.random.default_rng(13 + k)
+
+        def norm(x):  # Frobenius norm of each matrix of a stack
+            return np.linalg.norm(x, axis=(1, 2))
+
+        for cols in (1, 3):
+            a = _rand(rng, 2000 * k, k).reshape(-1, k, k)
+            b = _rand(rng, 2000 * k, cols).reshape(-1, k, cols)
+            x, singular = _solve_rows(a, b)
+            want = np.linalg.solve(a, b)
+            assert not singular.any()
+            assert (norm(x - want) <= 1e-12 * norm(want)).all()
+            assert (norm(a @ x - b) <= 1e-14 * norm(a) * norm(x)).all()
+
+    def test_exactly_singular_rows(self):
+        rng = np.random.default_rng(15)
+        singular = [[[0, 0], [0, 0]], [[0, 1], [0, 2]], [[1, 2], [2, 4]], [[0, 0], [1, 1]]]
+        ordinary = _rand(rng, 8, 2).reshape(4, 2, 2)
+        a = np.empty((8, 2, 2), dtype=complex)
+        a[0::2], a[1::2] = ordinary, singular
+        b = _rand(rng, 16, 2).reshape(8, 2, 2)
+        x, mask = _solve_rows(a, b)
+        assert mask.tolist() == _lapack_mask(a, b) == [False, True] * 4
+        assert (x[1::2] == 0).all()
+        alone = _solve_rows(a[0::2], b[0::2])[0]
+        assert np.array_equal(x[0::2], alone)
+        assert np.allclose(alone, np.linalg.solve(ordinary, b[0::2]), rtol=1e-12, atol=0)
+        # k = 1: a zero is singular, its neighbours are divided
+        x, mask = _solve_rows(np.array([[[2.0]], [[0.0]], [[-4j]]]), np.ones((3, 1, 2)))
+        assert mask.tolist() == [False, True, False]
+        assert np.array_equal(x[:, 0], [[0.5, 0.5], [0, 0], [0.25j, 0.25j]])
+
+    def test_row_swap(self):
+        # a zero or tiny first pivot is swapped away, as LAPACK does
+        a = np.array([[[0, 1], [1, 0]], [[1e-20, 1], [1, 1]]], dtype=complex)
+        b = np.array([[[2], [3]], [[1], [2]]], dtype=complex)
+        x, mask = _solve_rows(a, b)
+        assert not mask.any()
+        assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-15, atol=0)
+
+    def test_stack_of_three_redone_row_by_row(self, monkeypatch):
+        # k >= 3 stays LAPACK's: one exactly singular row makes the
+        # stacked call raise once, and the stack is solved row by row
+        rng = np.random.default_rng(16)
+        a, b = _rand(rng, 15, 3).reshape(5, 3, 3), _rand(rng, 15, 1).reshape(5, 3, 1)
+        a[3, :, 1] = 0.0
+        calls, real = [], np.linalg.solve
+
+        def spy(m, rhs):
+            try:
+                out = real(m, rhs)
+            except np.linalg.LinAlgError:
+                calls.append((m.shape[0], True))
+                raise
+            calls.append((m.shape[0], False))
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        x, mask = _solve_rows(a, b)
+        monkeypatch.undo()
+        assert calls == [(5, True)] + [(1, k == 3) for k in range(5)]
+        assert mask.tolist() == [False, False, False, True, False]
+        assert (x[3] == 0).all()
+        for k in (0, 1, 2, 4):
+            assert np.array_equal(x[k], np.linalg.solve(a[k : k + 1], b[k : k + 1])[0])

@@ -644,6 +644,25 @@ class TestBasins:
         assert len(limits) == 1
         assert (labels == 0).all()
 
+    def test_fix_a_takes_the_closed_forms(self, fix_a, test2_case1, monkeypatch):
+        # the rank-one basins are degree-2 splits and 2 x 2 and 1 x 1
+        # solves at p == 1: none reaches LAPACK; the seven-band fixture's
+        # degree-9 companions still do
+        calls = []
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append((name, args[0].shape))
+                return real(*args, **kwargs)
+            return wrapped
+
+        for name in ("eigvals", "solve", "svd"):
+            monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+        labels, limits = q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 10)
+        assert calls == [] and len(limits) == 1 and (labels == 0).all()
+        q.eig_all(test2_case1)
+        assert any(n == "eigvals" and shape[1:] == (9, 9) for n, shape in calls)
+
     def test_continuous_component_is_labeled(self):
         a = q.qt_new([0, 1], [0, 2])
         labels, limits = q.basins(a, (-0.5, 0.5), (-0.5, 0.5), 8)
@@ -870,27 +889,25 @@ class TestBatch:
         return [_run_newton(a, ctx, a_norm, complex(s), cfg) for s in starts]
 
     def test_singular_row_next_to_ordinary_rows(self, fix_a, monkeypatch):
-        # at 0.0 the 1 x 1 Phi is exactly 0: its solve raises inside the
-        # stacked call, which must be redone row by row
+        # at 0.0 the 1 x 1 Phi is exactly 0: the chunk's first Newton
+        # solve marks that row, and that row alone, singular
         ctx = build_w(fix_a)
         basis = basis_frobenius(wiener_hopf(fix_a.symbol, 0.0), ctx.width)
         assert np.array_equal(phi(ctx, basis, 1)[0], [[0.0]])
         assert newton_correction(*phi(ctx, basis, 1)) == 0
         starts = [0.05, -0.3 + 0.2j, 0.0, 0.4, 0.1j]
-        raised = []
-        real = np.linalg.solve
+        masks = []
+        real = q.nep._solve_rows
 
         def spy(a, b):
-            try:
-                return real(a, b)
-            except np.linalg.LinAlgError:
-                raised.append(a.shape[0])
-                raise
+            x, singular = real(a, b)
+            masks.append(singular.tolist())
+            return x, singular
 
-        monkeypatch.setattr(np.linalg, "solve", spy)
+        monkeypatch.setattr(q.nep, "_solve_rows", spy)
         cfg = q.SolverConfig()
         recs = _run_records(fix_a, starts, cfg)
-        assert len(starts) in raised  # the whole chunk's solve raised once
+        assert masks[0] == [False, False, True, False, False]
         monkeypatch.undo()
         assert recs == self._one_by_one(fix_a, starts, cfg)
         assert all(r.status is q.SolveStatus.ISOLATED_PQ for r in recs)

@@ -22,8 +22,9 @@ the shift it classified (``basins`` keeps no eigenvectors and runs with
 a one-entry prefix, so its runs hash that one entry); for each set the
 accepted eigenvalues (the ``eig_all`` records, or the basin limits);
 and for each set the rows of
-the Newton driver's root splits that the previous pass's roots settled
-and the rows sent to the companion eigensolve (``_split_counts`` wraps
+the Newton driver's root splits that the previous pass's roots settled,
+the rows sent to the companion solve, and how many of those it solved
+in closed form, without ``np.linalg.eigvals`` (``_split_counts`` wraps
 the private ``qteig.solver._split_rows`` for the call).  ``eig_all``
 keeps only the accepted runs, so the per-run records are observed while
 it executes: the private driver ``qteig.solver._runs``, through which
@@ -65,8 +66,9 @@ them.
 a start on one side with the k-th run from the same start (the same
 repr) on the other.  It prints, per set, the number of paired starts and
 of the starts only one side ran, the status histogram of each side, the
-share of each side's split rows sent to the eigensolve (the fallback
-ratio), the median and the largest residual of each side's accepted
+share of each side's split rows sent to ``np.linalg.eigvals`` (the
+fallback ratio) and, when either side has any, the share solved in
+closed form, the median and the largest residual of each side's accepted
 runs, then over the pairs the number of starts whose iteration count
 changed, the number of final shifts that differ in any bit, the number
 of runs whose residual and whose eigenvector hash differ, and the
@@ -152,19 +154,36 @@ def _observed(q, run) -> tuple:
 
 
 @contextlib.contextmanager
-def _split_counts(q):
+def _split_counts(q, closed=None):
     """Counts of the rows the solver's root splits take while the block
     runs: {"warm": rows settled from the previous pass's roots,
-    "eigvals": rows sent to the companion eigensolve}.
+    "eigvals": rows sent to the companion solve}.
     ``qteig.solver._split_rows`` is replaced by a wrapper that, for each
     call, replaces ``qteig.poly._companion_roots`` by one that counts its
-    rows; both are restored on exit, also when the block raises."""
+    rows; both are restored on exit, also when the block raises.  The
+    companion solve sends a row to ``np.linalg.eigvals`` or, at degree 2
+    in a tree that has the closed form, solves it without LAPACK; a
+    dict ``closed``, if given, gets the count of those rows in
+    "closed_form" (``np.linalg.eigvals`` is wrapped for each companion
+    call to tell them apart)."""
     split, eigensolve = q.solver._split_rows, q.poly._companion_roots
+    lapack = np.linalg.eigvals
     counts = {"warm": 0, "eigvals": 0}
+    closed = {} if closed is None else closed
+    closed["closed_form"] = 0
+
+    def counting_lapack(mats):
+        closed["closed_form"] -= mats.shape[0]
+        return lapack(mats)
 
     def counting_eigensolve(c):
         counts["eigvals"] += c.shape[0]
-        return eigensolve(c)
+        closed["closed_form"] += c.shape[0]
+        np.linalg.eigvals = counting_lapack
+        try:
+            return eigensolve(c)
+        finally:
+            np.linalg.eigvals = lapack
 
     def counting_split(c, *args):
         before = counts["eigvals"]
@@ -183,9 +202,17 @@ def _split_counts(q):
         q.solver._split_rows = split
 
 
+def _observed_split(q, run) -> tuple:
+    """``run()``'s result, its per-run records (``_observed``) and the
+    counts of its split rows, "closed_form" among them."""
+    closed = {}
+    with _split_counts(q, closed) as split:
+        result, records = _observed(q, run)
+    return result, records, {**split, **closed}
+
+
 def _section_set(q, a, cfg) -> dict:
-    with _split_counts(q) as split:
-        report, starts = _observed(q, lambda: q.eig_all(a, cfg))
+    report, starts, split = _observed_split(q, lambda: q.eig_all(a, cfg))
     return {"starts": starts, "accepted": [repr(r.lam) for r in report.records],
             "split": split}
 
@@ -281,10 +308,9 @@ def _reductions(q, ops) -> dict:
 def digest(src: Path) -> dict:
     q = _import_qteig(src)
     seven_band, cluster, cluster_cfg, fix_a = _problems(q)
-    with _split_counts(q) as basin_split:
-        (_, limits), basin_runs = _observed(
-            q, lambda: q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 50)
-        )
+    (_, limits), basin_runs, basin_split = _observed_split(
+        q, lambda: q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 50)
+    )
     vandermonde = dataclasses.replace(cluster_cfg, method="vandermonde")
     sets = {
         "seven_band": _section_set(q, seven_band, q.SolverConfig()),
@@ -358,11 +384,15 @@ def _field_differences(text_a: str, text_b: str) -> dict | None:
     return worst
 
 
-def _fallback(split: dict) -> str:
-    """The share of a set's split rows sent to the companion eigensolve."""
+def _fallback(split: dict, key: str = "eigvals") -> str:
+    """The share of a set's split rows sent to ``np.linalg.eigvals``, or
+    with ``key="closed_form"`` solved in closed form (a digest without
+    that count has none)."""
+    closed = split.get("closed_form", 0)
     rows = split["warm"] + split["eigvals"]
-    share = f" ({split['eigvals'] / rows:.1%})" if rows else ""
-    return f"{split['eigvals']} of {rows} rows{share}"
+    count = closed if key == "closed_form" else split["eigvals"] - closed
+    share = f" ({count / rows:.1%})" if rows else ""
+    return f"{count} of {rows} rows{share}"
 
 
 def _residuals(starts) -> str:
@@ -446,8 +476,11 @@ def _compare_sets(da: dict, db: dict) -> int:
               f"{only_b} on B only")
         print(f"  A: {_histogram(sa)}")
         print(f"  B: {_histogram(sb)}")
-        print(f"  sent to eigvals: A {_fallback(da[name]['split'])}, "
-              f"B {_fallback(db[name]['split'])}")
+        split_a, split_b = da[name]["split"], db[name]["split"]
+        print(f"  sent to eigvals: A {_fallback(split_a)}, B {_fallback(split_b)}")
+        if split_a.get("closed_form") or split_b.get("closed_form"):
+            print(f"  solved in closed form: A {_fallback(split_a, 'closed_form')}, "
+                  f"B {_fallback(split_b, 'closed_form')}")
         print(f"  accepted residuals: A {_residuals(sa)}; B {_residuals(sb)}")
         print(f"  {iters} iteration counts changed, {bits} final shifts differ in "
               f"some bit, max relative shift difference {worst:.2e}; "
