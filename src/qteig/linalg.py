@@ -222,15 +222,47 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
     matrices, each row sorted by (real, imaginary) part.  At degree 2
     they come from the quadratic formula instead (``_quadratic_rows``),
     the whole root split of the rank-one basins (ROADMAP item 22).  A
+    row whose ratios c_k / c_d overflow, or underflow to 0 from a
+    nonzero c_k, is solved for w = z / 2**e instead (``_scaled_ratios``)
+    and its roots scaled back; the other rows are untouched.  A
     non-finite coefficient, or a root that overflows, raises
     ConvergenceError."""
+    if not np.isfinite(c).all():
+        raise ConvergenceError("non-finite coefficient")
     d = c.shape[1] - 1
     if d == 2:
         return _quadratic_rows(c)
+    with np.errstate(over="ignore"):
+        ratio = c / c[:, -1:]
+    lost = ~np.isfinite(ratio).all(axis=1) | ((ratio == 0) & (c != 0)).any(axis=1)
+    if lost.any():
+        ratio[lost], e = _scaled_ratios(c[lost])
     comp = np.zeros((c.shape[0], d, d), dtype=complex)
     comp[:, np.arange(d - 1), np.arange(1, d)] = 1.0
-    comp[:, -1] = -(c / c[:, -1:])[:, :d]
-    return _eigvals_rows(comp)
+    comp[:, -1] = -ratio[:, :d]
+    roots = _eigvals_rows(comp)
+    if lost.any():  # a power of two keeps each row's (real, imag) order
+        with np.errstate(over="ignore"):
+            roots[lost] = _ldexp(roots[lost], e[:, None])
+        if not np.isfinite(roots[lost]).all():
+            raise ConvergenceError("root overflows")
+    return roots
+
+
+def _scaled_ratios(c: np.ndarray) -> tuple:
+    """The ratios c_k 2**(e k) / (c_d 2**(e d)) of each row of c, the
+    coefficients of the polynomial in w = z / 2**e, and each row's e:
+    the least with 2**(e (d - k)) >= 2**E_k / 2**E_d for every nonzero
+    c_k, E the binary exponents, so that no ratio exceeds 4 in modulus
+    and the roots w are of modulus below 8 (Fujiwara's bound)."""
+    d = c.shape[1] - 1
+    _, big = np.frexp(np.maximum(np.abs(c.real), np.abs(c.imag)))
+    span = d - np.arange(d + 1)  # d - k
+    lower = big - big[:, d:]
+    e = np.where(c[:, :d] != 0, -(-lower[:, :d] // span[:d]), np.iinfo(np.int32).min).max(axis=1)
+    unit = _ldexp(c, -big)  # each coefficient's parts below 1
+    ratio = _ldexp(unit / unit[:, d:], lower - e[:, None] * span)
+    return ratio, e
 
 
 def _quadratic_rows(c: np.ndarray) -> np.ndarray:
@@ -255,8 +287,8 @@ def _quadratic_rows(c: np.ndarray) -> np.ndarray:
         r2 = np.where(real & (disc.real < 0), r1.conj(), c0 / np.where(q == 0, 1.0, q))
     roots = np.stack([r1, r2], axis=1)
     roots.imag[real & (disc.real >= 0)] = 0.0
-    if not (np.isfinite(c).all() and np.isfinite(roots).all()):
-        raise ConvergenceError("non-finite coefficient or root")
+    if not np.isfinite(roots).all():
+        raise ConvergenceError("root overflows")
     return np.sort_complex(roots)
 
 

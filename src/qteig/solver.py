@@ -22,17 +22,20 @@ built only for a run a caller gets back (``eig_single``,
 ``_run_newton``, the representatives of ``eig_all``); ``eig_all``
 deduplicates on the columns (``_representatives``), and ``basins``
 reads its labels from them.  The chunk size bounds the working memory
-of a pass, so ``_chunk_rows`` derives it from a row's cost: the stacked
-bases grow with the number of W's nonzero columns, the only basis rows
-a pass builds, and an accepted row also holds its eigenvector prefix.
-That gives 222 rows at 8 columns (the seven-band fixture, whose 167
-starts run as one chunk), 125 at 22 (the clustered roots) and, with the
-one-entry prefix of ``basins``, 1138 at 2 (the rank-one fixture).  By
-tracemalloc, a chunk's passes peak at 1.6, 3.9 and 0.8 MB there.  Those
-50 x 50 basins take 0.23-0.44 s in chunks of 32 rows and 0.045-0.075 s
-in chunks of 1138 (ten calls in one process, twice).  One batch of all
-300 section starts of a fixture, at W's full width, raised the peak RSS
-by 11-16 MB.
+of a pass, so ``_chunk_rows`` derives it from a row's cost
+(``_row_bytes``): the companion stack grows with the square of the
+degree, the stacked bases with p times the number of W's nonzero
+columns, the only basis rows a pass builds, and an accepted row also
+holds its eigenvector prefix.  At 4 MB that is one chunk for the 167
+starts of the seven-band fixture (332 rows) and for the 2500 cells of
+the rank-one fixture's 50 x 50 basins (3693 rows, with the one-entry
+prefix of ``basins``), and 122 rows on the clustered roots.  By
+tracemalloc, a chunk's passes peak at 1.6, 2.1 and 3.8 MB there.  The
+raster pass of ``perfbench/run.py --workload raster`` (those basins and
+a 200 x 200 winding map) takes 0.024-0.027 s with chunks of 1138 rows
+and 0.018-0.021 s with one chunk (15 s runs on a 2-core host).  One
+batch of all 300 section starts of a fixture, at W's full width, raised
+the peak RSS by 11-16 MB.
 
 On a real operator (real band and correction) the run from conj(lam)
 is the mirror image of the run from lam, so ``eig_all`` runs only the
@@ -426,32 +429,44 @@ def _run_newton(a, ctx, a_norm, lam0, cfg) -> EigRecord:
     return _run_batch(a, ctx, a_norm, [complex(lam0)], cfg, _is_real(a)).record(0)
 
 
-def _chunk_rows(columns: int, vec_len: int) -> int:
-    """Starts per lockstep chunk: as many rows as fit in 2.8 MB of
-    working memory, and at least 32, so that a wide W still steps
-    enough rows per stacked call to amortise its overhead.  A row costs
-    about 1000 bytes whatever the sizes (companion stack, masks, its
-    outcome columns), 700 per nonzero column of W, the rows of its
-    stacked bases, and 60 per entry of its eigenvector prefix: 16 in the
-    array ``_classify`` builds, which an accepted run keeps, and 44 of
-    allowance for the p-wide V and vectors it builds at those rows.  By
-    tracemalloc a row of a chunk's passes peaks at about 9.7 kB on the
-    seven-band fixture (8 columns, 12.6 kB by this count; 9.7 kB at a
-    one-entry prefix, 10.5 at 300), 31.0 kB on the clustered roots (22
-    columns, 22.4 kB; their degree-12 splits, p < q certificates and the
-    p-wide V of the rows ``_classify`` takes cost more, so that chunk
-    peaks at 3.9 MB) and 0.8 kB on the rank-one basins (2 columns,
-    one-entry prefix, 2.5 kB; 0.7 kB when LAPACK took their 1 x 1 and
-    2 x 2 stacks)."""
-    return max(32, 2_800_000 // (1000 + 700 * columns + 60 * vec_len))
+def _row_bytes(d: int, p: int, columns: int, vec_len: int) -> int:
+    """The working memory of one row of a lockstep chunk's passes, in
+    bytes, from the sizes a pass allocates: 730 whatever the sizes (its
+    masks, outcome columns and shift), 36 d**2 for the degree-d
+    companion stack and the roots the split keeps, 92 p per nonzero
+    column of W for the stacked bases at W's columns and their
+    derivatives, p = min(d, q) the widest basis the row can have, and
+    25 per entry of the eigenvector prefix (``_classify``'s vectors and
+    the prefix an accepted run keeps).  Fitted to tracemalloc's per-row
+    peak of the first chunk's passes on seven configurations, from the
+    rank-one basins (d = 2, p = 1, two columns, a one-entry prefix) to
+    the clustered roots (d = p = 12, 22 columns), within 1.35x of each
+    (``tools/chunk_bytes.py`` prints the table).  No four such terms do
+    much better: how many of a chunk's rows reach ``_classify`` at once
+    is the fixture's, not the sizes', and the fit's worst, 1.345x, is
+    on test1_case1's section (over) and the rank-one 24 x 24 grid at the
+    default prefix (under)."""
+    return 730 + 36 * d * d + 92 * p * columns + 25 * vec_len
+
+
+def _chunk_rows(d: int, p: int, columns: int, vec_len: int) -> int:
+    """Starts per lockstep chunk: as many rows as fit in 4 MB of working
+    memory by ``_row_bytes``, and at least 32, so that a wide W still
+    steps enough rows per stacked call to amortise its overhead.  That is
+    one chunk for the 2500 cells of the rank-one basins at 50 x 50 (3693
+    rows) and for the seven-band section's 167 starts (332 rows), and 122
+    rows on the clustered roots, whose first chunk peaks at 3.8 MB."""
+    return max(32, 4_000_000 // _row_bytes(d, p, columns, vec_len))
 
 
 def _runs(a: QTMatrix, starts, cfg: SolverConfig) -> Outcomes:
     """The Outcomes of a sequence of starts, in order, run in chunks of
-    ``_chunk_rows`` consecutive starts (sized from W's nonzero columns)
-    on one W, one row-sum norm and one realness test."""
+    ``_chunk_rows`` consecutive starts (sized from the symbol's degree,
+    W's rows and nonzero columns and the prefix length) on one W, one
+    row-sum norm and one realness test."""
     ctx, a_norm, real = build_w(a), norm_inf(a), _is_real(a)
-    size = _chunk_rows(len(ctx.cols), cfg.vec_len)
+    d = a.symbol.m + a.symbol.n
+    size = _chunk_rows(d, min(d, ctx.q), len(ctx.cols), cfg.vec_len)
     return Outcomes.join([_run_batch(a, ctx, a_norm, starts[k : k + size], cfg, real)
                           for k in range(0, len(starts), size)])
 

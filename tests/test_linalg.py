@@ -5,6 +5,7 @@ import qteig as q
 from qteig.errors import ConvergenceError, InvalidInputError, SingularMatrixError
 from qteig.linalg import (
     _companion_roots,
+    _eigvals_rows,
     _solve_rows,
     eig_dense,
     lu_solve,
@@ -172,6 +173,33 @@ class TestRootsCompanion:
             got = np.asarray(roots_companion(prod))
             for r in both:
                 assert np.abs(got - r).min() < 1e-8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("col", [0, 3])
+    def test_non_finite_coefficient_raises_above_degree_2(self, bad, col):
+        # the companion of (1, 2, 3, inf) is 0 below its superdiagonal:
+        # three zero roots, not an error
+        c = np.array([(1, 2, 3, 4), (1, 2, 3, 4)], dtype=complex)
+        c[1, col] = bad
+        with pytest.raises(ConvergenceError):
+            _companion_roots(c)
+
+    def test_ratios_lost_to_the_exponent_range_are_scaled(self):
+        # 1e-300 + z**2 + 1e200 z**3: c0 / c3 = 1e-500 underflows to 0,
+        # which gave the roots 0, 0 and -1e-200; its roots are the cube
+        # roots of -1e-500, which the z**2 term moves by 1e-33 relative
+        # (mpmath at 60 digits: -2.1544347e-167 and 1.0772173e-167 -+
+        # 1.8657952e-167i).  Reversed, c0 / c3 = 1e500 overflows, and the
+        # roots are the cube roots of -1e500.  The row of ordinary ratios
+        # in the same stack is the unscaled companion's, bit for bit
+        c = np.array([(1e-300, 0, 1, 1e200), (1e200, 1, 0, 1e-300), (1, 2, 3, 4)], dtype=complex)
+        got = _companion_roots(c)
+        cube = np.sort_complex(-np.exp(2j * np.pi / 3 * np.arange(3)))
+        for row, r in zip(got[:2], (10 ** (-500 / 3), 10 ** (500 / 3))):
+            assert np.allclose(row, r * cube, rtol=1e-13, atol=0)
+            _assert_exact_conjugates(row)
+        comp = np.array([[[0, 1, 0], [0, 0, 1], [-0.25, -0.5, -0.75]]], dtype=complex)
+        assert np.array_equal(got[2], _eigvals_rows(comp)[0])
 
 
 def _lapack_roots(c):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from qteig.solver import (
     _limit_index,
     _near_cells,
     _representatives,
+    _row_bytes,
     _run_newton,
     section_size,
 )
@@ -944,24 +946,28 @@ class TestBatch:
 
     @pytest.mark.parametrize("name", ["fix_a", "test2_case1", "test3"])
     def test_records_do_not_depend_on_the_chunk(self, name, request, monkeypatch):
-        # the derived chunk (333 rows for a grid of 576 cells on fix_a
-        # at the default prefix, 222 for the seven-band section's 300
-        # starts, 125 for the clustered roots' 300, whose degree-12 rows
-        # are polished from warm roots) against chunks of 1 and 32 rows
+        # the derived chunk (1124 rows for a grid of 1296 cells on fix_a
+        # at the default prefix, 332 for the seven-band section's 400
+        # starts at gamma 4, 122 for the clustered roots' 300, whose
+        # degree-12 rows are polished from warm roots) against chunks of
+        # 1 and 32 rows
         a = request.getfixturevalue(name)
         cfg = q.SolverConfig()
         if name == "test3":  # criterion 4's configuration
             cfg = q.SolverConfig(gamma=12.5, residual_tol=1e-8, dedupe_tol=1e-4)
+        if name == "test2_case1":
+            cfg = q.SolverConfig(gamma=4.0)
         if name == "fix_a":
-            axis = np.linspace(-0.49, 0.49, 24)
+            axis = np.linspace(-0.49, 0.49, 36)
             starts = [complex(x, y) for y in axis for x in axis]
         else:
             starts = eig_dense(q.finite_section(a, section_size(a, cfg.gamma)))
-        derived = _chunk_rows(len(build_w(a).cols), cfg.vec_len)
+        ctx, d = build_w(a), a.symbol.m + a.symbol.n
+        derived = _chunk_rows(d, min(d, ctx.q), len(ctx.cols), cfg.vec_len)
         assert 32 < derived < len(starts)
         want = _run_records(a, starts, cfg)
         for rows in (1, 32):
-            monkeypatch.setattr(q.solver, "_chunk_rows", lambda width, vec_len: rows)
+            monkeypatch.setattr(q.solver, "_chunk_rows", lambda *sizes: rows)
             assert _run_records(a, starts, cfg) == want
 
     @pytest.mark.parametrize("name", ["test2_case1", "test3", "fix_a_pltq"])
@@ -1004,7 +1010,7 @@ class TestBatch:
         # labels depend on the order.  Chunks of 50 rows split the grid
         cfg = q.SolverConfig(dedupe_tol=0.0856)
         box, res = ((0.0, 3.0), (-3.2, -1.2)), 24
-        monkeypatch.setattr(q.solver, "_chunk_rows", lambda width, vec_len: 50)
+        monkeypatch.setattr(q.solver, "_chunk_rows", lambda *sizes: 50)
         labels, got = q.basins(test1_case2, *box, res, cfg)
         monkeypatch.undo()
         xs, ys = _grid_axes(*box, res)
@@ -1037,14 +1043,80 @@ class TestBatch:
         assert _limit_index(np.array([2.0, 1.5]), [], 0.3).tolist() == [0, 1]
 
     def test_chunk_rows_follow_the_row_cost(self):
-        # the fixtures' nonzero columns of W (seven-band, clustered roots,
-        # rank-one) at the default prefix length, and the rank-one basins'
-        # one-entry prefix; a longer prefix costs rows, and a wide W keeps
-        # the floor of 32
-        assert [_chunk_rows(w, 100) for w in (8, 22, 2)] == [222, 125, 333]
-        assert _chunk_rows(2, 1) == 1138
-        assert _chunk_rows(34, 1000) < _chunk_rows(34, 100)
-        assert _chunk_rows(5000, 1) == 32
+        # (d, p, W's nonzero columns) of the seven-band, clustered-root
+        # and rank-one fixtures at the default prefix length, and the
+        # rank-one and seven-band basins' one-entry prefix; a longer
+        # prefix and a higher degree cost rows, and a wide W keeps the
+        # floor of 32
+        assert [_chunk_rows(*s, 100) for s in ((9, 8, 8), (12, 12, 22), (2, 1, 2))] == [
+            332, 122, 1124]
+        assert _chunk_rows(2, 1, 2, 1) == 3693 and _chunk_rows(9, 8, 8, 1) == 418
+        assert _chunk_rows(9, 8, 34, 1000) < _chunk_rows(9, 8, 34, 100)
+        assert _chunk_rows(12, 8, 8, 1) < _chunk_rows(9, 8, 8, 1)
+        assert _chunk_rows(9, 8, 5000, 1) == 32
+
+    @staticmethod
+    def _section(a, cfg):
+        starts = np.array(eig_dense(q.finite_section(a, section_size(a, cfg.gamma))))
+        return starts[starts.imag >= 0]  # as eig_all runs a real operator's
+
+    @pytest.mark.parametrize("name, what", [
+        ("fix_a", "basins 50 x 50"), ("fix_a", "grid 24 x 24"), ("test2_case1", "section"),
+        ("test3", "section"), ("test1_case1", "section"), ("test2_case1", "basins 40 x 36"),
+        ("test1_case2", "basins 24 x 24")])
+    def test_row_bytes_follow_the_measured_peak(self, name, what, request):
+        # the model's bytes per row within 1.35x either way of the per-row
+        # peak tracemalloc measures over the passes of the first chunk
+        # _runs steps, on the configurations it was fitted to; so no
+        # chunk of them peaks above 1.35 x 4 MB
+        a = request.getfixturevalue(name)
+        cfg = q.SolverConfig()
+        if name == "test3":  # criterion 4's configuration
+            cfg = q.SolverConfig(gamma=12.5, residual_tol=1e-8, dedupe_tol=1e-4)
+        if what == "section":
+            starts = self._section(a, cfg)
+        elif what == "grid 24 x 24":
+            axis = np.linspace(-0.49, 0.49, 24)
+            starts = (axis + 1j * axis[:, None]).ravel()
+        else:
+            box, res = {"basins 50 x 50": (((-0.5, 0.5), (-0.5, 0.5)), 50),
+                        "basins 40 x 36": (((-2.0, -0.2), (-0.2, 0.2)), (40, 36)),
+                        "basins 24 x 24": (((0.0, 3.0), (-3.2, -1.2)), 24)}[what]
+            xs, ys = _grid_axes(*box, res)
+            starts = (xs + 1j * ys[:, None]).ravel()
+            cfg = dataclasses.replace(cfg, vec_len=1)  # as basins runs
+        ctx, d = build_w(a), a.symbol.m + a.symbol.n
+        sizes = (d, min(d, ctx.q), len(ctx.cols), cfg.vec_len)
+        chunk = starts[: _chunk_rows(*sizes)]
+        args = (a, ctx, q.norm_inf(a), chunk, cfg, q.solver._is_real(a))
+        q.solver._run_batch(*args)  # lazy set-up outside the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            q.solver._run_batch(*args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        ratio = _row_bytes(*sizes) * len(chunk) / peak
+        assert 1 / 1.35 <= ratio <= 1.35, (ratio, peak / len(chunk))
+
+    def test_chunks_of_the_bench_runs(self, fix_a, test2_case1, test3, monkeypatch):
+        # the rank-one fixture's 50 x 50 basins and the seven-band section
+        # run as one chunk each, the clustered roots' in chunks of at
+        # least 120 rows
+        chunks = []
+        real = q.solver._run_batch
+        monkeypatch.setattr(q.solver, "_run_batch",
+                            lambda a, ctx, a_norm, starts, *rest: chunks.append(len(starts))
+                            or real(a, ctx, a_norm, starts, *rest))
+        q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 50)
+        assert chunks == [2500]
+        chunks.clear()
+        q.eig_all(test2_case1)
+        assert len(chunks) == 1
+        chunks.clear()
+        q.eig_all(test3, q.SolverConfig(gamma=12.5, residual_tol=1e-8, dedupe_tol=1e-4))
+        assert len(chunks) > 1 and min(chunks[:-1]) >= 120
 
     @pytest.mark.parametrize("method", ["frobenius", "vandermonde"])
     @pytest.mark.parametrize("name", ["fix_a", "fix_a_pltq"])
