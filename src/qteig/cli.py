@@ -78,11 +78,15 @@ def _real(value) -> bool:
 
 def _scalar(value, where: str) -> complex:
     if _real(value):
-        z = complex(value)
+        parts = [value]
     elif isinstance(value, list) and len(value) == 2 and all(_real(v) for v in value):
-        z = complex(value[0], value[1])
+        parts = value
     else:
         raise ProblemError(f"{where}: expected a real or an [re, im] pair")
+    try:
+        z = complex(*parts)
+    except OverflowError:  # an integer beyond the float range
+        z = complex(math.inf)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ProblemError(f"{where}: must be finite")
     return z

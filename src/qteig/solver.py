@@ -15,27 +15,24 @@ is a batch of one through the same code.  Every stage, the Aberth
 polish of warm roots included, is elementwise or a gufunc stack
 (``matmul``, ``solve``, ``eigvals``) on C-ordered arrays, so a start's
 outcome does not depend on what else is in its chunk; a stacked solve
-that raises is redone row by row.  Outcomes are columns: status codes,
-final shifts, residuals and step counts, set by masks, and the
-eigenvector prefixes of the accepted runs only.  An ``EigRecord`` is
-built only for a run a caller gets back (``eig_single``,
-``_run_newton``, the representatives of ``eig_all``); ``eig_all``
-deduplicates on the columns (``_representatives``), and ``basins``
-reads its labels from them.  The chunk size bounds the working memory
-of a pass, so ``_chunk_rows`` derives it from a row's cost
-(``_row_bytes``): the companion stack grows with the square of the
-degree, the stacked bases with p times the number of W's nonzero
-columns, the only basis rows a pass builds, and an accepted row also
-holds its eigenvector prefix.  At 4 MB that is one chunk for the 167
-starts of the seven-band fixture (332 rows) and for the 2500 cells of
-the rank-one fixture's 50 x 50 basins (3693 rows, with the one-entry
-prefix of ``basins``), and 122 rows on the clustered roots.  By
-tracemalloc, a chunk's passes peak at 1.6, 2.1 and 3.8 MB there.  The
-raster pass of ``perfbench/run.py --workload raster`` (those basins and
-a 200 x 200 winding map) takes 0.024-0.027 s with chunks of 1138 rows
-and 0.018-0.021 s with one chunk (15 s runs on a 2-core host).  One
-batch of all 300 section starts of a fixture, at W's full width, raised
-the peak RSS by 11-16 MB.
+that raises is redone row by row.  Outcomes are one table, set by
+masks: every field, status code, final shift, residual, step count and
+eigenvector prefix, holds one row per start, and a run that is not
+accepted keeps a zero prefix.  An ``EigRecord`` is built only for a run
+a caller gets back (``eig_single``, ``_run_newton``, the
+representatives of ``eig_all``); ``eig_all`` deduplicates on the
+columns (``_representatives``), and ``basins`` reads its labels from
+them; both take the accepted runs from the status codes
+(``_isolated``).  The chunk size bounds the working memory of a pass,
+so ``_chunk_rows`` derives it from a row's cost (``_row_bytes``): the
+companion stack grows with the square of the degree, the stacked bases
+with p times the number of W's nonzero columns, the only basis rows a
+pass builds, and every row holds its eigenvector prefix.  At 4 MB that
+is one chunk for the 167 starts of the seven-band fixture (288 rows)
+and for the 2500 cells of the rank-one fixture's 50 x 50 basins (3784
+rows, with the one-entry prefix of ``basins``), and 120 rows on the
+clustered roots.  By tracemalloc, a chunk's passes peak at 1.9, 2.1
+and 3.9 MB there.
 
 On a real operator (real band and correction) the run from conj(lam)
 is the mirror image of the run from lam, so ``eig_all`` runs only the
@@ -199,12 +196,11 @@ class EigenSolveReport:
 
 @dataclass(frozen=True)
 class Outcomes:
-    """The Newton runs of a sequence of starts, one entry per start, in
-    order: the status code (the SolveStatus's index in STATUSES, LIVE
-    while the run goes on), the final shift, the residual (inf where the
-    exit computes none), the step count and the slot, the row of
-    ``prefix`` that holds the run's eigenvector prefix (-1 for a run
-    that is not accepted); ``prefix`` holds the accepted runs' only."""
+    """The Newton runs of a sequence of starts: every field holds one row
+    per start, in order.  The status code (the SolveStatus's index in
+    STATUSES, LIVE while the run goes on), the final shift, the residual
+    (inf where the exit computes none), the step count and the
+    eigenvector prefix, zero where the run is not accepted."""
 
     STATUSES: ClassVar[tuple] = tuple(SolveStatus)
     LIVE: ClassVar[int] = -1
@@ -213,25 +209,19 @@ class Outcomes:
     lam: np.ndarray
     residual: np.ndarray
     iterations: np.ndarray
-    slot: np.ndarray
     prefix: np.ndarray
 
     @classmethod
     def join(cls, parts) -> Outcomes:
-        """The rows of ``parts`` in order, each part's slots offset by the
-        prefixes of the parts before it."""
-        held = np.cumsum([0] + [len(out.prefix) for out in parts[:-1]])
-        parts = [dataclasses.replace(out, slot=np.where(out.slot >= 0, out.slot + k, -1))
-                 for out, k in zip(parts, held)]
+        """The rows of ``parts`` in order."""
         return cls(*(np.concatenate([getattr(out, f.name) for out in parts])
                      for f in dataclasses.fields(cls)))
 
     def record(self, k: int) -> EigRecord:
-        """The EigRecord of row k."""
-        j = self.slot[k]
+        """The EigRecord of row k, with a prefix if the run is accepted."""
         return EigRecord(
             lam=complex(self.lam[k]),
-            vec_prefix=tuple(self.prefix[j]) if j >= 0 else (),
+            vec_prefix=tuple(self.prefix[k]) if _isolated(self.code[k]) else (),
             residual=float(self.residual[k]),
             iterations=int(self.iterations[k]),
             status=self.STATUSES[self.code[k]],
@@ -381,9 +371,7 @@ def _run_batch(a, ctx, a_norm, starts, cfg, real) -> Outcomes:
     iters = np.zeros(n, dtype=np.int64)
     jittered = np.zeros(n, dtype=bool)
     classify = np.zeros(n, dtype=bool)
-    slot = np.full(n, -1)
-    prefixes = [np.zeros((0, cfg.vec_len), dtype=complex)]
-    held = 0  # the prefixes kept so far
+    prefix = np.zeros((n, cfg.vec_len), dtype=complex)
     live = np.arange(n)
     while live.size:
         code[live], stacks, roots = _bases_at(a, ctx, lam[live], p0[live], a_norm, cfg.method, warm)
@@ -393,13 +381,11 @@ def _run_batch(a, ctx, a_norm, starts, cfg, real) -> Outcomes:
             conv = classify[idx]
             if conv.any():
                 done = idx[conv]
-                got, res, prefix = _classify(a, ctx, lam[done], basis[conv], cfg)
+                got, res, vec = _classify(a, ctx, lam[done], basis[conv], cfg)
                 code[done] = got
                 ended = got != Outcomes.LIVE
                 residual[done[ended]] = res[ended]
-                slot[done[_isolated(got)]] = held + np.arange(len(prefix))
-                held += len(prefix)
-                prefixes.append(prefix)
+                prefix[done[_isolated(got)]] = vec
             go = code[idx] == Outcomes.LIVE
             spent = go & (iters[idx] >= cfg.maxit)
             code[idx[spent]] = _code(SolveStatus.MAX_ITERATIONS)
@@ -421,7 +407,7 @@ def _run_batch(a, ctx, a_norm, starts, cfg, real) -> Outcomes:
             lam[idx] -= step
         keep = code[live] == Outcomes.LIVE
         live, warm = live[keep], roots[keep]
-    return Outcomes(code, lam, residual, iters, slot, np.concatenate(prefixes))
+    return Outcomes(code, lam, residual, iters, prefix)
 
 
 def _run_newton(a, ctx, a_norm, lam0, cfg) -> EigRecord:
@@ -431,31 +417,32 @@ def _run_newton(a, ctx, a_norm, lam0, cfg) -> EigRecord:
 
 def _row_bytes(d: int, p: int, columns: int, vec_len: int) -> int:
     """The working memory of one row of a lockstep chunk's passes, in
-    bytes, from the sizes a pass allocates: 730 whatever the sizes (its
-    masks, outcome columns and shift), 36 d**2 for the degree-d
-    companion stack and the roots the split keeps, 92 p per nonzero
+    bytes, from the sizes a pass allocates: 650 whatever the sizes (its
+    masks, outcome columns and shift), 52 d**2 for the degree-d
+    companion stack and the roots the split keeps, 80 p per nonzero
     column of W for the stacked bases at W's columns and their
     derivatives, p = min(d, q) the widest basis the row can have, and
-    25 per entry of the eigenvector prefix (``_classify``'s vectors and
-    the prefix an accepted run keeps).  Fitted to tracemalloc's per-row
-    peak of the first chunk's passes on seven configurations, from the
-    rank-one basins (d = 2, p = 1, two columns, a one-entry prefix) to
-    the clustered roots (d = p = 12, 22 columns), within 1.35x of each
-    (``tools/chunk_bytes.py`` prints the table).  No four such terms do
-    much better: how many of a chunk's rows reach ``_classify`` at once
-    is the fixture's, not the sizes', and the fit's worst, 1.345x, is
-    on test1_case1's section (over) and the rank-one 24 x 24 grid at the
-    default prefix (under)."""
-    return 730 + 36 * d * d + 92 * p * columns + 25 * vec_len
+    39 per entry of the eigenvector prefix (the row's own, which every
+    row holds, and ``_classify``'s vectors).  Fitted to tracemalloc's
+    per-row peak of the first chunk's passes on seven configurations,
+    from the rank-one basins (d = 2, p = 1, two columns, a one-entry
+    prefix) to the clustered roots (d = p = 12, 22 columns), within
+    1.30x of each (``tools/chunk_bytes.py`` prints the table and the
+    worst ratio).  No four such terms do much better: how many of a
+    chunk's rows reach ``_classify`` at once is the fixture's, not the
+    sizes', and the fit's worst, 1.296x, is on the rank-one 24 x 24 grid
+    at the default prefix (under); the best real-valued fit of this
+    form is 1.270x on the same measurements."""
+    return 650 + 52 * d * d + 80 * p * columns + 39 * vec_len
 
 
 def _chunk_rows(d: int, p: int, columns: int, vec_len: int) -> int:
     """Starts per lockstep chunk: as many rows as fit in 4 MB of working
     memory by ``_row_bytes``, and at least 32, so that a wide W still
     steps enough rows per stacked call to amortise its overhead.  That is
-    one chunk for the 2500 cells of the rank-one basins at 50 x 50 (3693
-    rows) and for the seven-band section's 167 starts (332 rows), and 122
-    rows on the clustered roots, whose first chunk peaks at 3.8 MB."""
+    one chunk for the 2500 cells of the rank-one basins at 50 x 50 (3784
+    rows) and for the seven-band section's 167 starts (288 rows), and 120
+    rows on the clustered roots, whose first chunk peaks at 3.9 MB."""
     return max(32, 4_000_000 // _row_bytes(d, p, columns, vec_len))
 
 
@@ -496,9 +483,13 @@ def eig_single(a: QTMatrix, lam0: complex, cfg: SolverConfig | None = None) -> E
     """Refine one starting shift by Newton's iteration and classify the
     outcome (isolated eigenvalue, continuous component, escape, ...)."""
     cfg = cfg or SolverConfig()
-    start = complex(lam0)
-    if not (math.isfinite(start.real) and math.isfinite(start.imag)):
-        raise InvalidInputError("starting shift must be finite")
+    try:
+        start = complex(lam0)
+        finite = math.isfinite(start.real) and math.isfinite(start.imag)
+    except (TypeError, ValueError, OverflowError):  # no number, or an int past the floats
+        finite = False
+    if not finite:
+        raise InvalidInputError(f"starting shift must be a finite number, got {lam0!r}")
     return _runs(a, [start], cfg).record(0)
 
 
@@ -519,10 +510,16 @@ def _representatives(lam: np.ndarray, residual: np.ndarray, tol: float, real: bo
 
 def section_size(a: QTMatrix, gamma: float) -> int:
     """Seeding truncation level: gamma times the larger of the correction
-    support and the bandwidth."""
+    support and the bandwidth.  Raises InvalidInputError when it exceeds
+    EIG_MAX_DIM, a product past the float range included."""
     sym = a.symbol
     corr = a.correction
-    return int(math.ceil(gamma * max(corr.k1, corr.k2, sym.m + sym.n)))
+    try:
+        size = int(math.ceil(gamma * max(corr.k1, corr.k2, sym.m + sym.n)))
+    except OverflowError:  # the product leaves the float range
+        size = math.inf
+    _check_eig_dim(size)
+    return size
 
 
 def eig_all(a: QTMatrix, cfg: SolverConfig | None = None) -> EigenSolveReport:
@@ -541,8 +538,7 @@ def eig_all(a: QTMatrix, cfg: SolverConfig | None = None) -> EigenSolveReport:
     basins the section misses are not found.
     """
     cfg = cfg or SolverConfig()
-    size = section_size(a, cfg.gamma)
-    _check_eig_dim(size)  # before the section is built
+    size = section_size(a, cfg.gamma)  # checked before the section is built
     starts = np.array(eig_dense(finite_section(a, size)))
     mirrored = _is_real(a)
     if mirrored:
@@ -550,13 +546,13 @@ def eig_all(a: QTMatrix, cfg: SolverConfig | None = None) -> EigenSolveReport:
     out = _runs(a, starts, cfg)
     counts = np.bincount(out.code, minlength=len(Outcomes.STATUSES))
     if mirrored:
-        up = np.flatnonzero((out.slot >= 0) & (starts.imag > 0))
+        up = np.flatnonzero(_isolated(out.code) & (starts.imag > 0))
         out = Outcomes.join([out, Outcomes(
             out.code[up], out.lam[up].conj(), out.residual[up], out.iterations[up],
-            np.arange(up.size), out.prefix[out.slot[up]].conj())])
+            out.prefix[up].conj())])
         starts = np.concatenate([starts, starts[up].conj()])
     # the section's order, as if every start had run
-    rows = np.flatnonzero(out.slot >= 0)
+    rows = np.flatnonzero(_isolated(out.code))
     rows = rows[np.lexsort((starts[rows].imag, starts[rows].real))]
     reps = rows[_representatives(out.lam[rows], out.residual[rows], cfg.dedupe_tol, mirrored)]
     return EigenSolveReport(
@@ -726,7 +722,7 @@ def basins(a: QTMatrix, re_range, im_range, resolution, cfg: SolverConfig | None
     out = _runs(a, starts.ravel(), dataclasses.replace(cfg, vec_len=1))
     labels = np.full(out.code.size, BASIN_NONCONV, dtype=np.int64)
     labels[out.code == _code(SolveStatus.CONTINUOUS_SET)] = BASIN_CONTINUOUS
-    accepted = out.slot >= 0
+    accepted = _isolated(out.code)
     limits: list = []
     labels[accepted] = _limit_index(out.lam[accepted], limits, cfg.dedupe_tol)
     return labels.reshape(starts.shape), limits

@@ -70,6 +70,10 @@ class TestEigAllCommand:
             ({"am": [0, nan], "ap": [0, 1]}, "am[1]"),
             ({"am": [inf, 1], "ap": [0, 1]}, "am[0]"),
             ({"am": [5, -2], "ap": [5, -2], "E": [{"i": 1, "j": 1, "re": nan}]}, "E[0]"),
+            # JSON integers are exact: one of 330 digits has no float
+            ({"am": [0, 1], "ap": [0, 10**330]}, "ap[1]"),
+            ({"am": [5, [-2, 10**330]], "ap": [5, -2]}, "am[1]"),
+            ({"am": [5, -2], "ap": [5, -2], "E": [{"i": 1, "j": 1, "re": -10**330}]}, "E[0]"),
         ):
             path.write_text(json.dumps(problem))
             assert main(["eig-all", str(path)]) == 2
@@ -122,15 +126,17 @@ class TestEigAllCommand:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["eig-all", str(tmp_path / "nope.json")]) == 2
 
-    def test_oversized_section(self, tmp_path, capsys):
+    def test_oversized_section(self, tmp_path, fix_a_file, capsys):
         path = tmp_path / "far.json"
         path.write_text(json.dumps({
             "am": [5, -2], "ap": [5, -2], "E": [{"i": 1, "j": 1e300, "re": 1, "im": 0}],
         }))
-        assert main(["eig-all", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "exceeds the cap" in captured.err
+        # a far correction column; gamma 1e308 is finite, its section size not
+        for args in ([str(path)], [fix_a_file, "--gamma", "1e308"]):
+            assert main(["eig-all", *args]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "exceeds the cap" in captured.err
 
     def test_dense_block_encoding(self, tmp_path, capsys):
         path = tmp_path / "dense.json"

@@ -41,10 +41,10 @@ def _run_records(a, starts, cfg):
 def _classified(a, ctx, lam, basis, iterations, cfg):
     """``_classify``'s outcome of each row as an EigRecord with the given
     step counts, or None where it does not accept the shift."""
-    code, residual, prefix = _classify(a, ctx, lam, basis, cfg)
-    slot = np.full(code.size, -1)
-    slot[q.solver._isolated(code)] = np.arange(len(prefix))
-    out = Outcomes(code, lam, residual, iterations, slot, prefix)
+    code, residual, vec = _classify(a, ctx, lam, basis, cfg)
+    prefix = np.zeros((code.size, cfg.vec_len), dtype=complex)
+    prefix[q.solver._isolated(code)] = vec
+    out = Outcomes(code, lam, residual, iterations, prefix)
     return [None if c == Outcomes.LIVE else out.record(k) for k, c in enumerate(code)]
 
 
@@ -110,8 +110,10 @@ class TestEigSingle:
             assert rec.iterations <= cfg.maxit
 
     def test_rejects_nonfinite_start(self, fix_a):
-        with pytest.raises(InvalidInputError):
-            q.eig_single(fix_a, complex("inf"))
+        # and a start that is no number, or an integer past the floats
+        for start in (complex("inf"), None, "abc", [1], 10**400):
+            with pytest.raises(InvalidInputError, match="starting shift"):
+                q.eig_single(fix_a, start)
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
@@ -302,6 +304,13 @@ class TestEigAll:
         # gamma 41 asks for a 4100 x 4100 section, above EIG_MAX_DIM
         with pytest.raises(InvalidInputError, match="exceeds the cap"):
             q.eig_all(test1_case2, q.SolverConfig(gamma=41))
+        # sizes whose product with gamma leaves the float range
+        far = q.qt_new([5, -2], [5, -2], [(1, 10**400, 1.0)])
+        for a, cfg in ((test1_case2, q.SolverConfig(gamma=1e308)), (far, q.SolverConfig())):
+            with pytest.raises(InvalidInputError, match="exceeds the cap"):
+                q.eig_all(a, cfg)
+            with pytest.raises(InvalidInputError, match="exceeds the cap"):
+                section_size(a, cfg.gamma)
         assert not built
 
     def test_residual_recomputed_independently(self, fix_a, test2_case1):
@@ -793,6 +802,39 @@ def test_mirror_conjugates_the_prefix_bit_for_bit(test2_case1):
         assert dataclasses.replace(mirror, lam=rec.lam, vec_prefix=rec.vec_prefix) == rec
 
 
+def _check_table(out, rows, vec_len):
+    """Every field of ``out`` holds ``rows`` rows; a row's prefix is zero,
+    and its record has none, exactly where its run is not accepted."""
+    for field in dataclasses.fields(Outcomes):
+        assert len(getattr(out, field.name)) == rows, field.name
+    assert out.prefix.shape == (rows, vec_len)
+    accepted = q.solver._isolated(out.code)
+    assert accepted.any() and not accepted.all()
+    assert not out.prefix[~accepted].any() and out.prefix[accepted].any(axis=1).all()
+    assert [len(out.record(k).vec_prefix) for k in range(rows)] == np.where(
+        accepted, vec_len, 0).tolist()
+
+
+def test_every_field_holds_one_row_per_start(test2_case1, monkeypatch):
+    # the table _runs returns for the section starts with Im >= 0, then
+    # the one eig_all reads records from, which adds the conjugates of
+    # the accepted rows with Im > 0
+    cfg = q.SolverConfig(vec_len=30)
+    tables = []
+    runs, record = q.solver._runs, Outcomes.record
+    monkeypatch.setattr(q.solver, "_runs", lambda *args: tables.append(runs(*args)) or tables[-1])
+    monkeypatch.setattr(Outcomes, "record", lambda self, k: tables.append(self) or record(self, k))
+    q.eig_all(test2_case1, cfg)
+    monkeypatch.undo()
+    ran, mirrored = tables[0], tables[-1]
+    starts = np.array(eig_dense(q.finite_section(test2_case1, section_size(test2_case1, cfg.gamma))))
+    upper = starts[starts.imag >= 0]
+    up = np.count_nonzero(q.solver._isolated(ran.code) & (upper.imag > 0))
+    assert up
+    _check_table(ran, upper.size, cfg.vec_len)
+    _check_table(mirrored, upper.size + up, cfg.vec_len)
+
+
 def test_eig_all_builds_only_the_records_it_returns(test2_case1, monkeypatch):
     built = []
     record = Outcomes.record
@@ -946,9 +988,9 @@ class TestBatch:
 
     @pytest.mark.parametrize("name", ["fix_a", "test2_case1", "test3"])
     def test_records_do_not_depend_on_the_chunk(self, name, request, monkeypatch):
-        # the derived chunk (1124 rows for a grid of 1296 cells on fix_a
-        # at the default prefix, 332 for the seven-band section's 400
-        # starts at gamma 4, 122 for the clustered roots' 300, whose
+        # the derived chunk (813 rows for a grid of 1296 cells on fix_a
+        # at the default prefix, 288 for the seven-band section's 400
+        # starts at gamma 4, 120 for the clustered roots' 300, whose
         # degree-12 rows are polished from warm roots) against chunks of
         # 1 and 32 rows
         a = request.getfixturevalue(name)
@@ -1049,8 +1091,8 @@ class TestBatch:
         # prefix and a higher degree cost rows, and a wide W keeps the
         # floor of 32
         assert [_chunk_rows(*s, 100) for s in ((9, 8, 8), (12, 12, 22), (2, 1, 2))] == [
-            332, 122, 1124]
-        assert _chunk_rows(2, 1, 2, 1) == 3693 and _chunk_rows(9, 8, 8, 1) == 418
+            288, 120, 813]
+        assert _chunk_rows(2, 1, 2, 1) == 3784 and _chunk_rows(9, 8, 8, 1) == 399
         assert _chunk_rows(9, 8, 34, 1000) < _chunk_rows(9, 8, 34, 100)
         assert _chunk_rows(12, 8, 8, 1) < _chunk_rows(9, 8, 8, 1)
         assert _chunk_rows(9, 8, 5000, 1) == 32

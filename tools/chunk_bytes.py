@@ -11,7 +11,10 @@ length), the number of starts, the rows of the first chunk
 model (``solver._row_bytes``), the per-row peak tracemalloc measures
 over that chunk's passes (``solver._run_batch``, run once before the
 measurement so that lazy set-up is not counted), their ratio and the
-chunk's measured peak.  The configurations:
+chunk's measured peak.  Then it prints the worst ratio, as the factor
+by which the model is over or under the measured peak, and its slack
+against GUARD, the bound ``tests/test_solver.py`` holds the model to:
+the slack says how near the next refit is.  The configurations:
 
 - fix_a basins 50 x 50: the rank-one fixture's cell centres of
   [-0.5, 0.5]^2, as ``basins`` runs them (a one-entry prefix);
@@ -35,6 +38,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# The factor either way within which test_row_bytes_follow_the_measured_peak
+# holds the model's bytes per row to the measured peak.
+GUARD = 1.35
 
 
 def _import_qteig(src: Path):
@@ -110,13 +117,17 @@ def main(argv=None) -> int:
     q = _import_qteig(args.src)
     print(f"{'configuration':28} {'d':>3} {'p':>3} {'cols':>4} {'vec':>4} {'starts':>6} "
           f"{'rows':>5} {'model B':>8} {'peak B':>8} {'ratio':>6} {'chunk MB':>8}")
+    worst = (1.0, "")
     for name, a, starts, cfg in configurations(q):
         got = chunk_cost(q, a, starts, cfg)
         per_row = got["peak"] / got["rows"]
+        ratio = got["model"] / per_row
+        worst = max(worst, (max(ratio, 1 / ratio), f"{name}, {'over' if ratio > 1 else 'under'}"))
         print(f"{name:28} {got['sizes'][0]:3} {got['sizes'][1]:3} {got['sizes'][2]:4} "
               f"{got['sizes'][3]:4} {len(starts):6} {got['rows']:5} {got['model']:8.0f} "
-              f"{per_row:8.0f} {got['model'] / per_row:6.3f} {got['peak'] / 1e6:8.2f}",
+              f"{per_row:8.0f} {ratio:6.3f} {got['peak'] / 1e6:8.2f}",
               flush=True)
+    print(f"worst: {worst[0]:.3f}x ({worst[1]}); guard {GUARD}x, slack {GUARD / worst[0] - 1:.1%}")
     return 0
 
 
