@@ -27,12 +27,15 @@ them; both take the accepted runs from the status codes
 so ``_chunk_rows`` derives it from a row's cost (``_row_bytes``): the
 companion stack grows with the square of the degree, the stacked bases
 with p times the number of W's nonzero columns, the only basis rows a
-pass builds, and every row holds its eigenvector prefix.  At 4 MB that
-is one chunk for the 167 starts of the seven-band fixture (288 rows)
-and for the 2500 cells of the rank-one fixture's 50 x 50 basins (3784
-rows, with the one-entry prefix of ``basins``), and 120 rows on the
-clustered roots.  By tracemalloc, a chunk's passes peak at 1.9, 2.1
-and 3.9 MB there.
+pass builds, and every row holds its eigenvector prefix.  A chunk takes
+as many passes as its slowest run, whatever its rows, so
+``_chunk_bounds`` cuts the starts into the nearest whole number of
+chunks of that size, of equal lengths within 1 and so within 1.5 x the
+size.  At 4 MB that is one chunk each for the 167 starts of the
+seven-band fixture (size 288), the 2500 cells of the rank-one fixture's
+50 x 50 basins (3784, with the one-entry prefix of ``basins``) and the
+165 starts of the clustered roots (120), whose passes peak at 1.9, 2.1
+and 5.2 MB by tracemalloc.
 
 On a real operator (real band and correction) the run from conj(lam)
 is the mirror image of the run from lam, so ``eig_all`` runs only the
@@ -424,38 +427,47 @@ def _row_bytes(d: int, p: int, columns: int, vec_len: int) -> int:
     derivatives, p = min(d, q) the widest basis the row can have, and
     39 per entry of the eigenvector prefix (the row's own, which every
     row holds, and ``_classify``'s vectors).  Fitted to tracemalloc's
-    per-row peak of the first chunk's passes on seven configurations,
-    from the rank-one basins (d = 2, p = 1, two columns, a one-entry
-    prefix) to the clustered roots (d = p = 12, 22 columns), within
-    1.30x of each (``tools/chunk_bytes.py`` prints the table and the
-    worst ratio).  No four such terms do much better: how many of a
-    chunk's rows reach ``_classify`` at once is the fixture's, not the
-    sizes', and the fit's worst, 1.296x, is on the rank-one 24 x 24 grid
+    per-row peak of the passes of the first chunk ``_runs`` cuts on
+    seven configurations, from the rank-one basins (d = 2, p = 1, two
+    columns, a one-entry prefix) to the clustered roots (d = p = 12, 22
+    columns), within 1.30x of each (``tools/chunk_bytes.py`` prints the
+    table and the worst ratio).  No four such terms do much better: how
+    many of a chunk's rows reach ``_classify`` at once is the fixture's,
+    not the sizes', and the fit's worst, 1.296x, is on the rank-one 24 x 24 grid
     at the default prefix (under); the best real-valued fit of this
     form is 1.270x on the same measurements."""
     return 650 + 52 * d * d + 80 * p * columns + 39 * vec_len
 
 
 def _chunk_rows(d: int, p: int, columns: int, vec_len: int) -> int:
-    """Starts per lockstep chunk: as many rows as fit in 4 MB of working
-    memory by ``_row_bytes``, and at least 32, so that a wide W still
-    steps enough rows per stacked call to amortise its overhead.  That is
-    one chunk for the 2500 cells of the rank-one basins at 50 x 50 (3784
-    rows) and for the seven-band section's 167 starts (288 rows), and 120
-    rows on the clustered roots, whose first chunk peaks at 3.9 MB."""
+    """The size ``_chunk_bounds`` cuts lockstep chunks to: as many rows as
+    fit in 4 MB of working memory by ``_row_bytes``, and at least 32, so
+    that a wide W still steps enough rows per stacked call to amortise
+    its overhead.  A cut chunk holds up to 1.5 x the size: the clustered
+    roots' 165 starts (size 120) run as one chunk that peaks at 5.2 MB."""
     return max(32, 4_000_000 // _row_bytes(d, p, columns, vec_len))
 
 
+def _chunk_bounds(n: int, size: int) -> list:
+    """The (first, stop) bounds of the cut of n starts, in order, into
+    n / size chunks, rounded half up and at least 1, whose lengths differ
+    by at most 1, so that none exceeds 1.5 x size.  A remainder shorter
+    than half a chunk joins the others instead of costing as many
+    lockstep passes as a full chunk."""
+    count = max(1, (2 * n + size) // (2 * size))
+    return [(k * n // count, (k + 1) * n // count) for k in range(count)]
+
+
 def _runs(a: QTMatrix, starts, cfg: SolverConfig) -> Outcomes:
-    """The Outcomes of a sequence of starts, in order, run in chunks of
-    ``_chunk_rows`` consecutive starts (sized from the symbol's degree,
-    W's rows and nonzero columns and the prefix length) on one W, one
-    row-sum norm and one realness test."""
+    """The Outcomes of a sequence of starts, in order, run in the chunks
+    ``_chunk_bounds`` cuts for ``_chunk_rows`` (sized from the symbol's
+    degree, W's rows and nonzero columns and the prefix length) on one
+    W, one row-sum norm and one realness test."""
     ctx, a_norm, real = build_w(a), norm_inf(a), _is_real(a)
     d = a.symbol.m + a.symbol.n
     size = _chunk_rows(d, min(d, ctx.q), len(ctx.cols), cfg.vec_len)
-    return Outcomes.join([_run_batch(a, ctx, a_norm, starts[k : k + size], cfg, real)
-                          for k in range(0, len(starts), size)])
+    return Outcomes.join([_run_batch(a, ctx, a_norm, starts[lo:hi], cfg, real)
+                          for lo, hi in _chunk_bounds(len(starts), size)])
 
 
 def _limit_index(lam: np.ndarray, limits: list, tol: float) -> np.ndarray:

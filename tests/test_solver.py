@@ -20,6 +20,7 @@ from qteig.solver import (
     _classify,
     _curve_polygon,
     _grid_axes,
+    _chunk_bounds,
     _chunk_rows,
     _limit_index,
     _near_cells,
@@ -988,17 +989,17 @@ class TestBatch:
 
     @pytest.mark.parametrize("name", ["fix_a", "test2_case1", "test3"])
     def test_records_do_not_depend_on_the_chunk(self, name, request, monkeypatch):
-        # the derived chunk (813 rows for a grid of 1296 cells on fix_a
-        # at the default prefix, 288 for the seven-band section's 400
-        # starts at gamma 4, 120 for the clustered roots' 300, whose
-        # degree-12 rows are polished from warm roots) against chunks of
-        # 1 and 32 rows
+        # the derived cut (2 x 648 rows for a grid of 1296 cells on fix_a
+        # at the default prefix, size 813; 2 x 250 for the seven-band
+        # section's 500 starts at gamma 5, size 288; 3 x 100 for the
+        # clustered roots' 300, size 120, whose degree-12 rows are
+        # polished from warm roots) against chunks of 1 and 32 rows
         a = request.getfixturevalue(name)
         cfg = q.SolverConfig()
         if name == "test3":  # criterion 4's configuration
             cfg = q.SolverConfig(gamma=12.5, residual_tol=1e-8, dedupe_tol=1e-4)
         if name == "test2_case1":
-            cfg = q.SolverConfig(gamma=4.0)
+            cfg = q.SolverConfig(gamma=5.0)
         if name == "fix_a":
             axis = np.linspace(-0.49, 0.49, 36)
             starts = [complex(x, y) for y in axis for x in axis]
@@ -1006,7 +1007,7 @@ class TestBatch:
             starts = eig_dense(q.finite_section(a, section_size(a, cfg.gamma)))
         ctx, d = build_w(a), a.symbol.m + a.symbol.n
         derived = _chunk_rows(d, min(d, ctx.q), len(ctx.cols), cfg.vec_len)
-        assert 32 < derived < len(starts)
+        assert len(_chunk_bounds(len(starts), derived)) >= 2
         want = _run_records(a, starts, cfg)
         for rows in (1, 32):
             monkeypatch.setattr(q.solver, "_chunk_rows", lambda *sizes: rows)
@@ -1049,7 +1050,7 @@ class TestBatch:
         # before it.  At this dedupe_tol the rule's scale max(1, |lam|)
         # is the matched shift's: 1.152-2.907i joins 0.894-2.856i, found
         # before it, which would not join it the other way round, so the
-        # labels depend on the order.  Chunks of 50 rows split the grid
+        # labels depend on the order.  Chunks of size 50 split the grid
         cfg = q.SolverConfig(dedupe_tol=0.0856)
         box, res = ((0.0, 3.0), (-3.2, -1.2)), 24
         monkeypatch.setattr(q.solver, "_chunk_rows", lambda *sizes: 50)
@@ -1097,6 +1098,21 @@ class TestBatch:
         assert _chunk_rows(12, 8, 8, 1) < _chunk_rows(9, 8, 8, 1)
         assert _chunk_rows(9, 8, 5000, 1) == 32
 
+    @pytest.mark.parametrize("n, size, want", [
+        (165, 120, [165]), (179, 120, [179]), (180, 120, [90, 90]),
+        (300, 120, [100, 100, 100]), (1440, 399, [360] * 4), (2500, 3784, [2500]),
+        (1, 32, [1])])
+    def test_chunk_bounds_cut_the_nearest_whole_number(self, n, size, want):
+        # n / size chunks rounded half up (300 / 120 = 2.5 gives 3, where
+        # round() would give 2), at least 1, consecutive over range(n),
+        # of equal lengths within 1 and none above 1.5 x size
+        bounds = _chunk_bounds(n, size)
+        lengths = [stop - first for first, stop in bounds]
+        assert lengths == want
+        assert [k for first, stop in bounds for k in range(first, stop)] == list(range(n))
+        assert max(lengths) - min(lengths) <= 1
+        assert max(lengths) <= 1.5 * size
+
     @staticmethod
     def _section(a, cfg):
         starts = np.array(eig_dense(q.finite_section(a, section_size(a, cfg.gamma))))
@@ -1109,8 +1125,9 @@ class TestBatch:
     def test_row_bytes_follow_the_measured_peak(self, name, what, request):
         # the model's bytes per row within 1.35x either way of the per-row
         # peak tracemalloc measures over the passes of the first chunk
-        # _runs steps, on the configurations it was fitted to; so no
-        # chunk of them peaks above 1.35 x 4 MB
+        # _runs cuts, on the configurations it was fitted to; so no chunk
+        # of them, at most 1.5 x the size that fits 4 MB by the model,
+        # peaks above 1.35 x 1.5 x 4 MB
         a = request.getfixturevalue(name)
         cfg = q.SolverConfig()
         if name == "test3":  # criterion 4's configuration
@@ -1129,7 +1146,8 @@ class TestBatch:
             cfg = dataclasses.replace(cfg, vec_len=1)  # as basins runs
         ctx, d = build_w(a), a.symbol.m + a.symbol.n
         sizes = (d, min(d, ctx.q), len(ctx.cols), cfg.vec_len)
-        chunk = starts[: _chunk_rows(*sizes)]
+        (first, stop), *_ = _chunk_bounds(len(starts), _chunk_rows(*sizes))
+        chunk = starts[first:stop]
         args = (a, ctx, q.norm_inf(a), chunk, cfg, q.solver._is_real(a))
         q.solver._run_batch(*args)  # lazy set-up outside the measurement
         tracemalloc.start()
@@ -1143,9 +1161,8 @@ class TestBatch:
         assert 1 / 1.35 <= ratio <= 1.35, (ratio, peak / len(chunk))
 
     def test_chunks_of_the_bench_runs(self, fix_a, test2_case1, test3, monkeypatch):
-        # the rank-one fixture's 50 x 50 basins and the seven-band section
-        # run as one chunk each, the clustered roots' in chunks of at
-        # least 120 rows
+        # the rank-one fixture's 50 x 50 basins, the seven-band section and
+        # the clustered roots' 165 starts (size 120) run as one chunk each
         chunks = []
         real = q.solver._run_batch
         monkeypatch.setattr(q.solver, "_run_batch",
@@ -1158,7 +1175,7 @@ class TestBatch:
         assert len(chunks) == 1
         chunks.clear()
         q.eig_all(test3, q.SolverConfig(gamma=12.5, residual_tol=1e-8, dedupe_tol=1e-4))
-        assert len(chunks) > 1 and min(chunks[:-1]) >= 120
+        assert chunks == [165]
 
     @pytest.mark.parametrize("method", ["frobenius", "vandermonde"])
     @pytest.mark.parametrize("name", ["fix_a", "fix_a_pltq"])

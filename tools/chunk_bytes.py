@@ -6,12 +6,13 @@ memory a chunk's passes take.
 Imports qteig from ``DIR/src`` (default: this checkout).  For each of
 seven configurations it prints the sizes the model reads (the symbol's
 degree d = m + n, p = min(d, q), W's nonzero columns and the prefix
-length), the number of starts, the rows of the first chunk
-(``solver._chunk_rows``, at most the starts), the bytes per row of the
-model (``solver._row_bytes``), the per-row peak tracemalloc measures
-over that chunk's passes (``solver._run_batch``, run once before the
-measurement so that lazy set-up is not counted), their ratio and the
-chunk's measured peak.  Then it prints the worst ratio, as the factor
+length), the number of starts, the chunk size the model gives
+(``solver._chunk_rows``), the number of chunks and the rows of the
+first one as ``solver._runs`` cuts them (``solver._chunk_bounds``), the
+bytes per row of the model (``solver._row_bytes``), the per-row peak
+tracemalloc measures over that chunk's passes (``solver._run_batch``,
+run once before the measurement so that lazy set-up is not counted),
+their ratio and the chunk's measured peak.  Then it prints the worst ratio, as the factor
 by which the model is over or under the measured peak, and its slack
 against GUARD, the bound ``tests/test_solver.py`` holds the model to:
 the slack says how near the next refit is.  The configurations:
@@ -90,14 +91,17 @@ def configurations(q) -> list:
 
 
 def chunk_cost(q, a, starts, cfg) -> dict:
-    """The model's sizes, rows and bytes per row for the first chunk of
-    ``starts``, and tracemalloc's peak over that chunk's passes."""
+    """The model's sizes, chunk size and bytes per row, the number of
+    chunks ``_runs`` cuts ``starts`` into and the rows of the first, and
+    tracemalloc's peak over that chunk's passes."""
     s = q.solver
     ctx, a_norm, real = s.build_w(a), s.norm_inf(a), s._is_real(a)
     d = a.symbol.m + a.symbol.n
     sizes = (d, min(d, ctx.q), len(ctx.cols), cfg.vec_len)
-    rows = min(len(starts), s._chunk_rows(*sizes))
-    chunk = np.array(starts[:rows])
+    size = s._chunk_rows(*sizes)
+    bounds = s._chunk_bounds(len(starts), size)
+    first, stop = bounds[0]
+    chunk = np.array(starts[first:stop])
     s._run_batch(a, ctx, a_norm, chunk, cfg, real)
     tracemalloc.start()
     try:
@@ -106,7 +110,8 @@ def chunk_cost(q, a, starts, cfg) -> dict:
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    return {"sizes": sizes, "rows": rows, "model": s._row_bytes(*sizes), "peak": peak}
+    return {"sizes": sizes, "size": size, "chunks": len(bounds), "rows": len(chunk),
+            "model": s._row_bytes(*sizes), "peak": peak}
 
 
 def main(argv=None) -> int:
@@ -116,7 +121,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     q = _import_qteig(args.src)
     print(f"{'configuration':28} {'d':>3} {'p':>3} {'cols':>4} {'vec':>4} {'starts':>6} "
-          f"{'rows':>5} {'model B':>8} {'peak B':>8} {'ratio':>6} {'chunk MB':>8}")
+          f"{'size':>5} {'chunks':>6} {'rows':>5} {'model B':>8} {'peak B':>8} {'ratio':>6} "
+          f"{'chunk MB':>8}")
     worst = (1.0, "")
     for name, a, starts, cfg in configurations(q):
         got = chunk_cost(q, a, starts, cfg)
@@ -124,8 +130,9 @@ def main(argv=None) -> int:
         ratio = got["model"] / per_row
         worst = max(worst, (max(ratio, 1 / ratio), f"{name}, {'over' if ratio > 1 else 'under'}"))
         print(f"{name:28} {got['sizes'][0]:3} {got['sizes'][1]:3} {got['sizes'][2]:4} "
-              f"{got['sizes'][3]:4} {len(starts):6} {got['rows']:5} {got['model']:8.0f} "
-              f"{per_row:8.0f} {ratio:6.3f} {got['peak'] / 1e6:8.2f}",
+              f"{got['sizes'][3]:4} {len(starts):6} {got['size']:5} {got['chunks']:6} "
+              f"{got['rows']:5} {got['model']:8.0f} {per_row:8.0f} {ratio:6.3f} "
+              f"{got['peak'] / 1e6:8.2f}",
               flush=True)
     print(f"worst: {worst[0]:.3f}x ({worst[1]}); guard {GUARD}x, slack {GUARD / worst[0] - 1:.1%}")
     return 0
