@@ -10,8 +10,8 @@ a new limit for the shifts after it.
 
 The starts run in lockstep, in consecutive chunks (``_run_batch``):
 each pass evaluates every live start of the chunk with one stacked call
-per stage, and ``_run_newton`` (one start, as ``eig_single`` runs it)
-is a batch of one through the same code.  Every stage, the Aberth
+per stage, and one start (``eig_single``) is a chunk of one through
+the same code.  Every stage, the Aberth
 polish of warm roots included, is elementwise or a gufunc stack
 (``matmul``, ``solve``, ``eigvals``) on C-ordered arrays, so a start's
 outcome does not depend on what else is in its chunk; a stacked solve
@@ -19,7 +19,7 @@ that raises is redone row by row.  Outcomes are one table, set by
 masks: every field, status code, final shift, residual, step count and
 eigenvector prefix, holds one row per start, and a run that is not
 accepted keeps a zero prefix.  An ``EigRecord`` is built only for a run
-a caller gets back (``eig_single``, ``_run_newton``, the
+a caller gets back (``eig_single`` and the
 representatives of ``eig_all``); ``eig_all`` deduplicates on the
 columns (``_representatives``), and ``basins`` reads its labels from
 them; both take the accepted runs from the status codes
@@ -112,6 +112,7 @@ from .qt import (
     EigRecord,
     QTMatrix,
     SolveStatus,
+    _ISOLATED,
     _apply_rows,
     _position,
     finite_section,
@@ -203,10 +204,12 @@ class Outcomes:
     per start, in order.  The status code (the SolveStatus's index in
     STATUSES, LIVE while the run goes on), the final shift, the residual
     (inf where the exit computes none), the step count and the
-    eigenvector prefix, zero where the run is not accepted."""
+    eigenvector prefix, zero where the run is not accepted.  ACCEPTED is
+    ``EigRecord.is_isolated`` by code; LIVE (-1) reads its last entry."""
 
     STATUSES: ClassVar[tuple] = tuple(SolveStatus)
     LIVE: ClassVar[int] = -1
+    ACCEPTED: ClassVar[np.ndarray] = np.array([s in _ISOLATED for s in STATUSES] + [False])
 
     code: np.ndarray
     lam: np.ndarray
@@ -237,7 +240,7 @@ def _code(status: SolveStatus) -> int:
 
 def _isolated(code: np.ndarray) -> np.ndarray:
     """Where the status codes are isolated eigenvalues."""
-    return (code == _code(SolveStatus.ISOLATED_PQ)) | (code == _code(SolveStatus.ISOLATED_PLTQ))
+    return Outcomes.ACCEPTED[code]
 
 
 def _bases_at(a, ctx, lam, p0, a_norm, method, warm=None):
@@ -430,8 +433,9 @@ def _row_bytes(d: int, p: int, columns: int, vec_len: int) -> int:
     per-row peak of the passes of the first chunk ``_runs`` cuts on
     seven configurations, from the rank-one basins (d = 2, p = 1, two
     columns, a one-entry prefix) to the clustered roots (d = p = 12, 22
-    columns), within 1.30x of each (``tools/chunk_bytes.py`` prints the
-    table and the worst ratio).  No four such terms do much better: how
+    columns), within 1.30x of each (its 1.35x guard prints the table and
+    the worst ratio: ``pytest -s tests/test_solver.py -k row_bytes``).
+    No four such terms do much better: how
     many of a chunk's rows reach ``_classify`` at once is the fixture's,
     not the sizes', and the fit's worst, 1.296x, is on the rank-one 24 x 24 grid
     at the default prefix (under); the best real-valued fit of this
@@ -458,14 +462,19 @@ def _chunk_bounds(n: int, size: int) -> list:
     return [(k * n // count, (k + 1) * n // count) for k in range(count)]
 
 
+def _row_sizes(a: QTMatrix, ctx, vec_len: int) -> tuple:
+    """The sizes (d = m + n, p = min(d, q), W's nonzero columns, vec_len)
+    that ``_row_bytes`` reads for a row of ``a``'s runs on W (``ctx``)."""
+    d = a.symbol.m + a.symbol.n
+    return d, min(d, ctx.q), len(ctx.cols), vec_len
+
+
 def _runs(a: QTMatrix, starts, cfg: SolverConfig) -> Outcomes:
     """The Outcomes of a sequence of starts, in order, run in the chunks
-    ``_chunk_bounds`` cuts for ``_chunk_rows`` (sized from the symbol's
-    degree, W's rows and nonzero columns and the prefix length) on one
+    ``_chunk_bounds`` cuts for ``_chunk_rows`` (``_row_sizes``) on one
     W, one row-sum norm and one realness test."""
     ctx, a_norm, real = build_w(a), norm_inf(a), _is_real(a)
-    d = a.symbol.m + a.symbol.n
-    size = _chunk_rows(d, min(d, ctx.q), len(ctx.cols), cfg.vec_len)
+    size = _chunk_rows(*_row_sizes(a, ctx, cfg.vec_len))
     return Outcomes.join([_run_batch(a, ctx, a_norm, starts[lo:hi], cfg, real)
                           for lo, hi in _chunk_bounds(len(starts), size)])
 
