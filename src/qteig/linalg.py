@@ -69,8 +69,10 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple:
 
     Returns (x, singular): the rows with an exactly zero pivot get x = 0
     and a True in ``singular``; the other rows are unaffected.  A stack
-    with such a row makes the stacked call raise, and is redone row by
-    row.
+    with such a row makes the stacked call raise; its singular rows are
+    then those whose ``slogdet`` sign is 0 (the same LU, whose sign is 0
+    exactly where a pivot is), and the others are solved in one more
+    stacked call.
     """
     if a.shape[1] <= 2:
         return _solve_small_rows(a, b)
@@ -78,13 +80,9 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple:
         return np.linalg.solve(a, b), np.zeros(a.shape[0], dtype=bool)
     except np.linalg.LinAlgError:
         pass
+    singular = np.linalg.slogdet(a)[0] == 0
     x = np.zeros(b.shape, dtype=complex)
-    singular = np.zeros(a.shape[0], dtype=bool)
-    for i in range(a.shape[0]):
-        try:
-            x[i] = np.linalg.solve(a[i : i + 1], b[i : i + 1])[0]
-        except np.linalg.LinAlgError:
-            singular[i] = True
+    x[~singular] = np.linalg.solve(a[~singular], b[~singular])
     return x, singular
 
 

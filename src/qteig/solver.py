@@ -15,7 +15,8 @@ the same code.  Every stage, the Aberth
 polish of warm roots included, is elementwise or a gufunc stack
 (``matmul``, ``solve``, ``eigvals``) on C-ordered arrays, so a start's
 outcome does not depend on what else is in its chunk; a stacked solve
-that raises is redone row by row.  Outcomes are one table, set by
+that raises marks its singular rows by one ``slogdet`` and solves the
+others in one more stacked call.  Outcomes are one table, set by
 masks: every field, status code, final shift, residual, step count and
 eigenvector prefix, holds one row per start, and a run that is not
 accepted keeps a zero prefix.  An ``EigRecord`` is built only for a run

@@ -326,10 +326,9 @@ class TestSmallSolve:
 
     def test_stack_of_three_redone_row_by_row(self, monkeypatch):
         # k >= 3 stays LAPACK's: one exactly singular row makes the
-        # stacked call raise once, and the stack is solved row by row
+        # stacked call raise once, and the other rows are solved in one
+        # more stacked call
         rng = np.random.default_rng(16)
-        a, b = _rand(rng, 15, 3).reshape(5, 3, 3), _rand(rng, 15, 1).reshape(5, 3, 1)
-        a[3, :, 1] = 0.0
         calls, real = [], np.linalg.solve
 
         def spy(m, rhs):
@@ -341,11 +340,15 @@ class TestSmallSolve:
             calls.append((m.shape[0], False))
             return out
 
-        monkeypatch.setattr(np.linalg, "solve", spy)
-        x, mask = _solve_rows(a, b)
-        monkeypatch.undo()
-        assert calls == [(5, True)] + [(1, k == 3) for k in range(5)]
-        assert mask.tolist() == [False, False, False, True, False]
-        assert (x[3] == 0).all()
-        for k in (0, 1, 2, 4):
-            assert np.array_equal(x[k], np.linalg.solve(a[k : k + 1], b[k : k + 1])[0])
+        for k in (3, 8, 12):
+            a, b = _rand(rng, 5 * k, k).reshape(5, k, k), _rand(rng, 5 * k, 1).reshape(5, k, 1)
+            a[3, :, 1] = 0.0
+            calls.clear()
+            monkeypatch.setattr(np.linalg, "solve", spy)
+            x, mask = _solve_rows(a, b)
+            monkeypatch.undo()
+            assert calls == [(5, True), (4, False)]
+            assert mask.tolist() == [False, False, False, True, False]
+            assert (x[3] == 0).all()
+            for i in (0, 1, 2, 4):
+                assert np.array_equal(x[i], np.linalg.solve(a[i : i + 1], b[i : i + 1])[0])

@@ -23,7 +23,7 @@ def _digest(statuses, lam=0.25, residuals=None, split=None):
               for k, (status, res) in enumerate(zip(statuses, residuals))]
     stdout = json.dumps({"eigenvalues": [{"re": lam, "im": 0.0, "iterations": 4}]})
     fixture = {"starts": starts, "accepted": [repr(complex(lam))],
-               "split": split or {"warm": 3, "eigvals": 1}}
+               "split": split or {"warm": 3, "eigvals": 1, "closed_form": 0}}
     return {
         "sets": {"fixture": fixture},
         "outputs": {"eig-all fixture": f"exit 0\n{stdout}\n", "winding_map": "ab12\n"},
@@ -126,16 +126,19 @@ def test_repeated_starts_pair_in_order(tmp_path, capsys):
 
 
 def test_observed_records_each_run(fix_a):
-    rec, runs = tool._observed(q, lambda: q.eig_single(fix_a, 0.05))
+    with tool._observing(q) as seen:
+        rec = q.eig_single(fix_a, 0.05)
     vec = np.array(rec.vec_prefix, dtype=np.complex128).tobytes()
-    assert runs == [[rec.status.value, rec.iterations, repr(rec.lam), repr(rec.residual),
+    assert seen["starts"] == [[rec.status.value, rec.iterations, repr(rec.lam), repr(rec.residual),
                      hashlib.sha256(vec).hexdigest(), repr(0.05 + 0j)]]
 
 
 def test_observed_records_generator_starts(fix_a):
     # basins hands the driver an array of its cells: each run is
     # recorded with its own cell, in order
-    (labels, _), runs = tool._observed(q, lambda: q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 3))
+    with tool._observing(q) as seen:
+        labels, _ = q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 3)
+    runs = seen["starts"]
     xs, ys = q.solver._grid_axes((-0.5, 0.5), (-0.5, 0.5), 3)
     cells = [complex(x, y) for y in ys for x in xs]
     assert [complex(run[5]) for run in runs] == cells
@@ -143,23 +146,36 @@ def test_observed_records_generator_starts(fix_a):
 
 
 def test_observed_restores_driver(fix_a):
-    original = q.solver._runs
-
-    def failing():
-        q.eig_single(fix_a, 0.05)
-        raise RuntimeError("run failed")
-
+    runs, split, eigensolve = q.solver._runs, q.solver._split_rows, q.poly._companion_roots
     with pytest.raises(RuntimeError, match="run failed"):
-        tool._observed(q, failing)
-    assert q.solver._runs is original
+        with tool._observing(q) as seen:
+            q.eig_single(fix_a, 0.05)
+            raise RuntimeError("run failed")
+    assert len(seen["starts"]) == 1
+    assert q.solver._runs is runs
+    assert q.solver._split_rows is split and q.poly._companion_roots is eigensolve
 
 
 def test_fallback_ratio(tmp_path, capsys):
-    da = _digest(["isolated_pq"], split={"warm": 0, "eigvals": 0})
-    db = _digest(["isolated_pq"], split={"warm": 87, "eigvals": 29})
+    da = _digest(["isolated_pq"], split={"warm": 0, "eigvals": 0, "closed_form": 0})
+    db = _digest(["isolated_pq"], split={"warm": 87, "eigvals": 29, "closed_form": 0})
     assert _compare(tmp_path, da, db) == 0
     out = capsys.readouterr().out
     assert "  sent to eigvals: A 0 of 0 rows, B 29 of 116 rows (25.0%)" in out
+    # neither side solved a row in closed form: no line for it
+    assert "closed form" not in out
+
+
+def test_closed_form_share(tmp_path, capsys):
+    # B solves 12 of its 29 companion rows in closed form: they leave
+    # the eigvals share and make a line of their own
+    da = _digest(["isolated_pq"], split={"warm": 87, "eigvals": 29, "closed_form": 0})
+    db = _digest(["isolated_pq"], split={"warm": 87, "eigvals": 29, "closed_form": 12})
+    assert _compare(tmp_path, da, db) == 0
+    out = capsys.readouterr().out
+    assert "  sent to eigvals: A 29 of 116 rows (25.0%), B 17 of 116 rows (14.7%)" in out
+    assert ("  solved in closed form: A 0 of 116 rows (0.0%), "
+            "B 12 of 116 rows (10.3%)") in out
 
 
 def test_split_counts_observe_warm_rows(test3):
@@ -167,18 +183,18 @@ def test_split_counts_observe_warm_rows(test3):
     # eigensolved, its 8 later passes are polished from warm roots
     cfg = q.SolverConfig(gamma=12.5, residual_tol=1e-8, dedupe_tol=1e-4)
     original = q.solver._split_rows
-    with tool._split_counts(q) as counts:
+    with tool._observing(q) as seen:
         rec = q.eig_single(test3, 5.451698039869334 + 4.789268474737197j, cfg)
     assert rec.iterations == 8
-    assert counts == {"warm": 8, "eigvals": 1}
+    assert seen["split"] == {"warm": 8, "eigvals": 1, "closed_form": 0}
     assert q.solver._split_rows is original
 
 
 def test_split_counts_restore_on_error(fix_a):
     split, eigensolve = q.solver._split_rows, q.poly._companion_roots
     with pytest.raises(RuntimeError, match="run failed"):
-        with tool._split_counts(q) as counts:
+        with tool._observing(q) as seen:
             q.eig_single(fix_a, 0.05)  # degree 2: every pass is eigensolved
             raise RuntimeError("run failed")
-    assert counts == {"warm": 0, "eigvals": 5}
+    assert seen["split"] == {"warm": 0, "eigvals": 5, "closed_form": 5}
     assert q.solver._split_rows is split and q.poly._companion_roots is eigensolve

@@ -21,19 +21,16 @@ repr(start)), so the classification's output is compared too, not only
 the shift it classified (``basins`` keeps no eigenvectors and runs with
 a one-entry prefix, so its runs hash that one entry); for each set the
 accepted eigenvalues (the ``eig_all`` records, or the basin limits);
-and for each set the rows of
-the Newton driver's root splits that the previous pass's roots settled,
-the rows sent to the companion solve, and how many of those it solved
-in closed form, without ``np.linalg.eigvals`` (``_split_counts`` wraps
-the private ``qteig.solver._split_rows`` for the call).  ``eig_all``
-keeps only the accepted runs, so the per-run records are observed while
-it executes: the private driver ``qteig.solver._runs``, through which
-``eig_all`` and ``basins`` run every start, is replaced for the call by
-a wrapper that records the ``EigRecord`` of each row of the outcomes it
-returns, with the start it came from.  The
-starts are whatever the tree's ``eig_all`` and ``basins`` choose, and
-each set is run once: on a real operator ``eig_all`` runs only the
-section starts with Im >= 0.
+and for each set the rows of the Newton driver's root splits that the
+previous pass's roots settled, the rows sent to the companion solve,
+and how many of those it solved in closed form: those of degree 2,
+which it takes by the quadratic formula, not ``np.linalg.eigvals``.
+``eig_all`` keeps only the accepted runs, so each set is run inside one
+observer (``_observing``), which wraps the private driver
+``qteig.solver._runs`` and root split ``qteig.solver._split_rows`` for
+the call.  The starts are whatever the tree's ``eig_all`` and
+``basins`` choose, and each set is run once: on a real operator
+``eig_all`` runs only the section starts with Im >= 0.
 
 It also records output bytes: the stdout of ``qteig eig-all`` on the
 seven-band fixture (defaults) and on the clustered-root fixture
@@ -134,56 +131,34 @@ def _record(rec, start) -> list:
             _sha256(vec.tobytes()), repr(complex(start))]
 
 
-def _observed(q, run) -> tuple:
-    """run()'s result and the ``_record`` of every Newton run it makes,
-    in order: ``qteig.solver._runs`` is replaced by a wrapper that
-    records each row of the outcomes it returns, with its start, and
-    restored when run() returns or raises."""
-    runs, records = q.solver._runs, []
+@contextlib.contextmanager
+def _observing(q):
+    """What the Newton driver does while the block runs: {"starts": the
+    ``_record`` of every run, in order, "split": {"warm": split rows
+    settled from the previous pass's roots, "eigvals": rows sent to the
+    companion solve, "closed_form": those of degree 2}}.
+
+    ``qteig.solver._runs``, through which ``eig_all`` and ``basins`` run
+    every start, is replaced by a wrapper that records each row of the
+    outcomes it returns, with its start; ``qteig.solver._split_rows`` by
+    one that, for each call, replaces ``qteig.poly._companion_roots`` by
+    one that counts its rows (the degree alone decides whether the
+    companion solve takes the quadratic formula).  Every wrapper is
+    restored on exit, also when the block raises."""
+    runs, split, eigensolve = q.solver._runs, q.solver._split_rows, q.poly._companion_roots
+    seen = {"starts": [], "split": {"warm": 0, "eigvals": 0, "closed_form": 0}}
+    counts = seen["split"]
 
     def recording(a, starts, cfg):
         out = runs(a, starts, cfg)
-        records.extend(_record(out.record(k), start) for k, start in enumerate(starts))
+        seen["starts"].extend(_record(out.record(k), start) for k, start in enumerate(starts))
         return out
-
-    q.solver._runs = recording
-    try:
-        return run(), records
-    finally:
-        q.solver._runs = runs
-
-
-@contextlib.contextmanager
-def _split_counts(q, closed=None):
-    """Counts of the rows the solver's root splits take while the block
-    runs: {"warm": rows settled from the previous pass's roots,
-    "eigvals": rows sent to the companion solve}.
-    ``qteig.solver._split_rows`` is replaced by a wrapper that, for each
-    call, replaces ``qteig.poly._companion_roots`` by one that counts its
-    rows; both are restored on exit, also when the block raises.  The
-    companion solve sends a row to ``np.linalg.eigvals`` or, at degree 2
-    in a tree that has the closed form, solves it without LAPACK; a
-    dict ``closed``, if given, gets the count of those rows in
-    "closed_form" (``np.linalg.eigvals`` is wrapped for each companion
-    call to tell them apart)."""
-    split, eigensolve = q.solver._split_rows, q.poly._companion_roots
-    lapack = np.linalg.eigvals
-    counts = {"warm": 0, "eigvals": 0}
-    closed = {} if closed is None else closed
-    closed["closed_form"] = 0
-
-    def counting_lapack(mats):
-        closed["closed_form"] -= mats.shape[0]
-        return lapack(mats)
 
     def counting_eigensolve(c):
         counts["eigvals"] += c.shape[0]
-        closed["closed_form"] += c.shape[0]
-        np.linalg.eigvals = counting_lapack
-        try:
-            return eigensolve(c)
-        finally:
-            np.linalg.eigvals = lapack
+        if c.shape[1] == 3:
+            counts["closed_form"] += c.shape[0]
+        return eigensolve(c)
 
     def counting_split(c, *args):
         before = counts["eigvals"]
@@ -195,26 +170,18 @@ def _split_counts(q, closed=None):
         counts["warm"] += c.shape[0] - (counts["eigvals"] - before)
         return out
 
-    q.solver._split_rows = counting_split
+    q.solver._runs, q.solver._split_rows = recording, counting_split
     try:
-        yield counts
+        yield seen
     finally:
-        q.solver._split_rows = split
-
-
-def _observed_split(q, run) -> tuple:
-    """``run()``'s result, its per-run records (``_observed``) and the
-    counts of its split rows, "closed_form" among them."""
-    closed = {}
-    with _split_counts(q, closed) as split:
-        result, records = _observed(q, run)
-    return result, records, {**split, **closed}
+        q.solver._runs, q.solver._split_rows = runs, split
 
 
 def _section_set(q, a, cfg) -> dict:
-    report, starts, split = _observed_split(q, lambda: q.eig_all(a, cfg))
-    return {"starts": starts, "accepted": [repr(r.lam) for r in report.records],
-            "split": split}
+    with _observing(q) as seen:
+        report = q.eig_all(a, cfg)
+    return {"starts": seen["starts"], "accepted": [repr(r.lam) for r in report.records],
+            "split": seen["split"]}
 
 
 def _sha256(data: bytes) -> str:
@@ -308,9 +275,8 @@ def _reductions(q, ops) -> dict:
 def digest(src: Path) -> dict:
     q = _import_qteig(src)
     seven_band, cluster, cluster_cfg, fix_a = _problems(q)
-    (_, limits), basin_runs, basin_split = _observed_split(
-        q, lambda: q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 50)
-    )
+    with _observing(q) as basin:
+        _, limits = q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 50)
     vandermonde = dataclasses.replace(cluster_cfg, method="vandermonde")
     sets = {
         "seven_band": _section_set(q, seven_band, q.SolverConfig()),
@@ -319,8 +285,8 @@ def digest(src: Path) -> dict:
             q, seven_band, q.SolverConfig(method="vandermonde")
         ),
         "cluster_vandermonde": _section_set(q, cluster, vandermonde),
-        "basins": {"starts": basin_runs, "accepted": [repr(z) for z in limits],
-                   "split": basin_split},
+        "basins": {"starts": basin["starts"], "accepted": [repr(z) for z in limits],
+                   "split": basin["split"]},
     }
     scattered = q.qt_new(
         [0, -1, 1, -1],
@@ -386,9 +352,8 @@ def _field_differences(text_a: str, text_b: str) -> dict | None:
 
 def _fallback(split: dict, key: str = "eigvals") -> str:
     """The share of a set's split rows sent to ``np.linalg.eigvals``, or
-    with ``key="closed_form"`` solved in closed form (a digest without
-    that count has none)."""
-    closed = split.get("closed_form", 0)
+    with ``key="closed_form"`` solved in closed form."""
+    closed = split["closed_form"]
     rows = split["warm"] + split["eigvals"]
     count = closed if key == "closed_form" else split["eigvals"] - closed
     share = f" ({count / rows:.1%})" if rows else ""
@@ -478,7 +443,7 @@ def _compare_sets(da: dict, db: dict) -> int:
         print(f"  B: {_histogram(sb)}")
         split_a, split_b = da[name]["split"], db[name]["split"]
         print(f"  sent to eigvals: A {_fallback(split_a)}, B {_fallback(split_b)}")
-        if split_a.get("closed_form") or split_b.get("closed_form"):
+        if split_a["closed_form"] or split_b["closed_form"]:
             print(f"  solved in closed form: A {_fallback(split_a, 'closed_form')}, "
                   f"B {_fallback(split_b, 'closed_form')}")
         print(f"  accepted residuals: A {_residuals(sa)}; B {_residuals(sb)}")
