@@ -269,11 +269,13 @@ def _quadratic_rows(c: np.ndarray) -> np.ndarray:
     the branch of larger |q|, then c0 / q from the product of the roots.
     Each row is first scaled by the power of two that brings the larger
     of |c1| and sqrt(|c0 c2|) into [0.5, 1) (exact; a zero coefficient
-    sets no scale), so that neither product overflows and only a
-    negligible one can underflow.  A real row's roots are exactly real
-    or, when its discriminant is negative, an exact conjugate pair, as
-    from LAPACK's real driver."""
-    m, e = np.frexp(np.abs(c))
+    sets no scale), a modulus measured, as in ``_scaled_ratios``, by the
+    larger of its real and imaginary parts, finite where |c| overflows;
+    so neither product overflows and only a negligible one can
+    underflow.  A real row's roots are exactly real or, when its
+    discriminant is negative, an exact conjugate pair, as from LAPACK's
+    real driver."""
+    m, e = np.frexp(np.maximum(np.abs(c.real), np.abs(c.imag)))
     e = np.where(m == 0, e[:, 2:] - 2000, e)  # far below any other exponent
     c0, c1, c2 = _ldexp(c, -np.maximum(e[:, 1:2], (e[:, :1] + e[:, 2:]) // 2)).T
     real = ~c.imag.any(axis=1)

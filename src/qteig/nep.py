@@ -13,8 +13,9 @@ inside roots (Vandermonde) and block rows I, G, G**2, ... of powers of
 G = F**p (Frobenius), each with its exact shift derivative.  Every row
 of either basis is a row of powers, and one kernel builds them all
 (``_power_rows``): binary powering of the roots elementwise or of G by
-matmul, the derivative by the product rule, so a row far down costs
-log of its index.  W's Toeplitz block comes from the same index gather
+matmul into one table from exponent to power and derivative, the
+derivative by the product rule, so a row far down costs log of its
+index.  W's Toeplitz block comes from the same index gather
 as the factorization's.
 The Newton step 1 / trace(Phi^{-1} Phi') is taken on Phi and Phi'
 scaled once each by powers of two (``equilibrate``), so it does not
@@ -144,63 +145,35 @@ def _power_rows(x: np.ndarray, dx, rows, mul) -> tuple:
     """Rows ``rows`` (ascending) of the power bases of a stack x (n, b, p):
     row i is row i mod b of x**(i // b), with x**0 the identity.  ``mul``
     is np.matmul for x = G (b = p) and np.multiply for the inside roots
-    as (n, 1, p) (b = 1).  x**e is the product of the squares x**(2**h)
-    over the bits h of e, the highest on the left; each square and
-    partial product is made once, and the partial products of one bit
-    level in one stacked product.  Given dx, the shift derivative of x,
-    the derivative rows follow by the product rule (XY)' = X'Y + XY'.
+    as (n, 1, p) (b = 1).  With 2**h the highest bit of e > 1, x**e is
+    the square of x**(2**(h-1)) when e = 2**h and x**(2**h) x**(e - 2**h)
+    otherwise: one table from exponent to power holds the exponents
+    asked for and those these products need, each made once, in
+    ascending order.  Given dx, the shift derivative of x, the
+    derivatives follow by the product rule (XY)' = X'Y + XY'.
     Returns (v, v_prime); v_prime is None without dx."""
     n, b, p = x.shape
     pairs = [divmod(int(i), b) for i in rows]
-    es, rs = [e for e, _ in pairs], [r for _, r in pairs]
-    # the partial exponents: each e and, recursively, e less its highest
-    # bit, and the squares 2**h below the largest; in ascending order
-    # they run level by level, each level's square first
-    top = max(es, default=0).bit_length()
-    parts = {1 << h for h in range(top)}
-    for e in set(es):
-        while e and e not in parts:
-            parts.add(e)
-            e &= ~(1 << (e.bit_length() - 1))
-    order = sorted(parts)
-    slot = {e: k for k, e in enumerate(order)}
-    # power[k] = x**order[k]: on the leading axis each partial is one
-    # block, so products are written in place without overlapping inputs
-    power = np.empty((len(order), n, b, p), dtype=complex)
-    d_power = None if dx is None else np.empty_like(power)
-    for h in range(top):
-        k, end = slot[1 << h], slot.get(2 << h, len(order))
-        if h == 0:
-            power[k] = x
-            if dx is not None:
-                d_power[k] = dx
-        else:
-            s = slot[1 << (h - 1)]
-            if dx is not None:
-                np.add(mul(d_power[s], power[s]), mul(power[s], d_power[s]), out=d_power[k])
-            mul(power[s], power[s], out=power[k])
-        if end > k + 1:
-            # the level's products: x**(2**h) times a lower partial each
-            lows = [slot[e & ~(1 << h)] for e in order[k + 1 : end]]
-            if lows == list(range(lows[0], lows[-1] + 1)):
-                lows = slice(lows[0], lows[-1] + 1)  # consecutive: a view
-            y = power[lows]
-            if dx is not None:
-                np.add(mul(d_power[k], y), mul(power[k], d_power[lows]), out=d_power[k + 1 : end])
-            mul(power[k], y, out=power[k + 1 : end])
-    # rows ascend, so the rows of x**0 come first: the identity's, with
-    # derivative +0
-    z = es.count(0)
-    v = np.empty((n, len(es), p), dtype=complex)
-    v[:, :z] = (np.eye(p) if b > 1 else np.ones((1, p)))[rs[:z]]
-    at, picked = [slot[e] for e in es[z:]], rs[z:]
-    v[:, z:] = power.swapaxes(0, 1)[:, at, picked]
-    if dx is None:
-        return v, None
-    v_prime = np.empty_like(v)
-    v_prime[:, :z] = 0.0
-    v_prime[:, z:] = d_power.swapaxes(0, 1)[:, at, picked]
-    return v, v_prime
+    top = max((e for e, _ in pairs), default=0).bit_length()
+    need = {0} | {1 << h for h in range(top)}
+    for e, _ in pairs:
+        while e not in need:
+            need.add(e)
+            e -= 1 << (e.bit_length() - 1)
+    one = np.eye(p, dtype=complex) if b > 1 else np.ones((1, p), dtype=complex)
+    table = {0: (np.broadcast_to(one, x.shape), np.zeros(x.shape, dtype=complex)), 1: (x, dx)}
+    for e in sorted(need - {0, 1}):
+        h = 1 << (e.bit_length() - 1)
+        (s, ds), (y, dy) = (table[h // 2],) * 2 if e == h else (table[h], table[e - h])
+        table[e] = mul(s, y), None if dx is None else mul(ds, y) + mul(s, dy)
+
+    def read(k):  # the rows of the powers (k = 0) or of their derivatives (k = 1)
+        out = np.empty((n, len(pairs), p), dtype=complex)
+        for i, (e, r) in enumerate(pairs):
+            out[:, i] = table[e][k][:, r]
+        return out
+
+    return read(0), None if dx is None else read(1)
 
 
 def _vandermonde_rows(sym: LaurentSymbol, xi: np.ndarray, rows) -> tuple:

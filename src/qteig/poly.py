@@ -152,7 +152,8 @@ def _char_rows(sym: LaurentSymbol, lam: np.ndarray) -> np.ndarray:
     """The coefficient rows of z**m (a(z) - lam), ascending powers, for
     a 1-D array of shifts: (lam.size, m+n+1), last column a_n != 0."""
     c = np.repeat(sym.coeffs()[None, :], lam.size, axis=0)
-    c[:, sym.m] -= lam
+    with np.errstate(over="ignore"):  # the rootfinders refuse a non-finite coefficient
+        c[:, sym.m] -= lam
     return c
 
 

@@ -633,7 +633,8 @@ def _curve_polygon(a: QTMatrix, res: np.ndarray, ims: np.ndarray) -> tuple:
     whether root squaring or the split settles it, is the winding number.
     """
     k, c = np.array([(j, abs(v)) for j, v in a.symbol.terms()]).T
-    s0, s1, s2 = (float(np.sum(np.abs(k) ** e * c)) for e in (0, 1, 2))
+    with np.errstate(over="ignore"):  # an infinite sum makes eps infinite: every cell is near
+        s0, s1, s2 = (float(np.sum(np.abs(k) ** e * c)) for e in (0, 1, 2))
     cell = min(res[1] - res[0], ims[1] - ims[0])
     h = math.sqrt(cell / (8.0 * s2))  # the step that puts delta at cell / 64
     nseg = _MAP_SAMPLES

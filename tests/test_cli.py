@@ -216,6 +216,20 @@ class TestEigSingleCommand:
         assert out["status"] == "isolated_pq"
         assert abs(complex(out["re"], out["im"])) <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_shift_of_overflowing_modulus_diverges(self, fix_a_file, capsys):
+        assert main(["eig-single", fix_a_file, "--lambda0=-1.7e308,1.7e308"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "diverged"
+
+    @pytest.mark.filterwarnings("error")
+    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        # a_0 - lam = 1.7e308 + 1.7e308 overflows z (a(z) - lam)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"am": [1.7e308, 1], "ap": [1.7e308, 1]}))
+        assert main(["eig-single", str(path), "--lambda0=-1.7e308"]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: non-finite coefficient\n"
+
     def test_bad_lambda0(self, fix_a_file, capsys):
         assert main(["eig-single", fix_a_file, "--lambda0", "nan,0"]) == 2
         capsys.readouterr()
@@ -264,6 +278,18 @@ class TestMapCommand:
         sidecar = json.loads((tmp_path / "b.csv.labels.json").read_text())
         z = sidecar["eigenvalues"]["0"]
         assert abs(complex(z["re"], z["im"])) <= 1e-8
+
+    @pytest.mark.filterwarnings("error")
+    def test_basins_of_overflowing_modulus(self, fix_a_file, tmp_path, capsys):
+        # shifts whose modulus overflows: every run diverges
+        out = tmp_path / "b.csv"
+        rc = main([
+            "map", fix_a_file, "--box=1e308,1.7e308,1e308,1.7e308", "--res", "2",
+            "--kind", "basins", "--out", str(out),
+        ])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert [int(line.split(",")[2]) for line in lines[1:]] == [q.solver.BASIN_NONCONV] * 4
 
     def test_input_guards(self, fix_a_file, tmp_path, capsys):
         assert main(["map", fix_a_file, "--box=1,-1,-1,1", "--res", "4"]) == 2

@@ -250,6 +250,15 @@ class TestQuadraticRoots:
         want = scale[:, None] * np.exp(2j * np.pi / 3 * np.array([-1, 1]))
         assert (_root_distance(_companion_roots(c), want) <= 1e-14 * scale).all()
 
+    @pytest.mark.filterwarnings("error")
+    def test_modulus_overflow(self):
+        # |c1| overflows though its parts do not; the roots are about
+        # -c1 / c2 (modulus 1.06e308) and -c0 / c1 = (-1 + 1j) / 3e8
+        c = np.array([(1e300, complex(1.5e308, 1.5e308), 2)], dtype=complex)
+        small, large = sorted(_companion_roots(c)[0], key=abs)
+        assert large == pytest.approx(complex(-0.75e308, -0.75e308), rel=1e-15)
+        assert small == pytest.approx(complex(-1, 1) / 3e8, rel=1e-15)
+
     def test_zero_constant_term(self):
         c = np.array([(0, 3 - 1j, 2), (0, 0, 1 + 1j), (0, 2, 1)], dtype=complex)
         roots = _companion_roots(c)

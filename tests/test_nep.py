@@ -251,16 +251,28 @@ def _running_powers(g, g_prime, rows):
     return np.concatenate(blocks, axis=1)[:, :rows], np.concatenate(d_blocks, axis=1)[:, :rows]
 
 
-def _binary_power(x, e):
-    """x**e elementwise: the product of the squares x**(2**h) over the
-    bits h of e, the highest on the left."""
-    out, square = None, x
+def _binary_power(x, e, mul=np.multiply, dx=None):
+    """(x**e, (x**e)') under ``mul`` (np.multiply: elementwise, or
+    np.matmul): the product of the squares x**(2**h) over the bits h of
+    e, the highest on the left, and, given dx = x', its derivative by the
+    product rule (XY)' = X'Y + XY' on the same products.  x**0 is the
+    identity, with derivative +0; without dx the derivative is None."""
+    out = d_out = None
+    square, d_square = x, dx
     for h in range(e.bit_length()):
         if h:
-            square = square * square
+            d_square = None if dx is None else mul(d_square, square) + mul(square, d_square)
+            square = mul(square, square)
         if e >> h & 1:
-            out = square if out is None else square * out
-    return np.ones_like(x) if out is None else out
+            if out is None:
+                out, d_out = square, d_square
+            else:
+                d_out = None if dx is None else mul(d_square, out) + mul(square, d_out)
+                out = mul(square, out)
+    if out is None:
+        one = np.ones_like(x) if mul is np.multiply else np.broadcast_to(np.eye(x.shape[-1]), x.shape)
+        return one.astype(complex), None if dx is None else np.zeros(x.shape, dtype=complex)
+    return out, d_out
 
 
 class TestNarrowBasis:
@@ -286,6 +298,22 @@ class TestNarrowBasis:
             for got, want in ((narrow.v, v[:, cols]), (narrow.v_prime, v_prime[:, cols])):
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
+    def test_frobenius_rows_bit_for_bit(self, test2_case1):
+        # every row, and its derivative, is the binary power's product
+        # of squares, bit for bit: W's columns (G**0 and G**13) and one
+        # row past 2**40 block rows, 41 squarings deep
+        a = test2_case1
+        cols = list(build_w(a).cols)
+        for lam in self._shifts(a):
+            g, g_prime = _g_stack(a.symbol, lam)
+            p = g.shape[-1]
+            rows = cols + [(2**40 + 3) * p + 1]
+            narrow = _frobenius_rows(g, g_prime, rows)
+            for k, i in enumerate(rows):
+                power, d_power = _binary_power(g, i // p, np.matmul, g_prime)
+                assert narrow.v[:, k].tobytes() == power[:, i % p].tobytes()
+                assert narrow.v_prime[:, k].tobytes() == d_power[:, i % p].tobytes()
+
     def test_frobenius_up_to_g_squared_is_exact(self, test2_case1):
         # G**0, G, G**2 (and G**3) come from the running product's own
         # products
@@ -309,11 +337,15 @@ class TestNarrowBasis:
             _, narrow = _vandermonde_rows(a.symbol, xi, ctx.cols)
             if clustered[0]:
                 continue
-            # binary powering, highest bit on the left, and within
-            # rounding of the running product xi**i = xi**(i-1) * xi
+            # binary powering, highest bit on the left, the derivative
+            # by the product rule from row 1's xi' = 1 / a'(xi), and
+            # within rounding of the running product xi**i = xi**(i-1) * xi
+            d_xi = full.v_prime[:, 1]
             power = np.ones(xi.shape, dtype=complex)
             for i in range(ctx.width):
-                assert full.v[:, i].tobytes() == _binary_power(xi, i).tobytes()
+                want, d_want = _binary_power(xi, i, dx=d_xi)
+                assert full.v[:, i].tobytes() == want.tobytes()
+                assert full.v_prime[:, i].tobytes() == d_want.tobytes()
                 assert np.abs(full.v[:, i] - power).max() <= 1e-14 * np.abs(power).max()
                 power = power * xi
             assert narrow.v.tobytes() == full.v[:, cols].tobytes()

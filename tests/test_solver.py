@@ -560,6 +560,18 @@ class TestWindingMap:
         assert np.array_equal(grid, self._per_cell(far, *box, 31))
         assert len(set(grid.ravel().tolist())) >= 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_band_makes_every_cell_near(self):
+        # sum k**2 |a_k| = 9e308 overflows, so eps is infinite and every
+        # cell goes to root squaring: the grid is winding's, cell by cell
+        sym = q.LaurentSymbol(neg=(0, 1), pos=(0, 0, 0, 1e308))
+        a = q.QTMatrix(symbol=sym, correction=q.Correction.zero())
+        box = ((-2, 2), (-2, 2))
+        res, ims = _grid_axes(*box, 5)
+        f, eps = _curve_polygon(a, res, ims)
+        assert eps == math.inf and _near_cells(f, res, ims, eps).all()
+        assert np.array_equal(q.winding_map(a, *box, 5), self._per_cell(sym, *box, 5))
+
     def test_near_cells_hold_every_cell_within_eps(self, fig2_symbol, test2_case1, test3,
                                                   fix_a):
         # brute force: the distance of every cell centre from every edge
@@ -615,6 +627,9 @@ class TestWindingMap:
                     raster(fix_a, bad, (-1, 1), 3)
                 with pytest.raises(InvalidInputError, match="im_range"):
                     raster(fix_a, (-1, 1), bad, 3)
+            for re_range, im_range in (((1, -1), (-1, 1)), ((-1, 1), (1, 1))):
+                with pytest.raises(InvalidInputError, match="ranges must be increasing"):
+                    raster(fix_a, re_range, im_range, 3)
 
     def test_non_finite_range(self, fix_a):
         for re_range, im_range in (
@@ -675,6 +690,15 @@ class TestBasins:
         assert calls == [] and len(limits) == 1 and (labels == 0).all()
         q.eig_all(test2_case1)
         assert any(n == "eigvals" and shape[1:] == (9, 9) for n, shape in calls)
+
+    @pytest.mark.filterwarnings("error")
+    def test_shift_of_overflowing_modulus(self, fix_a):
+        # |c1| = |5 - lam| overflows though c1 is finite: the degree-2
+        # split takes its scale from the larger part, and the run diverges
+        rec = q.eig_single(fix_a, complex(-1.7e308, 1.7e308))
+        assert rec.status is q.SolveStatus.DIVERGED
+        labels, limits = q.basins(fix_a, (1e308, 1.7e308), (1e308, 1.7e308), 2)
+        assert limits == [] and (labels == BASIN_NONCONV).all()
 
     def test_continuous_component_is_labeled(self):
         a = q.qt_new([0, 1], [0, 2])
