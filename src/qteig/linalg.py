@@ -220,17 +220,17 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
     matrices, each row sorted by (real, imaginary) part.  At degree 2
     they come from the quadratic formula instead (``_quadratic_rows``),
     the whole root split of the rank-one basins (ROADMAP item 22).  A
-    row whose ratios c_k / c_d overflow, or underflow to 0 from a
-    nonzero c_k, is solved for w = z / 2**e instead (``_scaled_ratios``)
-    and its roots scaled back; the other rows are untouched.  A
-    non-finite coefficient, or a root that overflows, raises
-    ConvergenceError."""
+    row whose ratios c_k / c_d overflow (or are inf * 0 = NaN, where
+    1 / c_d does), or underflow to 0 from a nonzero c_k, is solved for
+    w = z / 2**e instead (``_scaled_ratios``) and its roots scaled back;
+    the other rows are untouched.  A non-finite coefficient, or a root
+    that overflows, raises ConvergenceError."""
     if not np.isfinite(c).all():
         raise ConvergenceError("non-finite coefficient")
     d = c.shape[1] - 1
     if d == 2:
         return _quadratic_rows(c)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         ratio = c / c[:, -1:]
     lost = ~np.isfinite(ratio).all(axis=1) | ((ratio == 0) & (c != 0)).any(axis=1)
     if lost.any():

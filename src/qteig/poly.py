@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConvergenceError,
     DomainError,
     InconsistentConstantError,
     InvalidSymbolError,
@@ -355,8 +356,10 @@ def _count_rows(c: np.ndarray) -> tuple:
 
     Returns (count, fallback, on_curve): the counts, the rows counted by
     ``_split_rows``, and those of them with a root within SPLIT_BAND of
-    the circle.
+    the circle.  A non-finite coefficient raises ConvergenceError first.
     """
+    if not np.isfinite(c).all():
+        raise ConvergenceError("non-finite coefficient")
     rows = c.shape[0]
     count = np.zeros(rows, dtype=np.int64)
     live = np.arange(rows)

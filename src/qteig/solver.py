@@ -631,18 +631,19 @@ def _curve_polygon(a: QTMatrix, res: np.ndarray, ims: np.ndarray) -> tuple:
     SPLIT_BAND of the circle lies within about SPLIT_BAND sum |k a_k| of
     the curve, so every on-curve cell is near, and beyond eps the count,
     whether root squaring or the split settles it, is the winding number.
+    An overflow in these terms makes eps infinite, and every cell near.
     """
     k, c = np.array([(j, abs(v)) for j, v in a.symbol.terms()]).T
-    with np.errstate(over="ignore"):  # an infinite sum makes eps infinite: every cell is near
+    with np.errstate(over="ignore"):
         s0, s1, s2 = (float(np.sum(np.abs(k) ** e * c)) for e in (0, 1, 2))
-    cell = min(res[1] - res[0], ims[1] - ims[0])
-    h = math.sqrt(cell / (8.0 * s2))  # the step that puts delta at cell / 64
-    nseg = _MAP_SAMPLES
-    if h * _MAP_SAMPLES > 2 * math.pi:
-        nseg = max(8, math.ceil(2 * math.pi / h))
-    box = max(abs(res[0]), abs(res[-1]), abs(ims[0]), abs(ims[-1]))
-    rounding = 64 * (k.size + 8) * np.finfo(float).eps * (s0 + box)
-    delta = (2 * math.pi / nseg) ** 2 / 8.0 * s2
+        cell = min(res[1] - res[0], ims[1] - ims[0])
+        h = math.sqrt(cell / (8.0 * s2))  # the step that puts delta at cell / 64
+        nseg = _MAP_SAMPLES
+        if h * _MAP_SAMPLES > 2 * math.pi:
+            nseg = max(8, math.ceil(2 * math.pi / h))
+        box = max(abs(res[0]), abs(res[-1]), abs(ims[0]), abs(ims[-1]))
+        rounding = 64 * (k.size + 8) * np.finfo(float).eps * (s0 + box)
+        delta = (2 * math.pi / nseg) ** 2 / 8.0 * s2
     return symbol_curve(a, nseg), delta + rounding + 100 * SPLIT_BAND * s1
 
 

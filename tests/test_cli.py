@@ -216,12 +216,10 @@ class TestEigSingleCommand:
         assert out["status"] == "isolated_pq"
         assert abs(complex(out["re"], out["im"])) <= 1e-12
 
-    @pytest.mark.filterwarnings("error")
     def test_shift_of_overflowing_modulus_diverges(self, fix_a_file, capsys):
         assert main(["eig-single", fix_a_file, "--lambda0=-1.7e308,1.7e308"]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "diverged"
 
-    @pytest.mark.filterwarnings("error")
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # a_0 - lam = 1.7e308 + 1.7e308 overflows z (a(z) - lam)
         path = tmp_path / "huge.json"
@@ -279,7 +277,6 @@ class TestMapCommand:
         z = sidecar["eigenvalues"]["0"]
         assert abs(complex(z["re"], z["im"])) <= 1e-8
 
-    @pytest.mark.filterwarnings("error")
     def test_basins_of_overflowing_modulus(self, fix_a_file, tmp_path, capsys):
         # shifts whose modulus overflows: every run diverges
         out = tmp_path / "b.csv"
@@ -290,6 +287,14 @@ class TestMapCommand:
         assert rc == 0
         lines = out.read_text().splitlines()
         assert [int(line.split(",")[2]) for line in lines[1:]] == [q.solver.BASIN_NONCONV] * 4
+
+    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"am": [1.7e308, 1], "ap": [1.7e308, 1]}))
+        argv = ["map", str(path), "--box=-1.7e308,-1.6e308,-1,1", "--res", "4",
+                "--out", str(tmp_path / "m.csv")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "numerical failure: non-finite coefficient\n"
 
     def test_input_guards(self, fix_a_file, tmp_path, capsys):
         assert main(["map", fix_a_file, "--box=1,-1,-1,1", "--res", "4"]) == 2
@@ -334,6 +339,46 @@ class TestMapCommand:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: --out: ") and "nodir" in err
+
+
+class TestInputErrors:
+    FIX_A = {"am": [5, -2], "ap": [5, -2]}
+
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps({"am": [1], "ap": [1, 2]}), "am: expected a list of at least 2 coefficients"),
+        (json.dumps({**FIX_A, "E": {"rows": 1, "cols": 1}}), "E.values: missing"),
+        (json.dumps({**FIX_A, "E": {"rows": 2, "cols": 1, "values": [[1]]}}),
+         "E.values: expected one list per row"),
+        (json.dumps({**FIX_A, "E": {"rows": 1, "cols": 2, "values": [[1]]}}),
+         "E.values[0]: expected 2 entries"),
+        (json.dumps({**FIX_A, "E": [5]}), "E[0]: expected an object with i, j, re, im"),
+        (json.dumps({**FIX_A, "E": 5}), "E: expected a dense block or a triplet list"),
+        (json.dumps([1, 2]), "problem: expected a JSON object"),
+        (json.dumps({"ap": [5, -2]}), "am: missing"),
+        (json.dumps({"am": [5, 0], "ap": [5, -2]}), "am/ap: trailing coefficient a_-m must be nonzero"),
+        ('{"am": [5, -2],', "invalid JSON"),
+    ], ids=["short_am", "dense_no_values", "dense_rows", "dense_row_length", "triplet_not_object",
+            "E_number", "not_object", "no_am", "zero_trailing", "bad_json"])
+    def test_malformed_problem(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["eig-all", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("flags, prefix", [
+        (["--box=1,2,3"], "error: --box: not enough values to unpack"),
+        (["--box=-1,1,-1,1", "--out", "."], "error: --out: "),
+    ], ids=["box_3_values", "out_is_directory"])
+    def test_map_flags(self, fix_a_file, tmp_path, capsys, monkeypatch, flags, prefix):
+        monkeypatch.chdir(tmp_path)  # "." names a directory
+        assert main(["map", fix_a_file, "--res", "2", *flags]) == 2
+        assert capsys.readouterr().err.startswith(prefix)
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "eig-all" in capsys.readouterr().out
 
 
 class TestProblemRoundTrip:

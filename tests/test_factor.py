@@ -71,6 +71,12 @@ class TestWienerHopf:
         assert f.u.degree == 0
         assert f.u.coeffs[0] == pytest.approx(2.0)
 
+    def test_breakdown_raises(self, fix_a, monkeypatch):
+        # no division residual is below a zero tolerance
+        monkeypatch.setattr("qteig.factor.DECONV_TOL", 0.0)
+        with pytest.raises(FactorizationUnstableError, match="broke down"):
+            wiener_hopf(fix_a.symbol, 0.1 + 0.2j)
+
     def test_no_roots_inside(self):
         # z**-1 + eps z at 0: both roots of 1 + eps z**2 lie outside
         sym = q.LaurentSymbol(neg=(0, 1), pos=(0, 0.25))

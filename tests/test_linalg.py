@@ -138,6 +138,18 @@ class TestEigDense:
             eig_dense(np.zeros((4001, 4001)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: roots_companion(q.Poly((1,))), "degree >= 1"),
+    (lambda: eig_dense(np.zeros((0, 0))), "at least 1"),
+    (lambda: eig_dense(np.zeros((2, 2, 2))), "expected a 2-D array"),
+    (lambda: lu_solve(np.ones((2, 3)), [1, 2]), "must be square"),
+    (lambda: lu_solve(np.eye(2), [1, 2, 3]), "incompatible row count"),
+], ids=["degree_0", "eig_0x0", "eig_3d", "lu_nonsquare", "lu_rhs_rows"])
+def test_rejects_malformed_input(call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call()
+
+
 class TestRootsCompanion:
     def test_split_quadratic(self):
         roots = sorted(roots_companion(q.Poly((-2, 5, -2))), key=abs)
@@ -201,6 +213,14 @@ class TestRootsCompanion:
         comp = np.array([[[0, 1, 0], [0, 0, 1], [-0.25, -0.5, -0.75]]], dtype=complex)
         assert np.array_equal(got[2], _eigvals_rows(comp)[0])
 
+    @pytest.mark.parametrize("coeffs", [
+        (1, 1e300, 1e-10),  # the degree-2 closed form
+        (0, -1e300, 0, 1e-317),  # the scaled companion; 1 / c_d overflows
+    ], ids=["quadratic", "scaled"])
+    def test_root_overflows(self, coeffs):
+        with pytest.raises(ConvergenceError, match="root overflows"):
+            roots_companion(q.Poly(coeffs))
+
 
 def _lapack_roots(c):
     # the companion eigenvalues, as ``_companion_roots`` takes them above
@@ -250,7 +270,6 @@ class TestQuadraticRoots:
         want = scale[:, None] * np.exp(2j * np.pi / 3 * np.array([-1, 1]))
         assert (_root_distance(_companion_roots(c), want) <= 1e-14 * scale).all()
 
-    @pytest.mark.filterwarnings("error")
     def test_modulus_overflow(self):
         # |c1| overflows though its parts do not; the roots are about
         # -c1 / c2 (modulus 1.06e308) and -c0 / c1 = (-1 + 1j) / 3e8

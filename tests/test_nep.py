@@ -209,6 +209,13 @@ class TestBasisFrobenius:
             with pytest.raises(InvalidInputError):
                 basis_frobenius(bad, 3)
 
+    def test_rejects_empty_inside_factor(self):
+        # 2 / z + z at 0: winding -1, so p = 0
+        f = wiener_hopf(q.LaurentSymbol(neg=(0, 2), pos=(0, 1)), 0.0)
+        assert f.p == 0
+        with pytest.raises(InvalidInputError, match="p >= 1"):
+            basis_frobenius(f, 3)
+
     def test_block_structure(self):
         s = q.Poly((-0.12, 0.1, 1.0))
         f = q.WienerHopfFactors(s=s, u=q.Poly((1.0,)), s_prime=(0, 0), u_prime=())
@@ -402,6 +409,12 @@ class TestPhi:
             f_f = det_lu(phi(ctx, bas_f, p)[0])
             det_vp = det_lu(bas_v.v[:p, :])
             assert f_v == pytest.approx(f_f * det_vp, rel=1e-8)
+
+    def test_rejects_more_rows_than_equations(self, fix_a):
+        ctx = build_w(fix_a)
+        bas = basis_vandermonde(fix_a.symbol, 0.0, ctx.width)
+        with pytest.raises(InvalidInputError, match="more rows than equations"):
+            phi(ctx, bas, ctx.q + 1)
 
     def test_row_scaling_leaves_correction_invariant(self, fix_a):
         ctx = build_w(fix_a)

@@ -103,6 +103,20 @@ def test_booleans_are_not_integers(fix_a):
             q.SolverConfig(**{field: True})
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda a: q.Correction(((0, 1, 1.0),)), InvalidInputError, "1-based"),
+    (lambda a: q.Correction(((1, 1, 0.0),)), InvalidInputError, "only nonzero values"),
+    (lambda a: q.apply_prefix(a, np.ones((2, 4)), 1), InvalidInputError, "1-D vector"),
+    (lambda a: q.apply_prefix(a, np.ones(4), -1), InvalidInputError, "nonnegative"),
+    (lambda a: q.apply_prefix(a, np.ones(4), 1), PrefixTooShortError, "correction rows require 10"),
+    (lambda a: q.symbol_curve(a, 1), InvalidInputError, "at least 2"),
+], ids=["position_0", "zero_value", "prefix_2d", "negative_out_len", "short_prefix", "one_sample"])
+def test_rejects_malformed_input(call, error, message):
+    a = q.qt_new([5, -2], [5, -2], [(1, 10, 1.0)])  # a correction column past the prefix
+    with pytest.raises(error, match=message):
+        call(a)
+
+
 class TestFiniteSection:
     def test_fix_a_3(self, fix_a):
         got = q.finite_section(fix_a, 3)
@@ -154,7 +168,7 @@ class TestApplyPrefix:
         a = q.qt_new([2, 0.5 - 1j], [2, 0.25j, -1], [(1, 3, 0.3 - 0.7j), (1, 5, 2j), (3, 1, -1.5)])
         rng = np.random.default_rng(9)
         vec = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))
-        stack = _apply_rows(a, vec, 4)
+        stack = _apply_rows(a, vec, 4, range(8))
         for v, got in zip(vec, stack):
             want = np.zeros(4, dtype=complex)
             for d, c in a.symbol.terms():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qteig as q
-from qteig.errors import InvalidInputError, OnCurveError
+from qteig.errors import ConvergenceError, InvalidInputError, OnCurveError
 from qteig.factor import wiener_hopf
 from qteig.linalg import eig_dense
 from qteig.nep import basis_frobenius, basis_vandermonde, build_w, newton_correction, phi
@@ -69,6 +69,12 @@ class TestEigSingle:
     def test_continuous_component(self):
         rec = q.eig_single(q.qt_new([0, 1], [0, 2]), 0.0)
         assert rec.status is q.SolveStatus.CONTINUOUS_SET
+
+    def test_root_overflow_raises(self):
+        # 1e-310 z**2 + z + 5 - 2 / z - 0.1: the companion ratios divide by a
+        # subnormal leading coefficient, and the scaled roots overflow
+        with pytest.raises(ConvergenceError, match="root overflows"):
+            q.eig_single(q.qt_new([5, -2], [5, 1, 1e-310]), 0.1)
 
     def test_norm_guard(self, fix_a):
         rec = q.eig_single(fix_a, 20.0)
@@ -419,6 +425,12 @@ class TestWindingMap:
         grid = q.winding_map(fix_a, (-1, 10), (-1, 1), (12, 6))
         assert set(grid.ravel().tolist()) == {0}
 
+    def test_non_finite_coefficient_raises(self):
+        # a_0 - lam overflows on the box's near cells; s0 + box overflows eps
+        a = q.qt_new([1.7e308, 1], [1.7e308, 1])
+        with pytest.raises(ConvergenceError, match="non-finite coefficient"):
+            q.winding_map(a, (-1.7e308, -1.6e308), (-1, 1), 4)
+
     def test_unit_roots_beside_inside_root_are_on_curve(self):
         # z a(z) = (z - 0.5)(z - 1)(z + 1): the centre cell is the
         # on-curve shift 0
@@ -560,7 +572,6 @@ class TestWindingMap:
         assert np.array_equal(grid, self._per_cell(far, *box, 31))
         assert len(set(grid.ravel().tolist())) >= 2
 
-    @pytest.mark.filterwarnings("error")
     def test_infinite_band_makes_every_cell_near(self):
         # sum k**2 |a_k| = 9e308 overflows, so eps is infinite and every
         # cell goes to root squaring: the grid is winding's, cell by cell
@@ -691,7 +702,6 @@ class TestBasins:
         q.eig_all(test2_case1)
         assert any(n == "eigvals" and shape[1:] == (9, 9) for n, shape in calls)
 
-    @pytest.mark.filterwarnings("error")
     def test_shift_of_overflowing_modulus(self, fix_a):
         # |c1| = |5 - lam| overflows though c1 is finite: the degree-2
         # split takes its scale from the larger part, and the run diverges
