@@ -306,14 +306,16 @@ def _graeffe_rows(c: np.ndarray) -> np.ndarray:
     the output are the squares of the roots of the input row.
 
     Each row is first scaled by the power of two that brings its largest
-    modulus into [0.5, 1): exact, and the squaring neither underflows
-    nor overflows on rows of tiny or huge coefficients.  Each product
+    real or imaginary part (not modulus, which overflows when both parts
+    are near the float range) into [0.5, 1): exact, and the squaring
+    neither underflows nor overflows on rows of tiny or huge
+    coefficients.  Each product
     and sum is formed in a fixed order per row, so a row's result does
     not depend on the other rows, and a trailing exact zero (an
     underflowed leading coefficient, which Poly trims) only adds exact
     zeros: the iterates equal those of the trimmed row.
     """
-    _, exp = np.frexp(np.abs(c).max(axis=1, keepdims=True))
+    _, exp = np.frexp(np.maximum(np.abs(c.real), np.abs(c.imag)).max(axis=1, keepdims=True))
     c = _ldexp(c, -exp)
     alt = c.copy()
     alt[:, 1::2] = -alt[:, 1::2]

@@ -188,9 +188,11 @@ def _apply_rows(a: QTMatrix, vec: np.ndarray, out_len: int, at) -> np.ndarray:
 def norm_inf(a: QTMatrix) -> float:
     """Exact row-sum operator norm: the generic band row sum, which bounds
     every row without entries, or the largest sum of a row with entries,
-    formed from its band coefficients plus its entries."""
+    formed from its band coefficients plus its entries.  A sum past the
+    float range is inf."""
     sym = a.symbol
-    best = float(np.abs(sym.coeffs()).sum())
+    with np.errstate(over="ignore"):
+        best = float(np.abs(sym.coeffs()).sum())
     for i, ents in groupby(a.correction.entries, key=lambda e: e[0]):
         row = {j: sym.coeff(j - i) for j in range(max(1, i - sym.m), i + sym.n + 1)}
         for _, j, v in ents:

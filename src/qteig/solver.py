@@ -60,7 +60,12 @@ only this module tracks), p > q flags a continuous eigenvalue set, and
 shifts escaping the operator norm are stopped.  A step below STEP_TOL
 (relative to max(1, |shift|)) sends the new shift to classification
 from its own evaluation; the step is scale invariant
-(``nep._newton_steps``), so one threshold serves every fixture.  The
+(``nep._newton_steps``), so one threshold serves every fixture.
+Where p < q, Phi is the first p of the q rows of W V, and det Phi has
+zeros that are not eigenvalues: ``_steps`` ends a run that heads for one
+as no_convergence_pltq, without a residual, once its step is below
+SPURIOUS_NEAR and the step on a fixed second compression of W V is more
+than SPURIOUS_RATIO times its own.  The
 run is accepted only if the relative residual of the p boundary
 equations Phi solves passes and,
 when p < q, the smallest singular value of W V certifies rank
@@ -89,6 +94,7 @@ grid rows' worth at a time.  Both walk the edges with ``_crossings``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -126,6 +132,14 @@ from .qt import (
 # noise floor of about 2e-12, so a much smaller threshold leaves
 # converged runs stepping until the budget is spent.
 STEP_TOL = 1e-8
+
+# The p < q exit's thresholds (``_steps``), picked from the runs of
+# both methods on the seven-band, clustered-root and two test-1
+# sections and of the p < q fixture's 40 x 40 start grid: every run the
+# certificate would reject passes both before it converges, and the
+# ratio stays below 1.02 on runs to an eigenvalue, 1.2 on the others.
+SPURIOUS_NEAR = 0.1
+SPURIOUS_RATIO = 10.0
 
 # Raster labels for attraction basins.
 BASIN_CONTINUOUS = -1
@@ -357,13 +371,55 @@ def _is_real(a: QTMatrix) -> bool:
     return not any(v.imag for v in values)
 
 
+@functools.lru_cache(maxsize=None)
+def _compression(p: int, q: int) -> np.ndarray:
+    """The fixed p x q row compression R of the p < q exit, unit-modulus
+    entries without a random generator: exp(2 pi i frac(j k phi)),
+    j = 1..p, k = 1..q, phi the golden ratio's fractional part."""
+    jk = np.outer(np.arange(1, p + 1), np.arange(1, q + 1))
+    return np.exp(2j * np.pi * np.modf(jk * ((math.sqrt(5.0) - 1.0) / 2.0))[0])
+
+
+def _steps(ctx, basis, lam) -> tuple:
+    """The Newton steps at the shifts ``lam`` of a stack of bases of one
+    p, and the rows the p < q exit ends: (step, vanished, spurious).
+
+    The step and ``vanished`` are ``nep._newton_steps``' on Phi, the
+    first p rows of W V and W V'.  Where p < q, a row whose step is
+    below SPURIOUS_NEAR also takes the step on the compressions R W V
+    and R W V' (``_compression``) of the same q-row products, and is
+    spurious when that step is more than SPURIOUS_RATIO times larger, and
+    larger than that times STEP_TOL, which rounding at a converged shift
+    never reaches.  At an eigenvalue W V beta = 0, so every compression
+    vanishes there and the two steps agree; near a zero of det Phi alone
+    W V keeps full rank, and the compression's step stays large while
+    the leading step shrinks.  A shift with Im < 0 takes conj(R), so that
+    on a real operator the run from conj(lam) stays the mirror image of
+    the run from lam."""
+    p = basis.p
+    wv, wv_prime = phi(ctx, basis, ctx.q)
+    step, vanished = _newton_steps(wv[:, :p], wv_prime[:, :p])
+    spurious = np.zeros(lam.size, dtype=bool)
+    if p < ctx.q:
+        scale = np.maximum(1.0, np.abs(lam))
+        near = ~vanished & (np.abs(step) < SPURIOUS_NEAR * scale)
+        if near.any():
+            r = _compression(p, ctx.q)
+            r = np.where((lam[near].imag < 0)[:, None, None], r.conj(), r)
+            second, _ = _newton_steps(r @ wv[near], r @ wv_prime[near])
+            floor = np.maximum(np.abs(step[near]), STEP_TOL * scale[near])
+            spurious[near] = np.abs(second) > SPURIOUS_RATIO * floor
+    return step, vanished, spurious
+
+
 def _run_batch(a, ctx, a_norm, starts, cfg, real) -> Outcomes:
     """Newton runs from a batch of starts in lockstep, their Outcomes in
     order.  Each pass evaluates the live shifts (``_bases_at``, from the
     roots of their previous pass; the starts of a batch are all on their
     first pass together, which has none), classifies the shifts whose
     last step was below STEP_TOL (``_classify``, per p group), then
-    checks the budget and steps the rows still live.  A vanishing trace
+    checks the budget and steps the rows still live, except those of a
+    p < q group that ``_steps`` ends.  A vanishing trace
     moves the row's shift once by a tiny jitter; a second one ends its
     run.  When ``real`` (a real operator), a shift that is exactly real
     steps by the real part of its step and jitters along the axis.
@@ -400,7 +456,10 @@ def _run_batch(a, ctx, a_norm, starts, cfg, real) -> Outcomes:
             if not go.any():
                 continue
             idx = idx[go]
-            step, vanished = _newton_steps(*phi(ctx, basis[go], basis.p))
+            step, vanished, spurious = _steps(ctx, basis[go], lam[idx])
+            if spurious.any():
+                code[idx[spurious]] = _code(SolveStatus.NO_CONVERGENCE_PLTQ)
+                idx, step, vanished = idx[~spurious], step[~spurious], vanished[~spurious]
             code[idx[vanished & jittered[idx]]] = _code(SolveStatus.MAX_ITERATIONS)
             moved = idx[vanished & ~jittered[idx]]
             jittered[moved], classify[moved] = True, False

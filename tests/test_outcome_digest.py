@@ -17,13 +17,14 @@ tool = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tool)
 
 
-def _digest(statuses, lam=0.25, residuals=None, split=None):
+def _digest(statuses, lam=0.25, residuals=None, split=None, passes=4):
     residuals = residuals or [1e-14] * len(statuses)
     starts = [[status, 4, repr(complex(0.5, k)), repr(res), f"{k:064x}", repr(complex(0.4, k))]
               for k, (status, res) in enumerate(zip(statuses, residuals))]
     stdout = json.dumps({"eigenvalues": [{"re": lam, "im": 0.0, "iterations": 4}]})
     fixture = {"starts": starts, "accepted": [repr(complex(lam))],
-               "split": split or {"warm": 3, "eigvals": 1, "closed_form": 0}}
+               "split": split or {"warm": 3, "eigvals": 1, "closed_form": 0},
+               "passes": passes}
     return {
         "sets": {"fixture": fixture},
         "outputs": {"eig-all fixture": f"exit 0\n{stdout}\n", "winding_map": "ab12\n"},
@@ -198,3 +199,24 @@ def test_split_counts_restore_on_error(fix_a):
             raise RuntimeError("run failed")
     assert seen["split"] == {"warm": 0, "eigvals": 5, "closed_form": 5}
     assert q.solver._split_rows is split and q.poly._companion_roots is eigensolve
+
+
+def test_pass_counts(tmp_path, capsys):
+    # the lockstep passes are printed next to the split rows
+    da, db = _digest(["isolated_pq"], passes=9), _digest(["isolated_pq"], passes=7)
+    assert _compare(tmp_path, da, db) == 0
+    out = capsys.readouterr().out
+    assert ("  sent to eigvals: A 1 of 4 rows (25.0%), B 1 of 4 rows (25.0%); "
+            "lockstep passes: A 9, B 7") in out
+
+
+def test_observed_passes(fix_a):
+    # one pass per evaluation: the fix_a run from 0.05 evaluates 5 shifts;
+    # basins steps its 3 x 3 cells as one chunk, as many passes as its
+    # slowest run
+    with tool._observing(q) as seen:
+        q.eig_single(fix_a, 0.05)
+    assert seen["passes"] == 5
+    with tool._observing(q) as seen:
+        q.basins(fix_a, (-0.5, 0.5), (-0.5, 0.5), 3)
+    assert seen["passes"] == max(run[1] for run in seen["starts"]) + 1

@@ -18,6 +18,7 @@ from qteig.poly import (
     _char_rows,
     _convolve_rows,
     _count_rows,
+    _graeffe_rows,
     _row_norms,
     _split_rows,
 )
@@ -277,6 +278,17 @@ class TestCountRows:
         for i in range(c.shape[0]):
             one = _count_rows(c[i : i + 1])
             assert all(np.array_equal(w[i : i + 1], o) for w, o in zip(whole, one))
+
+    def test_both_parts_near_the_float_range(self):
+        # |1.7e308 (1 + i)| overflows: the row scale comes from the larger
+        # part, so the row squares scaled, without a warning, and settles
+        # its count (roots of modulus about 1.55e154, both outside)
+        c = np.array([[1.7e308 + 1.7e308j, 1, 1]])
+        count, fallback, on_curve = _count_rows(c)
+        assert count.tolist() == [0] and not fallback.any() and not on_curve.any()
+        # the scale is a power of two: a row scaled by one squares alike
+        assert _graeffe_rows(c).tobytes() == _graeffe_rows(np.ldexp(c.real, -900)
+                                                             + 1j * np.ldexp(c.imag, -900)).tobytes()
 
     def test_matches_count_inside(self):
         count, fallback, _ = _count_rows(self.stack())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,10 @@ class TestNormInf:
         # row 1 is |5| + |-2| + |4| with the entry in column 10**300
         a = q.qt_new([5, -2], [5, -2], [(1, 10**300, 4.0)])
         assert q.norm_inf(a) == 11.0
+
+    def test_band_sum_past_the_float_range(self):
+        # the band's row sum overflows to inf, without a warning
+        assert q.norm_inf(q.qt_new([1.7e308, 1.7e308], [1.7e308, 1.0])) == math.inf
 
     def test_bounds_sections(self, fix_a, test1_case2):
         for a in (fix_a, test1_case2):

@@ -1,6 +1,11 @@
+import cmath
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,8 @@ from qteig.solver import (
     Outcomes,
     _MAP_SAMPLES,
     _classify,
+    _code,
+    _compression,
     _curve_polygon,
     _grid_axes,
     _chunk_bounds,
@@ -264,6 +271,81 @@ class TestRunExits:
         monkeypatch.setattr("qteig.solver._frobenius_rows", spy)
         q.eig_single(a, 0.0, q.SolverConfig(method="vandermonde", maxit=1))
         assert built
+
+
+class TestSpuriousExit:
+    """The p < q exit: a run that heads for a zero of det Phi that is not
+    an eigenvalue ends no_convergence_pltq before it converges, and no
+    other run changes."""
+
+    CONFIGS = {"test2_case1": q.SolverConfig(),
+               "test3": q.SolverConfig(gamma=12.5, residual_tol=1e-8, dedupe_tol=1e-4)}
+
+    def _starts(self, name, a):
+        if name == "fix_a_pltq":  # the 40 x 40 cell centres over [-2, 2]**2
+            xs, ys = _grid_axes((-2, 2), (-2, 2), 40)
+            return [complex(x, y) for y in ys for x in xs], q.SolverConfig()
+        cfg = self.CONFIGS[name]
+        return eig_dense(q.finite_section(a, section_size(a, cfg.gamma))), cfg
+
+    @pytest.mark.parametrize("name", ["test2_case1", "test3", "fix_a_pltq"])
+    def test_ends_only_the_runs_the_certificate_rejects(self, name, request, monkeypatch):
+        a = request.getfixturevalue(name)
+        starts, cfg = self._starts(name, a)
+        on = _run_records(a, starts, cfg)
+        monkeypatch.setattr(q.solver, "SPURIOUS_RATIO", math.inf)  # the exit off
+        off = _run_records(a, starts, cfg)
+        rejected = [r.status is q.SolveStatus.NO_CONVERGENCE_PLTQ and math.isfinite(r.residual)
+                    for r in off]
+        for rec, ref, spurious in zip(on, off, rejected, strict=True):
+            if spurious:  # ended earlier, at a shift no residual was computed for
+                assert rec.status is q.SolveStatus.NO_CONVERGENCE_PLTQ
+                assert rec.residual == math.inf and rec.iterations < ref.iterations
+            else:
+                assert rec == ref and repr(rec.residual) == repr(ref.residual)
+        if name == "fix_a_pltq":
+            assert all(r.status is q.SolveStatus.ISOLATED_PLTQ for r in on)
+        else:
+            assert any(rejected)
+
+    @pytest.mark.parametrize("method", q.SolverConfig.METHODS)
+    @pytest.mark.parametrize("name", ["test2_case1", "test3"])
+    def test_mirror_runs_end_alike(self, name, method, request):
+        # a shift with Im < 0 takes conj(R): on a real operator the run
+        # from conj(lam) ends as the run from lam, in as many steps
+        a = request.getfixturevalue(name)
+        starts, cfg = self._starts(name, a)
+        cfg = dataclasses.replace(cfg, method=method)
+        up = np.array([z for z in starts if z.imag > 0])
+        runs, mirrors = (q.solver._runs(a, z, cfg) for z in (up, up.conj()))
+        assert (runs.code == _code(q.SolveStatus.NO_CONVERGENCE_PLTQ)).any()
+        assert np.array_equal(runs.code, mirrors.code)
+        assert np.array_equal(runs.iterations, mirrors.iterations)
+
+    def test_compression_is_fixed_and_unit_modulus(self):
+        r = _compression(6, 8)
+        assert r is _compression(6, 8) and r.shape == (6, 8)
+        assert np.allclose(np.abs(r), 1.0) and np.linalg.matrix_rank(r) == 6
+        assert r[1, 2] == cmath.exp(2j * math.pi * math.modf(6 * (math.sqrt(5) - 1) / 2)[0])
+
+    def test_no_numpy_random(self):
+        # the compression is closed-form: importing numpy.random would
+        # cost the solver about 6 MB of peak memory and 14 ms
+        code = """if True:
+            import sys
+            import qteig as q
+            pltq = q.qt_new([5, -2], [5, -2], [(1, 1, -4), (2, 1, 1.0), (2, 2, -2.0)])
+            seven = q.qt_new([0, -1, 1, -1, 0, 0, 0, 1], [0, -1, -1],
+                             [(i, 100, i) for i in range(1, 21)])
+            assert [r.status.value for r in q.eig_all(pltq).records] == ["isolated_pltq"]
+            assert len(q.eig_all(seven).records) == 7
+            assert "numpy.random" not in sys.modules
+        """
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}")
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestEigAll:
@@ -1048,11 +1130,10 @@ class TestBatch:
             assert _run_records(a, starts, cfg) == want
 
     @pytest.mark.parametrize("name", ["test2_case1", "test3", "fix_a_pltq"])
-    def test_outcomes_do_not_depend_on_vec_len(self, name, request):
+    def test_outcomes_do_not_depend_on_vec_len(self, name, request, monkeypatch):
         # classification reads the prefix only to store it: the same
         # statuses, shifts, residuals and iteration counts at any length,
-        # and prefixes that agree on their common length.  Each operator
-        # has runs that reach the p < q rank certificate
+        # and prefixes that agree on their common length
         a = request.getfixturevalue(name)
         cfg = q.SolverConfig()
         if name == "test3":  # criterion 4's configuration
@@ -1062,12 +1143,9 @@ class TestBatch:
             starts = [complex(x, y) for y in ys for x in xs]
         else:
             starts = eig_dense(q.finite_section(a, section_size(a, cfg.gamma)))
-        runs = {n: _run_records(a, starts, dataclasses.replace(cfg, vec_len=n))
-                for n in (1, 100, 300)}
+        lengths = (1, 100, 300)
+        runs = {n: _run_records(a, starts, dataclasses.replace(cfg, vec_len=n)) for n in lengths}
         want = runs[100]
-        assert any(r.status is q.SolveStatus.ISOLATED_PLTQ
-                   or (r.status is q.SolveStatus.NO_CONVERGENCE_PLTQ and math.isfinite(r.residual))
-                   for r in want)
         for n, recs in runs.items():
             for rec, ref in zip(recs, want, strict=True):
                 assert rec.status is ref.status and rec.iterations == ref.iterations
@@ -1077,6 +1155,31 @@ class TestBatch:
                 assert len(rec.vec_prefix) == (n if rec.is_isolated else 0)
                 assert (np.array(rec.vec_prefix[:k]).tobytes()
                         == np.array(ref.vec_prefix[:k]).tobytes())
+        if name == "fix_a_pltq":  # the certificate accepts through the Newton runs
+            assert any(r.status is q.SolveStatus.ISOLATED_PLTQ for r in want)
+            return
+        # the second-compression exit ends these p < q runs before the
+        # certificate sees them: the certificate rejects the limits they
+        # reach without the exit, with the same residual at every length
+        monkeypatch.setattr(q.solver, "SPURIOUS_RATIO", math.inf)
+        lam = np.array([r.lam for r in _run_records(a, starts, cfg)
+                        if r.status is q.SolveStatus.NO_CONVERGENCE_PLTQ
+                        and math.isfinite(r.residual)])
+        assert lam.size
+        ctx = build_w(a)
+        code, stacks, _ = q.solver._bases_at(a, ctx, lam, np.full(lam.size, -1),
+                                             q.norm_inf(a), cfg.method)
+        assert (code == Outcomes.LIVE).all()
+        classified = {n: [rec for rows, basis in stacks
+                          for rec in _classified(a, ctx, lam[rows], basis,
+                                                 np.zeros(rows.size, dtype=np.int64),
+                                                 dataclasses.replace(cfg, vec_len=n))]
+                      for n in lengths}
+        for n, recs in classified.items():
+            for rec, ref in zip(recs, classified[100], strict=True):
+                assert rec.status is q.SolveStatus.NO_CONVERGENCE_PLTQ
+                assert math.isfinite(rec.residual)
+                assert repr(rec.residual) == repr(ref.residual) and rec.vec_prefix == ()
 
     def test_basin_labels_follow_the_sequential_rule(self, test1_case2, monkeypatch):
         # the labels and limits of a walk over the cells in order, each

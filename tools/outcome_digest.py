@@ -21,10 +21,12 @@ repr(start)), so the classification's output is compared too, not only
 the shift it classified (``basins`` keeps no eigenvectors and runs with
 a one-entry prefix, so its runs hash that one entry); for each set the
 accepted eigenvalues (the ``eig_all`` records, or the basin limits);
-and for each set the rows of the Newton driver's root splits that the
+for each set the rows of the Newton driver's root splits that the
 previous pass's roots settled, the rows sent to the companion solve,
 and how many of those it solved in closed form: those of degree 2,
-which it takes by the quadratic formula, not ``np.linalg.eigvals``.
+which it takes by the quadratic formula, not ``np.linalg.eigvals``;
+and for each set the lockstep passes, one root split per pass of a
+chunk.
 ``eig_all`` keeps only the accepted runs, so each set is run inside one
 observer (``_observing``), which wraps the private driver
 ``qteig.solver._runs`` and root split ``qteig.solver._split_rows`` for
@@ -64,9 +66,9 @@ a start on one side with the k-th run from the same start (the same
 repr) on the other.  It prints, per set, the number of paired starts and
 of the starts only one side ran, the status histogram of each side, the
 share of each side's split rows sent to ``np.linalg.eigvals`` (the
-fallback ratio) and, when either side has any, the share solved in
-closed form, the median and the largest residual of each side's accepted
-runs, then over the pairs the number of starts whose iteration count
+fallback ratio) with each side's lockstep passes and, when either side
+has any, the share solved in closed form, the median and the largest
+residual of each side's accepted runs, then over the pairs the number of starts whose iteration count
 changed, the number of final shifts that differ in any bit, the number
 of runs whose residual and whose eigenvector hash differ, and the
 largest relative difference of the final shifts; then that of the
@@ -136,7 +138,8 @@ def _observing(q):
     """What the Newton driver does while the block runs: {"starts": the
     ``_record`` of every run, in order, "split": {"warm": split rows
     settled from the previous pass's roots, "eigvals": rows sent to the
-    companion solve, "closed_form": those of degree 2}}.
+    companion solve, "closed_form": those of degree 2}, "passes": the
+    lockstep passes, one split call each}.
 
     ``qteig.solver._runs``, through which ``eig_all`` and ``basins`` run
     every start, is replaced by a wrapper that records each row of the
@@ -146,7 +149,7 @@ def _observing(q):
     companion solve takes the quadratic formula).  Every wrapper is
     restored on exit, also when the block raises."""
     runs, split, eigensolve = q.solver._runs, q.solver._split_rows, q.poly._companion_roots
-    seen = {"starts": [], "split": {"warm": 0, "eigvals": 0, "closed_form": 0}}
+    seen = {"starts": [], "split": {"warm": 0, "eigvals": 0, "closed_form": 0}, "passes": 0}
     counts = seen["split"]
 
     def recording(a, starts, cfg):
@@ -162,6 +165,7 @@ def _observing(q):
 
     def counting_split(c, *args):
         before = counts["eigvals"]
+        seen["passes"] += 1
         q.poly._companion_roots = counting_eigensolve
         try:
             out = split(c, *args)
@@ -181,7 +185,7 @@ def _section_set(q, a, cfg) -> dict:
     with _observing(q) as seen:
         report = q.eig_all(a, cfg)
     return {"starts": seen["starts"], "accepted": [repr(r.lam) for r in report.records],
-            "split": seen["split"]}
+            "split": seen["split"], "passes": seen["passes"]}
 
 
 def _sha256(data: bytes) -> str:
@@ -286,7 +290,7 @@ def digest(src: Path) -> dict:
         ),
         "cluster_vandermonde": _section_set(q, cluster, vandermonde),
         "basins": {"starts": basin["starts"], "accepted": [repr(z) for z in limits],
-                   "split": basin["split"]},
+                   "split": basin["split"], "passes": basin["passes"]},
     }
     scattered = q.qt_new(
         [0, -1, 1, -1],
@@ -442,7 +446,8 @@ def _compare_sets(da: dict, db: dict) -> int:
         print(f"  A: {_histogram(sa)}")
         print(f"  B: {_histogram(sb)}")
         split_a, split_b = da[name]["split"], db[name]["split"]
-        print(f"  sent to eigvals: A {_fallback(split_a)}, B {_fallback(split_b)}")
+        print(f"  sent to eigvals: A {_fallback(split_a)}, B {_fallback(split_b)}; "
+              f"lockstep passes: A {da[name]['passes']}, B {db[name]['passes']}")
         if split_a["closed_form"] or split_b["closed_form"]:
             print(f"  solved in closed form: A {_fallback(split_a, 'closed_form')}, "
                   f"B {_fallback(split_b, 'closed_form')}")
